@@ -27,7 +27,7 @@ from .quantum import (
     proj_sym,
     tensor,
 )
-from .transport import DualWitness, stabilized_cost, transport_cost
+from .transport import DualWitness, _identity_extension, stabilized_cost, transport_cost
 
 __all__ = [
     "ChainCheckError",
@@ -110,13 +110,6 @@ class ViolationReport:
     chain_tol: float
 
 
-def _witness_extension(witness: DualWitness) -> np.ndarray:
-    d = witness.dim
-    return np.kron(witness.potential_a.matrix, np.eye(d)) + np.kron(
-        np.eye(d), witness.potential_b.matrix
-    )
-
-
 def reference_witness() -> DualWitness:
     """The built-in 4x4 witness pair, bit-exact decimal constants.
 
@@ -129,7 +122,7 @@ def reference_witness() -> DualWitness:
 
 
 def _reference_repaired() -> tuple[DualWitness, float]:
-    lhs = np.kron(_REFERENCE_A, np.eye(4)) + np.kron(np.eye(4), _REFERENCE_B)
+    lhs = _identity_extension(_REFERENCE_A, _REFERENCE_B)
     excess = float(np.linalg.eigvalsh(lhs - proj_asym(4).matrix)[-1])
     shift = max(0.0, excess)
     pot_a = _REFERENCE_A - shift * np.eye(4)
@@ -139,8 +132,8 @@ def _reference_repaired() -> tuple[DualWitness, float]:
 def symmetric_excess(witness: DualWitness) -> float:
     """Largest eigenvalue of the witness extension minus the symmetric
     projector; positive means the witness breaks monotonicity."""
-    d = witness.dim
-    return float(np.linalg.eigvalsh(_witness_extension(witness) - proj_sym(d).matrix)[-1])
+    lhs = _identity_extension(witness.potential_a.matrix, witness.potential_b.matrix)
+    return float(np.linalg.eigvalsh(lhs - proj_sym(witness.dim).matrix)[-1])
 
 
 def tensor_feasibility_equivalence(pot_a, pot_b, d2: int) -> EquivalenceCheck:
@@ -160,7 +153,7 @@ def tensor_feasibility_equivalence(pot_a, pot_b, d2: int) -> EquivalenceCheck:
     eye1 = np.eye(d1)
     joint = tensor(a.matrix, eye1, np.eye(d2 * d2)) + tensor(eye1, b.matrix, np.eye(d2 * d2))
     m_joint = float(np.linalg.eigvalsh(joint - proj_asym_reshuffled(d1, d2).matrix)[-1])
-    lhs = np.kron(a.matrix, eye1) + np.kron(eye1, b.matrix)
+    lhs = _identity_extension(a.matrix, b.matrix)
     m_asym = float(np.linalg.eigvalsh(lhs - proj_asym(d1).matrix)[-1])
     m_sym = float(np.linalg.eigvalsh(lhs - proj_sym(d1).matrix)[-1])
 
@@ -189,7 +182,6 @@ def embed_witness(base: DualWitness, k: int, alpha: float | None = None) -> Dual
     d = base.dim
     d_new = d + k
     pasym = proj_asym(d_new).matrix
-    eye_new = np.eye(d_new)
 
     def padded(a):
         out = np.zeros((d_new, d_new), dtype=complex)
@@ -200,7 +192,7 @@ def embed_witness(base: DualWitness, k: int, alpha: float | None = None) -> Dual
     def excess(value):
         nonlocal alpha_val
         alpha_val = value
-        lhs = np.kron(padded(True), eye_new) + np.kron(eye_new, padded(False))
+        lhs = _identity_extension(padded(True), padded(False))
         return float(np.linalg.eigvalsh(lhs - pasym)[-1])
 
     alpha_val = 0.0
@@ -229,8 +221,8 @@ def extract_violating_state(witness: DualWitness) -> PureState:
     Requires a strictly positive symmetric-side excess; the returned state
     attains it as an expectation-value violation.
     """
-    d = witness.dim
-    value, state = max_eig(_witness_extension(witness) - proj_sym(d).matrix)
+    lhs = _identity_extension(witness.potential_a.matrix, witness.potential_b.matrix)
+    value, state = max_eig(lhs - proj_sym(witness.dim).matrix)
     if value <= 1e-9:
         raise ValueError(
             f"witness does not exceed the symmetric-side bound (excess {value:.3e})"
@@ -265,7 +257,8 @@ def violation_report(d: int, tol: float = 1e-8) -> ViolationReport:
     ts_res = stabilized_cost(rho, sigma, tol)
     amp = psi.amplitudes
     sym_expectation = float((amp.conj() @ proj_sym(d).matrix @ amp).real)
-    extension_expectation = float((amp.conj() @ _witness_extension(witness) @ amp).real)
+    extension = _identity_extension(witness.potential_a.matrix, witness.potential_b.matrix)
+    extension_expectation = float((amp.conj() @ extension @ amp).real)
     dual_bound = float(
         np.trace(witness.potential_a.matrix @ rho.matrix).real
         + np.trace(witness.potential_b.matrix @ sigma.matrix).real
@@ -351,7 +344,8 @@ def search_witness(d: int, seed, iterations: int) -> DualWitness | None:
                 candidate = transport_cost(rho, sigma).dual_witness
             except (sdp.SolverFailure, ValueError):
                 break
-            vals, vecs = np.linalg.eigh(_witness_extension(candidate) - psym)
+            lhs = _identity_extension(candidate.potential_a.matrix, candidate.potential_b.matrix)
+            vals, vecs = np.linalg.eigh(lhs - psym)
             amp = vecs[:, -1]
             witness = candidate
             if vals[-1] <= best + 1e-10:
@@ -359,7 +353,8 @@ def search_witness(d: int, seed, iterations: int) -> DualWitness | None:
             best = float(vals[-1])
         if witness is None or best <= 1e-6:
             continue
-        shift = max(0.0, float(np.linalg.eigvalsh(_witness_extension(witness) - pasym)[-1]))
+        lhs = _identity_extension(witness.potential_a.matrix, witness.potential_b.matrix)
+        shift = max(0.0, float(np.linalg.eigvalsh(lhs - pasym)[-1]))
         witness = DualWitness(
             HermitianOperator(witness.potential_a.matrix - shift * eye),
             witness.potential_b,

@@ -284,7 +284,7 @@ def _check_cost_bounds(rng, quick):
 def _check_reference_witness(rng, quick):
     wit = ce.reference_witness()
     d = wit.dim
-    lhs = np.kron(wit.potential_a.matrix, np.eye(d)) + np.kron(np.eye(d), wit.potential_b.matrix)
+    lhs = tr._identity_extension(wit.potential_a.matrix, wit.potential_b.matrix)
     m_asym = float(np.linalg.eigvalsh(lhs - q.proj_asym(d).matrix)[-1])
     m_sym = float(np.linalg.eigvalsh(lhs - q.proj_sym(d).matrix)[-1])
     passed = m_asym <= 1e-6 and m_sym > 1e-4

@@ -4,8 +4,10 @@ The base cost ``transport_cost`` minimizes the expectation of the
 antisymmetric projector over all couplings of two states; ``wasserstein`` is
 its square root.  ``stabilized_cost`` is the infimum of the base cost over
 tensoring both states with a shared ancilla, computed through its two-block
-reformulation; ``stabilized_cost_via_tensoring`` evaluates the equivalent
-maximally-mixed-qubit extension directly and serves as a cross-check.
+reformulation.  ``tensored_cost`` is the base cost between Kronecker-product
+states, with the coupling on A1 A2 (x) B1 B2; ``stabilized_cost_via_tensoring``
+evaluates the equivalent maximally-mixed-qubit extension that way and serves
+as a cross-check independent of the two-block split.
 
 Couplings are always built on the supports of the marginals: any coupling of
 (rho, sigma) lives inside range(rho) (x) range(sigma), so compressing there
@@ -29,9 +31,7 @@ from .quantum import (
     HermitianOperator,
     hermitian_basis,
     proj_asym,
-    proj_asym_reshuffled,
     proj_sym,
-    tensor,
 )
 
 __all__ = [
@@ -75,11 +75,8 @@ class DualWitness:
     def __post_init__(self):
         if self.potential_a.dim != self.potential_b.dim:
             raise DimensionMismatchError("witness potentials must share one dimension")
-        d = self.potential_a.dim
-        lhs = np.kron(self.potential_a.matrix, np.eye(d)) + np.kron(
-            np.eye(d), self.potential_b.matrix
-        )
-        margin = -float(np.linalg.eigvalsh(lhs - proj_asym(d).matrix)[-1])
+        lhs = _identity_extension(self.potential_a.matrix, self.potential_b.matrix)
+        margin = -float(np.linalg.eigvalsh(lhs - proj_asym(self.potential_a.dim).matrix)[-1])
         if margin < -WITNESS_FEASIBILITY_TOL:
             raise ValueError(f"witness is infeasible: margin {margin:.3e}")
         object.__setattr__(self, "feasibility_margin", margin)
@@ -131,7 +128,7 @@ def transport_cost(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAUL
     cost = _compress_two_sided(proj_asym(d).matrix, iso_a, iso_b, d)
 
     basis_a, basis_b = hermitian_basis(ra), hermitian_basis(rb)
-    problem = _coupling_problem(cost, red_a, red_b, basis_a, basis_b)
+    problem = _coupling_problem((cost,), red_a, red_b, basis_a, basis_b)
     sol = _solved(problem, tol)
 
     pot_a = np.tensordot(sol.dual_vector[: ra * ra], basis_a, axes=(0, 0))
@@ -178,25 +175,12 @@ def stabilized_cost(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAU
     d = _require_same_dim(rho, sigma)
     iso_a, red_a = _support(rho)
     iso_b, red_b = _support(sigma)
-    ra, rb = red_a.shape[0], red_b.shape[0]
-    cost_sym = _compress_two_sided(proj_sym(d).matrix, iso_a, iso_b, d)
-    cost_asym = _compress_two_sided(proj_asym(d).matrix, iso_a, iso_b, d)
-
-    basis_a, basis_b = hermitian_basis(ra), hermitian_basis(rb)
-    n = ra * rb
-    constraints = []
-    for k in range(ra * ra):
-        op = HermitianOperator(np.kron(basis_a[k], np.eye(rb)))
-        constraints.append(((op, op), np.trace(basis_a[k] @ red_a).real))
-    for k in range(1, rb * rb):
-        op = HermitianOperator(np.kron(np.eye(ra), basis_b[k]))
-        constraints.append(((op, op), np.trace(basis_b[k] @ red_b).real))
-    problem = sdp.SdpProblem(
-        blocks=(n, n),
-        objective=(HermitianOperator(cost_sym), HermitianOperator(cost_asym)),
-        constraints=tuple(constraints),
+    costs = (
+        _compress_two_sided(proj_sym(d).matrix, iso_a, iso_b, d),
+        _compress_two_sided(proj_asym(d).matrix, iso_a, iso_b, d),
     )
-    sol = _solved(problem, tol)
+    basis_a, basis_b = hermitian_basis(red_a.shape[0]), hermitian_basis(red_b.shape[0])
+    sol = _solved(_coupling_problem(costs, red_a, red_b, basis_a, basis_b), tol)
     return StabilizedResult(
         value=float(sol.primal_value),
         sym_block=HermitianOperator(_psd_clean(_lift_coupling(sol.primal_blocks[0], iso_a, iso_b, d))),
@@ -208,13 +192,8 @@ def stabilized_cost(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAU
 def stabilized_cost_via_tensoring(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
     """Stabilized cost evaluated as the base cost of the states tensored with
     a maximally mixed qubit; agrees with ``stabilized_cost`` within 2*tol."""
-    d = _require_same_dim(rho, sigma)
-    if 4 * d * d > MAX_TENSORED_DIM:
-        raise DimensionMismatchError(
-            f"tensored coupling dimension {4 * d * d} exceeds the desk-scale cap {MAX_TENSORED_DIM}"
-        )
-    qubit = np.eye(2, dtype=complex) / 2
-    return _interleaved_cost(rho.matrix, qubit, sigma.matrix, qubit, d, 2, tol)
+    qubit = DensityMatrix(np.eye(2) / 2)
+    return tensored_cost(rho, sigma, qubit, qubit, tol)
 
 
 def tensored_cost(
@@ -224,14 +203,23 @@ def tensored_cost(
     sigma2: DensityMatrix,
     tol: float = DEFAULT_TOL,
 ) -> float:
-    """Base cost between tensor-product pairs, on interleaved factor ordering."""
+    """Base cost between the product states rho1 (x) rho2 and sigma1 (x) sigma2.
+
+    This is ``transport_cost`` on the Kronecker products, so the coupling
+    lives on A1 A2 (x) B1 B2 and is compressed to the support of each
+    product state.
+    """
     d1 = _require_same_dim(rho1, sigma1)
     d2 = _require_same_dim(rho2, sigma2)
     if (d1 * d2) ** 2 > MAX_TENSORED_DIM:
         raise DimensionMismatchError(
             f"tensored coupling dimension {(d1 * d2) ** 2} exceeds the desk-scale cap {MAX_TENSORED_DIM}"
         )
-    return _interleaved_cost(rho1.matrix, rho2.matrix, sigma1.matrix, sigma2.matrix, d1, d2, tol)
+    return transport_cost(
+        DensityMatrix(np.kron(rho1.matrix, rho2.matrix)),
+        DensityMatrix(np.kron(sigma1.matrix, sigma2.matrix)),
+        tol,
+    ).value
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +249,19 @@ def _support(state: DensityMatrix):
     return iso, red / np.trace(red).real
 
 
+def _support_map(iso_a, iso_b, d: int) -> np.ndarray:
+    """Isometry from the reduced coupling space into C^d (x) C^d."""
+    return np.kron(
+        iso_a if iso_a is not None else np.eye(d),
+        iso_b if iso_b is not None else np.eye(d),
+    )
+
+
 def _compress_two_sided(op: np.ndarray, iso_a, iso_b, d: int) -> np.ndarray:
     """Compress an operator on C^d (x) C^d with per-factor isometries."""
     if iso_a is None and iso_b is None:
         return op
-    w = np.kron(
-        iso_a if iso_a is not None else np.eye(d),
-        iso_b if iso_b is not None else np.eye(d),
-    )
+    w = _support_map(iso_a, iso_b, d)
     out = w.conj().T @ op @ w
     return (out + out.conj().T) / 2
 
@@ -276,10 +269,7 @@ def _compress_two_sided(op: np.ndarray, iso_a, iso_b, d: int) -> np.ndarray:
 def _lift_coupling(block: np.ndarray, iso_a, iso_b, d: int) -> np.ndarray:
     if iso_a is None and iso_b is None:
         return block
-    w = np.kron(
-        iso_a if iso_a is not None else np.eye(d),
-        iso_b if iso_b is not None else np.eye(d),
-    )
+    w = _support_map(iso_a, iso_b, d)
     out = w @ block @ w.conj().T
     return (out + out.conj().T) / 2
 
@@ -291,64 +281,25 @@ def _psd_clean(mat: np.ndarray) -> np.ndarray:
     return (vecs * vals) @ vecs.conj().T
 
 
-def _coupling_problem(cost, red_a, red_b, basis_a, basis_b) -> sdp.SdpProblem:
-    """Single-block coupling SDP: marginals fixed over orthonormal Hermitian
-    bases, with the duplicate trace constraint dropped from the second side."""
+def _coupling_problem(costs, red_a, red_b, basis_a, basis_b) -> sdp.SdpProblem:
+    """Coupling SDP over one PSD block per cost, charged against its own cost,
+    whose sum couples the marginals: marginals fixed over orthonormal
+    Hermitian bases, with the duplicate trace constraint dropped from the
+    second side."""
     ra, rb = red_a.shape[0], red_b.shape[0]
+    k = len(costs)
     constraints = []
-    for k in range(ra * ra):
-        op = HermitianOperator(np.kron(basis_a[k], np.eye(rb)))
-        constraints.append(((op,), np.trace(basis_a[k] @ red_a).real))
-    for k in range(1, rb * rb):
-        op = HermitianOperator(np.kron(np.eye(ra), basis_b[k]))
-        constraints.append(((op,), np.trace(basis_b[k] @ red_b).real))
+    for i in range(ra * ra):
+        op = HermitianOperator(np.kron(basis_a[i], np.eye(rb)))
+        constraints.append(((op,) * k, np.trace(basis_a[i] @ red_a).real))
+    for i in range(1, rb * rb):
+        op = HermitianOperator(np.kron(np.eye(ra), basis_b[i]))
+        constraints.append(((op,) * k, np.trace(basis_b[i] @ red_b).real))
     return sdp.SdpProblem(
-        blocks=(ra * rb,),
-        objective=(HermitianOperator(cost),),
+        blocks=(ra * rb,) * k,
+        objective=tuple(HermitianOperator(cost) for cost in costs),
         constraints=tuple(constraints),
     )
-
-
-def _interleaved_cost(mu_a1, mu_a2, mu_b1, mu_b2, d1: int, d2: int, tol: float) -> float:
-    """Cost of coupling mu_a1 (x) mu_a2 with mu_b1 (x) mu_b2, with the coupling
-    ordered A1 B1 A2 B2 and the reshaped antisymmetric projector as objective."""
-    sup_a1, red_a1 = _support(DensityMatrix(mu_a1))
-    sup_b1, red_b1 = _support(DensityMatrix(mu_b1))
-    sup_a2, red_a2 = _support(DensityMatrix(mu_a2))
-    sup_b2, red_b2 = _support(DensityMatrix(mu_b2))
-
-    def _eye(iso, d):
-        return iso if iso is not None else np.eye(d)
-
-    w = tensor(_eye(sup_a1, d1), _eye(sup_b1, d1), _eye(sup_a2, d2), _eye(sup_b2, d2))
-    cost = w.conj().T @ proj_asym_reshuffled(d1, d2).matrix @ w
-    cost = (cost + cost.conj().T) / 2
-
-    ra1, rb1 = red_a1.shape[0], red_b1.shape[0]
-    ra2, rb2 = red_a2.shape[0], red_b2.shape[0]
-    basis_a1, basis_b1 = hermitian_basis(ra1), hermitian_basis(rb1)
-    basis_a2, basis_b2 = hermitian_basis(ra2), hermitian_basis(rb2)
-
-    constraints = []
-    for k1 in range(ra1 * ra1):
-        for k2 in range(ra2 * ra2):
-            op = HermitianOperator(tensor(basis_a1[k1], np.eye(rb1), basis_a2[k2], np.eye(rb2)))
-            rhs = np.trace(basis_a1[k1] @ red_a1).real * np.trace(basis_a2[k2] @ red_a2).real
-            constraints.append(((op,), rhs))
-    for k1 in range(rb1 * rb1):
-        for k2 in range(rb2 * rb2):
-            if k1 == 0 and k2 == 0:
-                continue
-            op = HermitianOperator(tensor(np.eye(ra1), basis_b1[k1], np.eye(ra2), basis_b2[k2]))
-            rhs = np.trace(basis_b1[k1] @ red_b1).real * np.trace(basis_b2[k2] @ red_b2).real
-            constraints.append(((op,), rhs))
-
-    problem = sdp.SdpProblem(
-        blocks=(ra1 * rb1 * ra2 * rb2,),
-        objective=(HermitianOperator(cost),),
-        constraints=tuple(constraints),
-    )
-    return float(_solved(problem, tol).primal_value)
 
 
 def _solved(problem: sdp.SdpProblem, tol: float) -> sdp.SdpSolution:
@@ -364,6 +315,13 @@ def _solved(problem: sdp.SdpProblem, tol: float) -> sdp.SdpSolution:
 
 # ---------------------------------------------------------------------------
 # Dual potential lifting
+
+
+def _identity_extension(pot_a: np.ndarray, pot_b: np.ndarray) -> np.ndarray:
+    """pot_a (x) I + I (x) pot_b, the operator a potential pair puts on the
+    coupling space; the pair is dual feasible when this is dominated by the
+    cost."""
+    return np.kron(pot_a, np.eye(pot_b.shape[0])) + np.kron(np.eye(pot_a.shape[0]), pot_b)
 
 
 def _balance_traces(pot_a: np.ndarray, pot_b: np.ndarray):
@@ -382,14 +340,9 @@ def _lift_potentials(pot_a, pot_b, iso_a, iso_b, reduced_cost, d: int):
     feasibility margin exactly zero (for near-optimal reduced potentials the
     dual supremum is approached, not attained, so some shift is inherent).
     """
-    ra, rb = pot_a.shape[0], pot_b.shape[0]
-    excess = float(
-        np.linalg.eigvalsh(
-            np.kron(pot_a, np.eye(rb)) + np.kron(np.eye(ra), pot_b) - reduced_cost
-        )[-1]
-    )
+    excess = float(np.linalg.eigvalsh(_identity_extension(pot_a, pot_b) - reduced_cost)[-1])
     if excess > 0:  # solver dual dust; restore exact reduced feasibility
-        pot_a = pot_a - excess * np.eye(ra)
+        pot_a = pot_a - excess * np.eye(pot_a.shape[0])
 
     def extend(pot, iso, beta):
         if iso is None:
@@ -404,9 +357,7 @@ def _lift_potentials(pot_a, pot_b, iso_a, iso_b, reduced_cost, d: int):
     for _ in range(12):
         full_a = extend(pot_a, iso_a, beta)
         full_b = extend(pot_b, iso_b, beta)
-        delta = float(
-            np.linalg.eigvalsh(np.kron(full_a, np.eye(d)) + np.kron(np.eye(d), full_b) - pasym)[-1]
-        )
+        delta = float(np.linalg.eigvalsh(_identity_extension(full_a, full_b) - pasym)[-1])
         if delta <= 5e-7:
             break
         beta *= 4

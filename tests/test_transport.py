@@ -193,6 +193,16 @@ class TestTensoredCost:
             s2 = random_density_matrix(2, seed + 10)
             assert tensored_cost(rho, sigma, r2, s2) >= ts - 1e-6
 
+    @pytest.mark.parametrize("pure_first", [False, True], ids=["full-rank", "pure-first"])
+    def test_factor_order_invariance(self, pure_first):
+        if pure_first:
+            r1, s1 = random_pure_state(3, 155).density(), random_pure_state(3, 156).density()
+        else:
+            r1, s1 = random_density_matrix(3, 155), random_density_matrix(3, 156)
+        r2 = random_density_matrix(2, 157)
+        s2 = random_density_matrix(2, 158)
+        assert tensored_cost(r1, s1, r2, s2) == pytest.approx(tensored_cost(r2, s2, r1, s1), abs=2e-8)
+
     def test_guard(self):
         r5 = random_density_matrix(5, 0)
         r4 = random_density_matrix(4, 1)
