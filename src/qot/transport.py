@@ -127,12 +127,11 @@ def transport_cost(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAUL
     ra, rb = red_a.shape[0], red_b.shape[0]
     cost = _compress_two_sided(proj_asym(d).matrix, iso_a, iso_b, d)
 
-    basis_a, basis_b = hermitian_basis(ra), hermitian_basis(rb)
-    problem = _coupling_problem((cost,), red_a, red_b, basis_a, basis_b)
-    sol = _solved(problem, tol)
+    sol = _solved(sdp.coupling_problem((cost,), red_a, red_b), tol)
 
-    pot_a = np.tensordot(sol.dual_vector[: ra * ra], basis_a, axes=(0, 0))
-    pot_b = np.tensordot(sol.dual_vector[ra * ra :], basis_b[1:], axes=(0, 0))
+    # dual vector layout documented on sdp.coupling_problem
+    pot_a = np.tensordot(sol.dual_vector[: ra * ra], hermitian_basis(ra), axes=(0, 0))
+    pot_b = np.tensordot(sol.dual_vector[ra * ra :], hermitian_basis(rb)[1:], axes=(0, 0))
     if iso_a is None and iso_b is None:
         full_a, full_b = pot_a, pot_b
     else:
@@ -179,8 +178,7 @@ def stabilized_cost(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAU
         _compress_two_sided(proj_sym(d).matrix, iso_a, iso_b, d),
         _compress_two_sided(proj_asym(d).matrix, iso_a, iso_b, d),
     )
-    basis_a, basis_b = hermitian_basis(red_a.shape[0]), hermitian_basis(red_b.shape[0])
-    sol = _solved(_coupling_problem(costs, red_a, red_b, basis_a, basis_b), tol)
+    sol = _solved(sdp.coupling_problem(costs, red_a, red_b), tol)
     return StabilizedResult(
         value=float(sol.primal_value),
         sym_block=HermitianOperator(_psd_clean(_lift_coupling(sol.primal_blocks[0], iso_a, iso_b, d))),
@@ -279,27 +277,6 @@ def _psd_clean(mat: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
     vals = np.clip(vals, 0.0, None)
     return (vecs * vals) @ vecs.conj().T
-
-
-def _coupling_problem(costs, red_a, red_b, basis_a, basis_b) -> sdp.SdpProblem:
-    """Coupling SDP over one PSD block per cost, charged against its own cost,
-    whose sum couples the marginals: marginals fixed over orthonormal
-    Hermitian bases, with the duplicate trace constraint dropped from the
-    second side."""
-    ra, rb = red_a.shape[0], red_b.shape[0]
-    k = len(costs)
-    constraints = []
-    for i in range(ra * ra):
-        op = HermitianOperator(np.kron(basis_a[i], np.eye(rb)))
-        constraints.append(((op,) * k, np.trace(basis_a[i] @ red_a).real))
-    for i in range(1, rb * rb):
-        op = HermitianOperator(np.kron(np.eye(ra), basis_b[i]))
-        constraints.append(((op,) * k, np.trace(basis_b[i] @ red_b).real))
-    return sdp.SdpProblem(
-        blocks=(ra * rb,) * k,
-        objective=tuple(HermitianOperator(cost) for cost in costs),
-        constraints=tuple(constraints),
-    )
 
 
 def _solved(problem: sdp.SdpProblem, tol: float) -> sdp.SdpSolution:

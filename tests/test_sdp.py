@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from qot.quantum import HermitianOperator, hermitian_basis, proj_asym, random_density_matrix
+from qot import sdp
+from qot.quantum import HermitianOperator, hermitian_basis, proj_asym, proj_sym, random_density_matrix
 from qot.sdp import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     SdpProblem,
     complex_to_real_embedding,
+    coupling_problem,
     feasibility_margin,
     solve,
 )
@@ -204,3 +206,88 @@ class TestProblemValidation:
                 objective=(H(np.eye(2)),),
                 constraints=(((H(np.eye(2)),), np.inf),),
             )
+
+
+def _marginal(r, seed):
+    return random_density_matrix(r, seed).matrix if r > 1 else np.eye(1)
+
+
+def _random_coupling_problem(ra, rb, k, seed=0):
+    rng = np.random.default_rng(seed)
+    costs = []
+    for _ in range(k):
+        g = rng.normal(size=(ra * rb, ra * rb)) + 1j * rng.normal(size=(ra * rb, ra * rb))
+        costs.append((g + g.conj().T) / 2)
+    return coupling_problem(tuple(costs), _marginal(ra, seed + 1), _marginal(rb, seed + 2))
+
+
+class TestCouplingStructure:
+    """The structured paths for ``coupling_problem`` against the dense ones."""
+
+    SHAPES = [(1, 1, 1), (1, 3, 1), (3, 1, 2), (2, 3, 1), (4, 4, 2), (8, 8, 1)]
+
+    @pytest.mark.parametrize("ra, rb, k", SHAPES)
+    @pytest.mark.parametrize("iterates", ["embedded", "real"])
+    def test_structured_schur_matches_dense(self, ra, rb, k, iterates):
+        _, a_blocks, _ = sdp._embedded_data(_random_coupling_problem(ra, rb, k))
+        rng = np.random.default_rng(ra * 100 + rb * 10 + k)
+        n = ra * rb
+
+        def pd():
+            # embedded iterates lie in the image of the embedding; real ones
+            # are any SPD matrix of twice the size
+            if iterates == "embedded":
+                g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                return complex_to_real_embedding(g @ g.conj().T + 0.1 * np.eye(n))
+            g = rng.normal(size=(2 * n, 2 * n))
+            return g @ g.T + 0.1 * np.eye(2 * n)
+
+        xs = [pd() for _ in range(k)]
+        sinvs = [np.linalg.inv(pd()) for _ in range(k)]
+        dense = sdp._schur_complement(a_blocks, xs, sinvs)
+        structured = sdp._coupling_schur(a_blocks, xs, sinvs, ra, rb)
+        assert structured.shape == dense.shape == (ra * ra + rb * rb - 1,) * 2
+        assert np.max(np.abs(structured - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("ra, rb, k", SHAPES)
+    def test_closed_form_gram(self, ra, rb, k):
+        _, a_blocks, b = sdp._embedded_data(_random_coupling_problem(ra, rb, k))
+        gram = sum(a.reshape(len(b), -1) @ a.reshape(len(b), -1).T for a in a_blocks)
+        assert np.allclose(gram, np.diag(sdp._coupling_gram_diag(ra, rb, k)), rtol=0, atol=1e-12)
+
+    def test_builder_emits_transport_problem_constraints(self):
+        rho = random_density_matrix(3, 3).matrix
+        sigma = random_density_matrix(3, 4).matrix
+        built = coupling_problem((proj_asym(3).matrix,), rho, sigma)
+        reference = transport_problem(rho, sigma)
+        assert built.blocks == reference.blocks
+        assert np.array_equal(built.objective[0].matrix, reference.objective[0].matrix)
+        assert len(built.constraints) == len(reference.constraints) == 17
+        for (coeffs, rhs), (ref_coeffs, ref_rhs) in zip(built.constraints, reference.constraints):
+            assert rhs == ref_rhs
+            assert np.array_equal(coeffs[0].matrix, ref_coeffs[0].matrix)
+        assert built._marginal_dims == (3, 3)
+        assert reference._marginal_dims is None
+
+    @pytest.mark.parametrize(
+        "costs, ra, rb",
+        [
+            ((proj_asym(3).matrix,), 3, 3),
+            ((proj_sym(2).matrix, proj_asym(2).matrix), 2, 2),
+            (None, 2, 3),
+        ],
+        ids=["transport-d3", "stabilized-d2", "random-2x3"],
+    )
+    def test_structure_record_keeps_the_value(self, costs, ra, rb):
+        tol = 1e-8
+        if costs is None:
+            structured = _random_coupling_problem(ra, rb, 1, seed=5)
+        else:
+            structured = coupling_problem(costs, _marginal(ra, 6), _marginal(rb, 7))
+        plain = SdpProblem(
+            blocks=structured.blocks, objective=structured.objective, constraints=structured.constraints
+        )
+        s1, s2 = solve(structured, tol), solve(plain, tol)
+        assert s1.status == s2.status == STATUS_OPTIMAL
+        assert abs(s1.primal_value - s2.primal_value) <= 2 * tol
+        assert abs(s1.dual_value - s2.dual_value) <= 2 * tol
