@@ -19,14 +19,15 @@ Intended scale: blocks up to a few hundred rows and a few hundred
 constraints.  The constraints are stored as a dense real stack, and for a
 hand-built problem the Schur complement is assembled from that stack in
 O(m n^3) per iteration.  Coupling problems built by ``coupling_problem``
-(marginals of dimension ra and rb fixed by partial-trace constraints) record
-their marginal dimensions; their Schur complement is assembled from the
-Kronecker structure of those constraints in O(ra^3 rb^3) time and
-O(ra^2 rb^2) extra memory (the constraint-structure trick of Fujisawa,
-Kojima and Nakata 1997), and their restorer Gram matrix is known in closed
-form.  Problems without a strictly feasible primal converge slowly here;
-build couplings on marginal supports instead (see the transport module) so
-that every solved instance has interior.
+(marginals of dimension ra and rb fixed by partial-trace constraints) are
+stated in coordinates scaled by the marginals, so that near-singular
+marginals keep every iterate well conditioned, and record that scaling; their
+Schur complement is assembled from the Kronecker structure of the
+constraints in O(ra^3 rb^3) time and O(ra^2 rb^2) extra memory (the
+constraint-structure trick of Fujisawa, Kojima and Nakata 1997).  Problems
+without a strictly feasible primal converge slowly here; build couplings on
+marginal supports instead (see the transport module) so that every solved
+instance has interior.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "SolverFailure",
     "solve",
     "coupling_problem",
+    "coupling_solution",
     "complex_to_real_embedding",
     "feasibility_margin",
     "STATUS_OPTIMAL",
@@ -69,6 +71,27 @@ class SolverFailure(RuntimeError):
 
 
 @dataclass(frozen=True)
+class _Coupling:
+    """How a ``coupling_problem`` is scaled: the coupling is X = W Y W with
+    W = root_a (x) root_b, the square roots of the marginals, and Y is the
+    solved variable.  A-side constraints are basis_a[i] (x) red_b and B-side
+    ones red_a (x) basis_b[i]."""
+
+    root_a: np.ndarray
+    root_b: np.ndarray
+    basis_a: np.ndarray
+    basis_b: np.ndarray
+
+    @property
+    def red_a(self) -> np.ndarray:
+        return self.root_a @ self.root_a
+
+    @property
+    def red_b(self) -> np.ndarray:
+        return self.root_b @ self.root_b
+
+
+@dataclass(frozen=True)
 class SdpProblem:
     """Standard-form SDP data over complex Hermitian blocks.
 
@@ -80,8 +103,8 @@ class SdpProblem:
     blocks: tuple[int, ...]
     objective: tuple[HermitianOperator, ...]
     constraints: tuple[tuple[tuple[HermitianOperator | None, ...], float], ...]
-    # (ra, rb) when ``coupling_problem`` built the constraints; only it sets this.
-    _marginal_dims: tuple[int, int] | None = field(default=None, init=False, repr=False, compare=False)
+    # The scaling of a ``coupling_problem``; only that builder sets it.
+    _coupling: _Coupling | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(int(n) for n in self.blocks)
@@ -136,9 +159,13 @@ def complex_to_real_embedding(h) -> np.ndarray:
     For Hermitian H the image is symmetric, PSD iff H is PSD, traces double,
     and every eigenvalue appears with doubled multiplicity.
     """
-    m = np.asarray(h, dtype=complex)
+    return _embed(np.asarray(h, dtype=complex))
+
+
+def _embed(m: np.ndarray) -> np.ndarray:
+    """The embedding applied to the last two axes of a complex array."""
     a, b = m.real, m.imag
-    return np.block([[a, -b], [b, a]])
+    return np.concatenate([np.concatenate([a, -b], axis=-1), np.concatenate([b, a], axis=-1)], axis=-2)
 
 
 def _complex_from_embedding(y: np.ndarray) -> np.ndarray:
@@ -190,9 +217,10 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
         raise ValueError(f"tol must lie in [1e-10, 1e-2], got {tol}")
 
     c_blocks, a_blocks, b = _embedded_data(problem)
+    structure = None if problem._coupling is None else _coupling_structure(problem._coupling)
     # Embedded quantities are twice the complex-side ones, so target 2*tol.
     y_blocks, y_dual, status, iterations = _solve_real(
-        c_blocks, a_blocks, b, 2 * tol, 2 * tol, marginal_dims=problem._marginal_dims
+        c_blocks, a_blocks, b, 2 * tol, 2 * tol, coupling=structure
     )
 
     primal = tuple(_complex_from_embedding(yb) for yb in y_blocks)
@@ -219,39 +247,94 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
 
 def coupling_problem(costs, red_a: np.ndarray, red_b: np.ndarray) -> SdpProblem:
     """Coupling SDP over one PSD block per cost, charged against its own cost,
-    whose sum couples the marginals ``red_a`` (ra x ra) and ``red_b`` (rb x rb).
+    whose sum couples the positive definite marginals ``red_a`` (ra x ra)
+    and ``red_b`` (rb x rb).
 
-    The marginals are fixed over the orthonormal Hermitian bases
-    ``basis_a = hermitian_basis(ra)`` and ``basis_b = hermitian_basis(rb)``:
-    constraint i < ra*ra is ``basis_a[i] (x) I_rb`` with right-hand side
-    ``Tr[basis_a[i] red_a]``, and the remaining rb*rb - 1 constraints are
-    ``I_ra (x) basis_b[i]`` for i >= 1 (the identity direction would repeat
-    the trace constraint).  Every constraint enters every block.
+    The problem is stated for Y = W^-1 X W^-1, with X the coupling and
+    W = red_a^(1/2) (x) red_b^(1/2).  Y = I is then feasible whatever the
+    spectra of the marginals.  A marginal eigenvalue eps, which in the
+    coordinates of X gives the optimal dual vector entries of order
+    eps^(-1/2) and the iterates eigenvalues far below eps, leaves Y and the
+    dual vector of order one.  The objective is W C W for each cost C.  The
+    marginal constraints Tr_B X = red_a and Tr_A X = red_b become
+    Tr_B[(I (x) red_b) Y] = I and Tr_A[(red_a (x) I) Y] = I: constraint
+    i < ra*ra is ``basis_a[i] (x) red_b`` with right-hand side
+    Tr[basis_a[i]], and the remaining rb*rb - 1 constraints are
+    ``red_a (x) basis_b[i]`` with right-hand side Tr[basis_b[i]].
+    ``basis_a`` is ``hermitian_basis(ra)`` and ``basis_b`` is an orthonormal
+    basis of the Hermitian matrices orthogonal to ``red_b`` (that direction
+    would repeat the trace constraint).  Every constraint enters every
+    block.
 
-    A dual vector ``y`` of this problem is therefore laid out as
-    ``y[:ra*ra]``, the A-side potential in coordinates of ``basis_a``, then
-    ``y[ra*ra:]``, the B-side potential in coordinates of ``basis_b[1:]``.
-
-    The problem records ``(ra, rb)``, from which ``solve`` assembles the
-    Schur complement and the restorer Gram matrix in structured form.
+    Use ``coupling_solution`` to read the couplings and the marginal
+    potentials off a solution.  The problem records its scaling, from which
+    ``solve`` assembles the Schur complement in structured form.
     """
+    red_a, red_b = np.asarray(red_a), np.asarray(red_b)
     ra, rb = red_a.shape[0], red_b.shape[0]
-    basis_a, basis_b = hermitian_basis(ra), hermitian_basis(rb)
+    rec = _Coupling(_psd_sqrt(red_a), _psd_sqrt(red_b), hermitian_basis(ra), _orthogonal_basis(red_b))
+    w = np.kron(rec.root_a, rec.root_b)
     k = len(costs)
     constraints = []
-    for i in range(ra * ra):
-        op = HermitianOperator(np.kron(basis_a[i], np.eye(rb)))
-        constraints.append(((op,) * k, np.trace(basis_a[i] @ red_a).real))
-    for i in range(1, rb * rb):
-        op = HermitianOperator(np.kron(np.eye(ra), basis_b[i]))
-        constraints.append(((op,) * k, np.trace(basis_b[i] @ red_b).real))
+    for f in rec.basis_a:
+        constraints.append(((HermitianOperator(np.kron(f, red_b)),) * k, np.trace(f).real))
+    for g in rec.basis_b:
+        constraints.append(((HermitianOperator(np.kron(red_a, g)),) * k, np.trace(g).real))
     problem = SdpProblem(
         blocks=(ra * rb,) * k,
-        objective=tuple(HermitianOperator(cost) for cost in costs),
+        objective=tuple(HermitianOperator(w @ cost @ w) for cost in costs),
         constraints=tuple(constraints),
     )
-    object.__setattr__(problem, "_marginal_dims", (ra, rb))
+    object.__setattr__(problem, "_coupling", rec)
     return problem
+
+
+def coupling_solution(problem: SdpProblem, solution: SdpSolution):
+    """``(couplings, pot_a, pot_b)`` of a solved ``coupling_problem``.
+
+    ``couplings`` holds X_j = W Y_j W for each block; the potentials are the
+    dual vector in the coordinates of the marginals, so that
+    pot_a (x) I + I (x) pot_b is dominated by every cost (up to the solver's
+    tolerance) and Tr[pot_a red_a] + Tr[pot_b red_b] is the dual value.
+    """
+    rec = problem._coupling
+    if rec is None:
+        raise ValueError("problem was not built by coupling_problem")
+    ma = rec.basis_a.shape[0]
+    y = solution.dual_vector
+    w = np.kron(rec.root_a, rec.root_b)
+    couplings = tuple(_hermitian(w @ x @ w) for x in solution.primal_blocks)
+    inv_a, inv_b = np.linalg.inv(rec.root_a), np.linalg.inv(rec.root_b)
+    pot_a = inv_a @ np.tensordot(y[:ma], rec.basis_a, axes=(0, 0)) @ inv_a
+    pot_b = inv_b @ np.tensordot(y[ma:], rec.basis_b, axes=(0, 0)) @ inv_b
+    return couplings, _hermitian(pot_a), _hermitian(pot_b)
+
+
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    return (m + m.conj().T) / 2
+
+
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(_hermitian(m))
+    if vals[0] <= 0:
+        raise ValueError("coupling marginals must be positive definite")
+    return _hermitian((vecs * np.sqrt(vals)) @ vecs.conj().T)
+
+
+def _orthogonal_basis(red: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the Hermitian matrices orthogonal to ``red``.
+
+    The Householder reflection that maps the identity direction of
+    ``hermitian_basis`` onto the direction of ``red`` (up to sign) carries
+    the other basis elements onto the complement; for a multiple of the
+    identity it returns ``hermitian_basis(r)[1:]`` unchanged.
+    """
+    basis = hermitian_basis(red.shape[0])
+    v = np.einsum("kij,ji->k", basis, red).real
+    u = v / np.linalg.norm(v)
+    u[0] += 1.0  # v[0] = Tr[red]/sqrt(r) > 0, so this never cancels
+    reflect = np.eye(len(v)) - 2.0 * np.outer(u, u) / (u @ u)
+    return np.tensordot(reflect[:, 1:].T, basis, axes=(1, 0))
 
 
 def _embedded_data(problem: SdpProblem):
@@ -264,7 +347,7 @@ def _embedded_data(problem: SdpProblem):
         stack = np.zeros((m, 2 * n, 2 * n))
         for i, (coeffs, _) in enumerate(problem.constraints):
             if coeffs[j] is not None:
-                stack[i] = complex_to_real_embedding(coeffs[j].matrix)
+                stack[i] = _embed(coeffs[j].matrix)
         a_blocks.append(stack)
     b = 2.0 * np.array([rhs for _, rhs in problem.constraints])
     return c_blocks, a_blocks, b
@@ -331,9 +414,8 @@ def _schur_complement(a_blocks, xs, sinvs) -> np.ndarray:
 
 
 # Axes of a block reshaped to (s, a, b, s', a', b'), s the real/imaginary
-# index of the embedding: the row axes an A-side operator E(B) (x) I_rb acts
-# on, with the row axis it leaves alone, and likewise for a B-side operator
-# I_ra (x) E(C).
+# index of the embedding: the row axes an operator E(F) (x) I_rb acts on, with
+# the row axis it leaves alone, and likewise for I_ra (x) E(G).
 _A_SIDE = ((0, 1), 2)
 _B_SIDE = ((0, 2), 1)
 
@@ -354,28 +436,45 @@ def _side_contraction(x7, sinv7, left, right) -> np.ndarray:
     return prod.reshape(pl, pr, pl, pr).transpose(2, 0, 1, 3).reshape(pl * pl, pr * pr)
 
 
-def _coupling_schur(a_blocks, xs, sinvs, ra: int, rb: int) -> np.ndarray:
+def _coupling_structure(rec: _Coupling):
+    """What ``_coupling_schur`` needs of a coupling problem, built once per
+    solve: the marginal dimensions, the flattened embedded bases and the
+    embedded marginal factors P and Q."""
+    ra, rb = rec.root_a.shape[0], rec.root_b.shape[0]
+    emb_a = _embed(rec.basis_a).reshape(ra * ra, 4 * ra * ra)
+    emb_b = _embed(rec.basis_b).reshape(rb * rb - 1, 4 * rb * rb)
+    p = complex_to_real_embedding(np.kron(np.eye(ra), rec.red_b))
+    q = complex_to_real_embedding(np.kron(rec.red_a, np.eye(rb)))
+    return (ra, rb), emb_a, emb_b, p, q
+
+
+def _coupling_schur(xs, sinvs, structure) -> np.ndarray:
     """The Schur complement of a ``coupling_problem``, equal to
     ``_schur_complement`` but assembled from the Kronecker structure.
 
-    On the embedded index (s, a, b), A-side rows are E(B_i) (x) I_rb on the
-    split (s, a) | b and B-side rows are I_ra (x) E(C_i) once s sits next to
-    b.  Each of the blocks M_AA, M_AB and M_BB is then F Z G^T, with F and G
-    the flattened embedded bases (read off the constraint stack) and Z one
-    contraction of X and Sinv: O(ra^3 rb^3) time and O(ra^2 rb^2) memory per
-    PSD block instead of O(m n^3).
+    A-side rows are E(F_i (x) red_b) = (E(F_i) (x) I_rb) P and B-side rows
+    E(red_a (x) G_i) = Q (I_ra (x) E(G_i)), with P = E(I (x) red_b) and
+    Q = E(red_a (x) I) commuting with the other factor.  So the blocks M_AA,
+    M_AB and M_BB are Tr[L_i X~ R_k Sinv] with X~ = P X P, P X Q and Q X Q,
+    where L and R act on one side only: each is then F Z G^T, with F and G
+    the flattened embedded bases and Z one contraction of X~ and Sinv.  That
+    is O(ra^3 rb^3) time and O(ra^2 rb^2) memory per PSD block instead of
+    O(m n^3).
     """
-    ma, mb = ra * ra, rb * rb - 1
-    a6 = a_blocks[0].reshape(ma + mb, 2, ra, rb, 2, ra, rb)
-    emb_a = a6[:ma, :, :, 0, :, :, 0].reshape(ma, 4 * ra * ra)
-    emb_b = a6[ma:, :, 0, :, :, 0, :].reshape(mb, 4 * rb * rb)
-    x7 = np.stack(xs).reshape(len(xs), 2, ra, rb, 2, ra, rb)
-    sinv7 = np.stack(sinvs).reshape(len(xs), 2, ra, rb, 2, ra, rb)
-    mat = np.empty((ma + mb, ma + mb))
-    mat[:ma, :ma] = emb_a @ _side_contraction(x7, sinv7, _A_SIDE, _A_SIDE) @ emb_a.T
-    mat[:ma, ma:] = emb_a @ _side_contraction(x7, sinv7, _A_SIDE, _B_SIDE) @ emb_b.T
+    (ra, rb), emb_a, emb_b, p, q = structure
+    shape = (len(xs), 2, ra, rb, 2, ra, rb)
+    sinv7 = np.stack(sinvs).reshape(shape)
+
+    def contraction(left_factor, right_factor, left, right):
+        x7 = np.stack([left_factor @ x @ right_factor for x in xs]).reshape(shape)
+        return _side_contraction(x7, sinv7, left, right)
+
+    ma = emb_a.shape[0]
+    mat = np.empty((ma + emb_b.shape[0],) * 2)
+    mat[:ma, :ma] = emb_a @ contraction(p, p, _A_SIDE, _A_SIDE) @ emb_a.T
+    mat[:ma, ma:] = emb_a @ contraction(p, q, _A_SIDE, _B_SIDE) @ emb_b.T
     mat[ma:, :ma] = mat[:ma, ma:].T
-    mat[ma:, ma:] = emb_b @ _side_contraction(x7, sinv7, _B_SIDE, _B_SIDE) @ emb_b.T
+    mat[ma:, ma:] = emb_b @ contraction(q, q, _B_SIDE, _B_SIDE) @ emb_b.T
     return _sym(mat)
 
 
@@ -396,46 +495,26 @@ def _chol_solve_refined(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def _coupling_gram_diag(ra: int, rb: int, k: int) -> np.ndarray:
-    """Diagonal of the embedded constraint Gram matrix of a k-block
-    ``coupling_problem``, which has no off-diagonal entries."""
-    return 2.0 * k * np.concatenate([np.full(ra * ra, float(rb)), np.full(rb * rb - 1, float(ra))])
-
-
-def _make_restorer(a_blocks, b, marginal_dims=None):
+def _make_restorer(a_blocks, b):
     """Damped least-squares projection onto the affine constraints.
 
     Only available when the constraint Gram matrix is well conditioned (the
     problem builders in this package emit near-orthogonal constraints); keeps
     the primal residual at machine precision so late iterations never fight
-    an ill-conditioned Schur system over feasibility.  For a coupling problem
-    the Gram matrix is diagonal in closed form: the bases are orthonormal,
-    the embedding doubles traces, I_rb contributes rb (I_ra contributes ra),
-    the k blocks add up, and A-side and B-side rows are orthogonal because
-    every B-side basis element is traceless.
+    an ill-conditioned Schur system over feasibility.
     """
-    if marginal_dims is not None:
-        gram_diag = _coupling_gram_diag(*marginal_dims, len(a_blocks))
-
-        def gram_solve(r):
-            return r / gram_diag
-
-    else:
-        m = len(b)
-        gram = sum(a.reshape(m, -1) @ a.reshape(m, -1).T for a in a_blocks)
-        if np.linalg.cond(gram) > 1e10:
-            return None
-        factor = scipy.linalg.cho_factor(gram, lower=True)
-
-        def gram_solve(r):
-            return scipy.linalg.cho_solve(factor, r)
+    m = len(b)
+    gram = sum(a.reshape(m, -1) @ a.reshape(m, -1).T for a in a_blocks)
+    if np.linalg.cond(gram) > 1e10:
+        return None
+    factor = scipy.linalg.cho_factor(gram, lower=True)
 
     def restore(xs):
         for _ in range(3):
             rp = b - _apply_a(a_blocks, xs)
             if float(np.max(np.abs(rp))) <= 1e-13 * (1.0 + float(np.max(np.abs(b)))):
                 break
-            w = gram_solve(rp)
+            w = scipy.linalg.cho_solve(factor, rp)
             corrs = _apply_at(a_blocks, w)
             theta = min(1.0, 0.99 * min(_max_step(x, c) for x, c in zip(xs, corrs)))
             if theta <= 1e-8:
@@ -446,10 +525,10 @@ def _make_restorer(a_blocks, b, marginal_dims=None):
     return restore
 
 
-def _solve_real(c_blocks, a_blocks, b, eps_gap, eps_feas, max_iter=_MAX_ITER, marginal_dims=None):
+def _solve_real(c_blocks, a_blocks, b, eps_gap, eps_feas, max_iter=_MAX_ITER, coupling=None):
     """Infeasible-start Mehrotra predictor-corrector with HKM search direction.
 
-    ``marginal_dims`` is the ``(ra, rb)`` record of a coupling problem, or
+    ``coupling`` is the ``_coupling_structure`` of a coupling problem, or
     None for a generic one.
     """
     dims = [c.shape[0] for c in c_blocks]
@@ -461,7 +540,7 @@ def _solve_real(c_blocks, a_blocks, b, eps_gap, eps_feas, max_iter=_MAX_ITER, ma
     xs = [scale_p * np.eye(n) for n in dims]
     ss = [scale_d * np.eye(n) for n in dims]
     y = np.zeros(m)
-    restore = _make_restorer(a_blocks, b, marginal_dims)
+    restore = _make_restorer(a_blocks, b)
 
     status = STATUS_MAX_ITERATIONS
     best_score = np.inf
@@ -511,7 +590,7 @@ def _solve_real(c_blocks, a_blocks, b, eps_gap, eps_feas, max_iter=_MAX_ITER, ma
             break
 
         try:
-            xs, ss, y = _ipm_step(c_blocks, a_blocks, b, xs, ss, y, rds, mu, n_total, restore, marginal_dims)
+            xs, ss, y = _ipm_step(c_blocks, a_blocks, b, xs, ss, y, rds, mu, n_total, restore, coupling)
         except np.linalg.LinAlgError:
             # numerical breakdown at extreme conditioning; report the last
             # consistent iterate instead of crashing
@@ -520,15 +599,15 @@ def _solve_real(c_blocks, a_blocks, b, eps_gap, eps_feas, max_iter=_MAX_ITER, ma
     return xs, y, status, it
 
 
-def _ipm_step(c_blocks, a_blocks, b, xs, ss, y, rds, mu, n_total, restore, marginal_dims):
+def _ipm_step(c_blocks, a_blocks, b, xs, ss, y, rds, mu, n_total, restore, coupling):
     sinvs = []
     for s in ss:
         factor = scipy.linalg.cho_factor(s, lower=True)
         sinvs.append(scipy.linalg.cho_solve(factor, np.eye(s.shape[0])))
-    if marginal_dims is None:
+    if coupling is None:
         schur = _schur_complement(a_blocks, xs, sinvs)
     else:
-        schur = _coupling_schur(a_blocks, xs, sinvs, *marginal_dims)
+        schur = _coupling_schur(xs, sinvs, coupling)
 
     def direction(sigma_mu, corr_blocks):
         extras = [

@@ -29,7 +29,6 @@ from .quantum import (
     DensityMatrix,
     DimensionMismatchError,
     HermitianOperator,
-    hermitian_basis,
     proj_asym,
     proj_sym,
 )
@@ -124,21 +123,18 @@ def transport_cost(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAUL
     d = _require_same_dim(rho, sigma)
     iso_a, red_a = _support(rho)
     iso_b, red_b = _support(sigma)
-    ra, rb = red_a.shape[0], red_b.shape[0]
     cost = _compress_two_sided(proj_asym(d).matrix, iso_a, iso_b, d)
 
-    sol = _solved(sdp.coupling_problem((cost,), red_a, red_b), tol)
-
-    # dual vector layout documented on sdp.coupling_problem
-    pot_a = np.tensordot(sol.dual_vector[: ra * ra], hermitian_basis(ra), axes=(0, 0))
-    pot_b = np.tensordot(sol.dual_vector[ra * ra :], hermitian_basis(rb)[1:], axes=(0, 0))
+    problem = sdp.coupling_problem((cost,), red_a, red_b)
+    sol = _solved(problem, tol)
+    (block,), pot_a, pot_b = sdp.coupling_solution(problem, sol)
     if iso_a is None and iso_b is None:
         full_a, full_b = pot_a, pot_b
     else:
         full_a, full_b = _lift_potentials(pot_a, pot_b, iso_a, iso_b, cost, d)
     full_a, full_b = _balance_traces(full_a, full_b)
 
-    coupling = _lift_coupling(sol.primal_blocks[0], iso_a, iso_b, d)
+    coupling = _lift_coupling(block, iso_a, iso_b, d)
     return TransportResult(
         value=float(sol.primal_value),
         coupling=DensityMatrix(coupling / np.trace(coupling).real),
@@ -178,11 +174,13 @@ def stabilized_cost(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAU
         _compress_two_sided(proj_sym(d).matrix, iso_a, iso_b, d),
         _compress_two_sided(proj_asym(d).matrix, iso_a, iso_b, d),
     )
-    sol = _solved(sdp.coupling_problem(costs, red_a, red_b), tol)
+    problem = sdp.coupling_problem(costs, red_a, red_b)
+    sol = _solved(problem, tol)
+    (sym, asym), _, _ = sdp.coupling_solution(problem, sol)
     return StabilizedResult(
         value=float(sol.primal_value),
-        sym_block=HermitianOperator(_psd_clean(_lift_coupling(sol.primal_blocks[0], iso_a, iso_b, d))),
-        asym_block=HermitianOperator(_psd_clean(_lift_coupling(sol.primal_blocks[1], iso_a, iso_b, d))),
+        sym_block=HermitianOperator(_psd_clean(_lift_coupling(sym, iso_a, iso_b, d))),
+        asym_block=HermitianOperator(_psd_clean(_lift_coupling(asym, iso_a, iso_b, d))),
         gap=float(sol.gap),
     )
 

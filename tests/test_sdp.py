@@ -229,7 +229,8 @@ class TestCouplingStructure:
     @pytest.mark.parametrize("ra, rb, k", SHAPES)
     @pytest.mark.parametrize("iterates", ["embedded", "real"])
     def test_structured_schur_matches_dense(self, ra, rb, k, iterates):
-        _, a_blocks, _ = sdp._embedded_data(_random_coupling_problem(ra, rb, k))
+        problem = _random_coupling_problem(ra, rb, k)
+        _, a_blocks, _ = sdp._embedded_data(problem)
         rng = np.random.default_rng(ra * 100 + rb * 10 + k)
         n = ra * rb
 
@@ -245,29 +246,51 @@ class TestCouplingStructure:
         xs = [pd() for _ in range(k)]
         sinvs = [np.linalg.inv(pd()) for _ in range(k)]
         dense = sdp._schur_complement(a_blocks, xs, sinvs)
-        structured = sdp._coupling_schur(a_blocks, xs, sinvs, ra, rb)
+        structured = sdp._coupling_schur(xs, sinvs, sdp._coupling_structure(problem._coupling))
         assert structured.shape == dense.shape == (ra * ra + rb * rb - 1,) * 2
         assert np.max(np.abs(structured - dense)) <= 1e-12 * np.max(np.abs(dense))
 
-    @pytest.mark.parametrize("ra, rb, k", SHAPES)
-    def test_closed_form_gram(self, ra, rb, k):
-        _, a_blocks, b = sdp._embedded_data(_random_coupling_problem(ra, rb, k))
-        gram = sum(a.reshape(len(b), -1) @ a.reshape(len(b), -1).T for a in a_blocks)
-        assert np.allclose(gram, np.diag(sdp._coupling_gram_diag(ra, rb, k)), rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("r", [1, 2, 3, 5])
+    def test_orthogonal_basis(self, r):
+        red = _marginal(r, 11)
+        basis = sdp._orthogonal_basis(red)
+        coords = np.einsum("kij,lji->kl", basis, basis).real
+        assert basis.shape == (r * r - 1, r, r)
+        assert np.allclose(coords, np.eye(r * r - 1), rtol=0, atol=1e-13)
+        assert np.allclose(np.einsum("kij,ji->k", basis, red), 0, rtol=0, atol=1e-13)
+        assert np.allclose(basis, basis.conj().transpose(0, 2, 1), rtol=0, atol=0)
+        assert np.allclose(sdp._orthogonal_basis(np.eye(r) / r), hermitian_basis(r)[1:], rtol=0, atol=1e-15)
 
-    def test_builder_emits_transport_problem_constraints(self):
+    @pytest.mark.parametrize("eps", [None, 1e-7])
+    def test_builder_solves_the_transport_problem(self, eps):
+        """The scaled problem has the identity as a feasible point, and its
+        solution maps back to a certified solution of the unscaled one."""
         rho = random_density_matrix(3, 3).matrix
         sigma = random_density_matrix(3, 4).matrix
+        if eps is not None:
+            vals, vecs = np.linalg.eigh(rho)
+            rho = (vecs * np.concatenate(([eps], vals[1:] / vals[1:].sum() * (1 - eps)))) @ vecs.conj().T
         built = coupling_problem((proj_asym(3).matrix,), rho, sigma)
         reference = transport_problem(rho, sigma)
-        assert built.blocks == reference.blocks
-        assert np.array_equal(built.objective[0].matrix, reference.objective[0].matrix)
         assert len(built.constraints) == len(reference.constraints) == 17
-        for (coeffs, rhs), (ref_coeffs, ref_rhs) in zip(built.constraints, reference.constraints):
-            assert rhs == ref_rhs
-            assert np.array_equal(coeffs[0].matrix, ref_coeffs[0].matrix)
-        assert built._marginal_dims == (3, 3)
-        assert reference._marginal_dims is None
+        assert feasibility_margin([np.eye(9)], built)[1] <= 1e-14
+        tol = 1e-8
+        sol = solve(built, tol)
+        assert sol.status == STATUS_OPTIMAL
+        (coupling,), pot_a, pot_b = sdp.coupling_solution(built, sol)
+        value, residual = feasibility_margin([coupling], reference)
+        assert residual <= tol
+        assert abs(value - sol.primal_value) <= tol
+        dual = np.trace(pot_a @ rho).real + np.trace(pot_b @ sigma).real
+        assert abs(dual - sol.dual_value) <= tol
+        extension = np.kron(pot_a, np.eye(3)) + np.kron(np.eye(3), pot_b)
+        assert np.linalg.eigvalsh(extension - proj_asym(3).matrix)[-1] <= tol
+        if eps is None:
+            assert abs(solve(reference, tol).primal_value - sol.primal_value) <= 2 * tol
+        assert built._coupling is not None
+        assert reference._coupling is None
+        with pytest.raises(ValueError):
+            sdp.coupling_solution(reference, sol)
 
     @pytest.mark.parametrize(
         "costs, ra, rb",

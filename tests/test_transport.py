@@ -76,6 +76,33 @@ class TestTransportCost:
             transport_cost(E0, random_density_matrix(3, 0))
 
 
+def near_singular(d, eps, seed):
+    """Random eigenbasis, smallest eigenvalue eps, the rest a flat Dirichlet draw."""
+    rng = np.random.default_rng(seed)
+    u = random_unitary(d, seed)
+    vals = np.concatenate(([eps], (1 - eps) * rng.dirichlet(np.ones(d - 1))))
+    return DensityMatrix((u * vals) @ u.conj().T)
+
+
+class TestNearSingularMarginals:
+    """Eigenvalues between SUPPORT_CUT and 1e-6 are kept, so these solves run
+    next to the cone boundary; they must still return certified answers."""
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-7, 1e-6])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_certified_within_tol(self, d, eps):
+        tol = 1e-8
+        rho = near_singular(d, eps, 100 + d)
+        sigma = random_density_matrix(d, 200 + d)
+        res = transport_cost(rho, sigma, tol)
+        assert res.dual_witness.feasibility_margin >= -tol
+        assert abs(res.value - dual_value(rho, sigma, res.dual_witness)) <= tol
+        tau = res.coupling.matrix
+        assert np.max(np.abs(partial_trace(tau, (d, d), (0,)) - rho.matrix)) <= tol
+        assert np.max(np.abs(partial_trace(tau, (d, d), (1,)) - sigma.matrix)) <= tol
+        assert stabilized_cost(rho, sigma, tol).value <= res.value + 2 * tol
+
+
 class TestDualValue:
     def test_zero_witness_is_a_valid_lower_bound(self):
         w = DualWitness(HermitianOperator(np.zeros((2, 2))), HermitianOperator(np.zeros((2, 2))))
