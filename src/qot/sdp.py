@@ -16,18 +16,24 @@ primal residual near machine precision.  The solver is deterministic:
 identical problems and tolerances take identical iteration paths.
 
 Intended scale: blocks up to a few hundred rows and a few hundred
-constraints.  The constraints are stored as a dense real stack, and for a
-hand-built problem the Schur complement is assembled from that stack in
-O(m n^3) per iteration.  Coupling problems built by ``coupling_problem``
-(marginals of dimension ra and rb fixed by partial-trace constraints) are
-stated in coordinates scaled by the marginals, so that near-singular
-marginals keep every iterate well conditioned, and record that scaling; their
-Schur complement is assembled from the Kronecker structure of the
-constraints in O(ra^3 rb^3) time and O(ra^2 rb^2) extra memory (the
-constraint-structure trick of Fujisawa, Kojima and Nakata 1997).  Problems
-without a strictly feasible primal converge slowly here; build couplings on
-marginal supports instead (see the transport module) so that every solved
-instance has interior.
+constraints.  The solver reaches the constraints through one operator object
+per problem, which applies A and A^T, assembles the Schur complement and
+solves with the Gram matrix of the feasibility restorer.  A hand-built
+problem stores its constraints as a dense real stack, assembles the Schur
+complement from it in O(m n^3) per iteration, and factors the dense Gram.
+Coupling problems built by ``coupling_problem`` (marginals of dimension ra
+and rb fixed by partial-trace constraints) are stated in coordinates scaled
+by the marginals, so that near-singular marginals keep every iterate well
+conditioned, and record that scaling.  Their Schur complement is assembled
+from the Kronecker structure of the constraints in O(ra^3 rb^3) time and
+O(ra^2 rb^2) extra memory (the constraint-structure trick of Fujisawa, Kojima
+and Nakata 1997).  From ra*rb = ``_STRUCTURED_MIN_DIM`` on, their constraints
+are also applied as partial traces and Kronecker products in O(ra^2 rb^2),
+with a diagonal restorer Gram in closed form, and the dense stack is never
+built; below it the dense maps are faster.  Problems without a strictly
+feasible primal converge slowly here; build couplings on marginal supports
+instead (see the transport module) so that every solved instance has
+interior.
 """
 
 from __future__ import annotations
@@ -60,6 +66,13 @@ STATUS_INFEASIBLE = "infeasible_detected"
 DEFAULT_TOL = 1e-8
 _MAX_ITER = 100
 _STEP_FRACTION = 0.98
+# Block dimension ra*rb from which a coupling problem applies its constraints
+# with _CouplingOperator instead of the dense stack.  Whole solves with the
+# structured maps were faster from ra*rb = 25 on, for one block and for two.
+# At ra*rb <= 16 the dense maps were faster per call, and neither was faster
+# per solve in every run.  See BENCH_sdp_kernels.json, written by
+# scripts/bench_sdp_kernels.py.
+_STRUCTURED_MIN_DIM = 25
 
 
 class SolverFailure(RuntimeError):
@@ -164,8 +177,12 @@ def complex_to_real_embedding(h) -> np.ndarray:
 
 def _embed(m: np.ndarray) -> np.ndarray:
     """The embedding applied to the last two axes of a complex array."""
-    a, b = m.real, m.imag
-    return np.concatenate([np.concatenate([a, -b], axis=-1), np.concatenate([b, a], axis=-1)], axis=-2)
+    n = m.shape[-1]
+    out = np.empty(m.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = out[..., n:, n:] = m.real
+    out[..., n:, :n] = m.imag
+    out[..., :n, n:] = -m.imag
+    return out
 
 
 def _complex_from_embedding(y: np.ndarray) -> np.ndarray:
@@ -216,19 +233,17 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     if not (1e-10 <= tol <= 1e-2):
         raise ValueError(f"tol must lie in [1e-10, 1e-2], got {tol}")
 
-    c_blocks, a_blocks, b = _embedded_data(problem)
-    structure = None if problem._coupling is None else _coupling_structure(problem._coupling)
+    c_blocks, b = _embedded_data(problem)
+    op = _constraint_operator(problem)
     # Embedded quantities are twice the complex-side ones, so target 2*tol.
-    y_blocks, y_dual, status, iterations = _solve_real(
-        c_blocks, a_blocks, b, 2 * tol, 2 * tol, coupling=structure
-    )
+    y_blocks, y_dual, status, iterations = _solve_real(c_blocks, op, b, 2 * tol, 2 * tol)
 
     primal = tuple(_complex_from_embedding(yb) for yb in y_blocks)
     # Tr[A X] as the elementwise sum of E(A)^T * E(X), halved: O(m n^2), no matmul.
     embedded = [complex_to_real_embedding(x) for x in primal]
     primal_value = sum(float(np.vdot(c, x)) for c, x in zip(c_blocks, embedded)) / 2.0
     dual_value = float(y_dual @ b) / 2.0
-    infeas = float(np.max(np.abs(_apply_a(a_blocks, embedded) - b))) / 2.0
+    infeas = float(np.max(np.abs(op.apply_a(embedded) - b))) / 2.0
 
     gap = float(primal_value - dual_value)
     if status == STATUS_OPTIMAL and (gap > tol or infeas > tol):
@@ -268,7 +283,9 @@ def coupling_problem(costs, red_a: np.ndarray, red_b: np.ndarray) -> SdpProblem:
 
     Use ``coupling_solution`` to read the couplings and the marginal
     potentials off a solution.  The problem records its scaling, from which
-    ``solve`` assembles the Schur complement in structured form.
+    ``solve`` assembles the Schur complement in structured form and, for
+    ra*rb >= ``_STRUCTURED_MIN_DIM``, applies the constraints without the
+    dense stack.
     """
     red_a, red_b = np.asarray(red_a), np.asarray(red_b)
     ra, rb = red_a.shape[0], red_b.shape[0]
@@ -338,19 +355,38 @@ def _orthogonal_basis(red: np.ndarray) -> np.ndarray:
 
 
 def _embedded_data(problem: SdpProblem):
-    """(objective blocks, dense constraint stacks of shape (m, 2n, 2n), rhs)
-    of the real embedding; the rhs doubles with the traces."""
+    """(objective blocks, rhs) of the real embedding; the rhs doubles with
+    the traces."""
     c_blocks = [complex_to_real_embedding(c.matrix) for c in problem.objective]
+    b = 2.0 * np.array([rhs for _, rhs in problem.constraints])
+    return c_blocks, b
+
+
+def _constraint_stacks(problem: SdpProblem) -> list[np.ndarray]:
+    """Dense constraint stacks of the real embedding, one (m, 2n, 2n) array
+    per block."""
     m = problem.n_constraints
-    a_blocks = []
+    stacks = []
     for j, n in enumerate(problem.blocks):
         stack = np.zeros((m, 2 * n, 2 * n))
         for i, (coeffs, _) in enumerate(problem.constraints):
             if coeffs[j] is not None:
                 stack[i] = _embed(coeffs[j].matrix)
-        a_blocks.append(stack)
-    b = 2.0 * np.array([rhs for _, rhs in problem.constraints])
-    return c_blocks, a_blocks, b
+        stacks.append(stack)
+    return stacks
+
+
+def _constraint_operator(problem: SdpProblem):
+    """The constraint operator ``solve`` iterates with: structured maps for a
+    coupling problem of block dimension at least ``_STRUCTURED_MIN_DIM``,
+    otherwise the dense stack (with the structured Schur complement for any
+    coupling problem)."""
+    rec = problem._coupling
+    if rec is None:
+        return _DenseOperator(_constraint_stacks(problem))
+    if problem.blocks[0] >= _STRUCTURED_MIN_DIM:
+        return _CouplingOperator(rec, len(problem.blocks))
+    return _DenseOperator(_constraint_stacks(problem), _coupling_structure(rec))
 
 
 # ---------------------------------------------------------------------------
@@ -362,41 +398,136 @@ def _sym(x: np.ndarray) -> np.ndarray:
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with x + alpha*dx still PSD, for (near-)PD x."""
-    lo = None
+    """Largest alpha with x + alpha*dx still PSD, for (near-)PD x.
+
+    That is -1/lam for lam the smallest eigenvalue of the pencil (dx, x),
+    found by one LAPACK sygvx call.  When x is not numerically PD, lam is
+    taken on the first shifted copy x + shift*I that has a Cholesky factor.
+    """
     try:
-        lo = np.linalg.cholesky(x)
+        lam = float(scipy.linalg.eigh(dx, x, eigvals_only=True, subset_by_index=[0, 0])[0])
     except np.linalg.LinAlgError:
-        # x grazes the cone boundary; retry on progressively shifted copies
-        shift = 2.0 * abs(float(np.linalg.eigvalsh(x)[0])) + 1e-16 * (
-            1.0 + abs(float(np.trace(x))) / x.shape[0]
-        )
-        for _ in range(8):
-            try:
-                lo = np.linalg.cholesky(x + shift * np.eye(x.shape[0]))
-                break
-            except np.linalg.LinAlgError:
-                shift *= 10
-        if lo is None:
-            raise
-    w = scipy.linalg.solve_triangular(lo, dx, lower=True)
-    w = scipy.linalg.solve_triangular(lo, w.T, lower=True)
-    lam = float(np.linalg.eigvalsh(_sym(w))[0])
+        lam = _shifted_pencil_min(x, dx)
     if lam >= -1e-14:
         return 1e30
     return -1.0 / lam
 
 
-def _apply_a(a_blocks, xs) -> np.ndarray:
-    m = a_blocks[0].shape[0]
-    out = np.zeros(m)
-    for a, x in zip(a_blocks, xs):
-        out += a.reshape(m, -1) @ x.T.reshape(-1)
-    return out
+def _shifted_pencil_min(x: np.ndarray, dx: np.ndarray) -> float:
+    """Smallest eigenvalue of the pencil (dx, x + shift*I) for x grazing the
+    cone boundary, retrying on progressively shifted copies."""
+    n = x.shape[0]
+    shift = 2.0 * abs(float(np.linalg.eigvalsh(x)[0])) + 1e-16 * (1.0 + abs(float(np.trace(x))) / n)
+    for _ in range(8):
+        try:
+            lo = np.linalg.cholesky(x + shift * np.eye(n))
+            break
+        except np.linalg.LinAlgError:
+            shift *= 10
+    else:
+        raise np.linalg.LinAlgError("step-length matrix is not positive definite after shifting")
+    w = scipy.linalg.solve_triangular(lo, dx, lower=True)
+    w = scipy.linalg.solve_triangular(lo, w.T, lower=True)
+    return float(np.linalg.eigvalsh(_sym(w))[0])
 
 
-def _apply_at(a_blocks, y) -> list[np.ndarray]:
-    return [np.tensordot(y, a, axes=(0, 0)) for a in a_blocks]
+class _DenseOperator:
+    """Constraint maps through the dense real stacks, one (m, 2n, 2n) array
+    per block.  The Schur complement is assembled from the stacks, or from
+    ``structure`` (a ``_coupling_structure``) for a coupling problem."""
+
+    def __init__(self, stacks, structure=None):
+        self.stacks = stacks
+        self.structure = structure
+
+    def apply_a(self, xs) -> np.ndarray:
+        m = self.stacks[0].shape[0]
+        out = np.zeros(m)
+        for a, x in zip(self.stacks, xs):
+            out += a.reshape(m, -1) @ x.T.reshape(-1)
+        return out
+
+    def apply_at(self, y) -> list[np.ndarray]:
+        return [np.tensordot(y, a, axes=(0, 0)) for a in self.stacks]
+
+    def schur(self, xs, sinvs) -> np.ndarray:
+        if self.structure is None:
+            return _schur_complement(self.stacks, xs, sinvs)
+        return _coupling_schur(xs, sinvs, self.structure)
+
+    def gram_solver(self):
+        """Solve with the constraint Gram matrix, or None when it is too ill
+        conditioned for the restorer."""
+        m = self.stacks[0].shape[0]
+        gram = sum(a.reshape(m, -1) @ a.reshape(m, -1).T for a in self.stacks)
+        if np.linalg.cond(gram) > 1e10:
+            return None
+        factor = scipy.linalg.cho_factor(gram, lower=True)
+        return lambda r: scipy.linalg.cho_solve(factor, r)
+
+
+class _CouplingOperator:
+    """Constraint maps of a ``coupling_problem`` from its Kronecker
+    structure, without the dense stack.
+
+    Every block enters the constraints through their sum X, and X through
+    the complex matrix Z = (X11 + X22) + i(X21 - X12) of its 2 x 2 block
+    split: Tr[E(H) X] = Re Tr[H Z] for any complex H and any real X.  So an
+    A-side row is Re Tr[F_i M_A] with M_A = Tr_B[(I (x) red_b) Z], and a
+    B-side row is Re Tr[G_i M_B] with M_B = Tr_A[(red_a (x) I) Z].  A^T y is
+    E((sum_i y_i F_i) (x) red_b + red_a (x) (sum_i y_i G_i)) for every block.
+    Both maps cost O(ra^2 rb^2).  The bases are orthonormal and every G_i is
+    orthogonal to red_b, so the restorer Gram is diagonal: 2k Tr[red_b^2]
+    on the A rows and 2k Tr[red_a^2] on the B rows.
+    """
+
+    def __init__(self, rec: _Coupling, k: int):
+        self.structure = _coupling_structure(rec)
+        ra, rb = rec.root_a.shape[0], rec.root_b.shape[0]
+        self._dims = (ra, rb)
+        self._k = k
+        self._red_a, self._red_b = rec.red_a, rec.red_b
+        self._basis_a = rec.basis_a.reshape(ra * ra, ra * ra)
+        self._basis_b = rec.basis_b.reshape(rb * rb - 1, rb * rb)
+        # Tr[F M] = <F^T, M> entrywise, for the flattened bases
+        self._rows_a = rec.basis_a.transpose(0, 2, 1).reshape(ra * ra, ra * ra)
+        self._rows_b = rec.basis_b.transpose(0, 2, 1).reshape(rb * rb - 1, rb * rb)
+
+    def apply_a(self, xs) -> np.ndarray:
+        (ra, rb), x = self._dims, sum(xs[1:], xs[0])
+        n, ma = ra * rb, ra * ra
+        z = np.empty((n, n), dtype=complex)
+        np.add(x[:n, :n], x[n:, n:], out=z.real)
+        np.subtract(x[n:, :n], x[:n, n:], out=z.imag)
+        z4 = z.reshape(ra, rb, ra, rb)
+        m_a = z4.transpose(0, 2, 1, 3).reshape(ma, rb * rb) @ self._red_b.T.reshape(-1)
+        m_b = z4.transpose(1, 3, 0, 2).reshape(rb * rb, ma) @ self._red_a.T.reshape(-1)
+        out = np.empty(ma + self._rows_b.shape[0])
+        out[:ma] = (self._rows_a @ m_a).real
+        out[ma:] = (self._rows_b @ m_b).real
+        return out
+
+    def apply_at(self, y) -> list[np.ndarray]:
+        (ra, rb), ma = self._dims, self._basis_a.shape[0]
+        n = ra * rb
+        pot_a = (y[:ma] @ self._basis_a).reshape(ra, 1, ra, 1)
+        pot_b = (y[ma:] @ self._basis_b).reshape(1, rb, 1, rb)
+        # pot_a (x) red_b + red_a (x) pot_b, broadcast on (a, b, a', b')
+        h = pot_a * self._red_b[None, :, None, :] + self._red_a[:, None, :, None] * pot_b
+        # one array for every block: callers only read A^T y
+        return [_embed(h.reshape(n, n))] * self._k
+
+    def schur(self, xs, sinvs) -> np.ndarray:
+        return _coupling_schur(xs, sinvs, self.structure)
+
+    def gram_solver(self):
+        """Solve with the closed-form diagonal Gram; its condition number is
+        at most max(ra, rb), so the restorer is always available."""
+        ma, mb = self._basis_a.shape[0], self._basis_b.shape[0]
+        purity_a = float(np.vdot(self._red_a, self._red_a).real)
+        purity_b = float(np.vdot(self._red_b, self._red_b).real)
+        diag = 2.0 * self._k * np.concatenate([np.full(ma, purity_b), np.full(mb, purity_a)])
+        return lambda r: r / diag
 
 
 def _schur_complement(a_blocks, xs, sinvs) -> np.ndarray:
@@ -495,7 +626,7 @@ def _chol_solve_refined(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def _make_restorer(a_blocks, b):
+def _make_restorer(op, b):
     """Damped least-squares projection onto the affine constraints.
 
     Only available when the constraint Gram matrix is well conditioned (the
@@ -503,19 +634,16 @@ def _make_restorer(a_blocks, b):
     the primal residual at machine precision so late iterations never fight
     an ill-conditioned Schur system over feasibility.
     """
-    m = len(b)
-    gram = sum(a.reshape(m, -1) @ a.reshape(m, -1).T for a in a_blocks)
-    if np.linalg.cond(gram) > 1e10:
+    gram_solve = op.gram_solver()
+    if gram_solve is None:
         return None
-    factor = scipy.linalg.cho_factor(gram, lower=True)
 
     def restore(xs):
         for _ in range(3):
-            rp = b - _apply_a(a_blocks, xs)
+            rp = b - op.apply_a(xs)
             if float(np.max(np.abs(rp))) <= 1e-13 * (1.0 + float(np.max(np.abs(b)))):
                 break
-            w = scipy.linalg.cho_solve(factor, rp)
-            corrs = _apply_at(a_blocks, w)
+            corrs = op.apply_at(gram_solve(rp))
             theta = min(1.0, 0.99 * min(_max_step(x, c) for x, c in zip(xs, corrs)))
             if theta <= 1e-8:
                 break
@@ -525,11 +653,12 @@ def _make_restorer(a_blocks, b):
     return restore
 
 
-def _solve_real(c_blocks, a_blocks, b, eps_gap, eps_feas, max_iter=_MAX_ITER, coupling=None):
+def _solve_real(c_blocks, op, b, eps_gap, eps_feas, max_iter=_MAX_ITER):
     """Infeasible-start Mehrotra predictor-corrector with HKM search direction.
 
-    ``coupling`` is the ``_coupling_structure`` of a coupling problem, or
-    None for a generic one.
+    ``op`` is the problem's constraint operator (``_DenseOperator`` or
+    ``_CouplingOperator``): it applies A and A^T, assembles the Schur
+    complement and solves with the restorer's Gram matrix.
     """
     dims = [c.shape[0] for c in c_blocks]
     n_total = sum(dims)
@@ -540,15 +669,15 @@ def _solve_real(c_blocks, a_blocks, b, eps_gap, eps_feas, max_iter=_MAX_ITER, co
     xs = [scale_p * np.eye(n) for n in dims]
     ss = [scale_d * np.eye(n) for n in dims]
     y = np.zeros(m)
-    restore = _make_restorer(a_blocks, b)
+    restore = _make_restorer(op, b)
 
     status = STATUS_MAX_ITERATIONS
     best_score = np.inf
     stall = 0
     it = 0
     for it in range(1, max_iter + 1):
-        rp = b - _apply_a(a_blocks, xs)
-        aty = _apply_at(a_blocks, y)
+        rp = b - op.apply_a(xs)
+        aty = op.apply_at(y)
         rds = [c - s - at for c, s, at in zip(c_blocks, ss, aty)]
         mu = sum(np.tensordot(x, s) for x, s in zip(xs, ss)) / n_total
 
@@ -572,7 +701,7 @@ def _solve_real(c_blocks, a_blocks, b, eps_gap, eps_feas, max_iter=_MAX_ITER, co
         y_norm = float(np.linalg.norm(y))
         if y_norm > 1e8 * scale_p:
             ray = y / y_norm
-            aty_ray = _apply_at(a_blocks, ray)
+            aty_ray = op.apply_at(ray)
             ray_psd = max(float(np.linalg.eigvalsh(_sym(at))[-1]) for at in aty_ray)
             if b @ ray > 1e-8 and ray_psd < 1e-10:
                 status = STATUS_INFEASIBLE
@@ -590,7 +719,7 @@ def _solve_real(c_blocks, a_blocks, b, eps_gap, eps_feas, max_iter=_MAX_ITER, co
             break
 
         try:
-            xs, ss, y = _ipm_step(c_blocks, a_blocks, b, xs, ss, y, rds, mu, n_total, restore, coupling)
+            xs, ss, y = _ipm_step(op, b, xs, ss, y, rds, mu, n_total, restore)
         except np.linalg.LinAlgError:
             # numerical breakdown at extreme conditioning; report the last
             # consistent iterate instead of crashing
@@ -599,24 +728,21 @@ def _solve_real(c_blocks, a_blocks, b, eps_gap, eps_feas, max_iter=_MAX_ITER, co
     return xs, y, status, it
 
 
-def _ipm_step(c_blocks, a_blocks, b, xs, ss, y, rds, mu, n_total, restore, coupling):
+def _ipm_step(op, b, xs, ss, y, rds, mu, n_total, restore):
     sinvs = []
     for s in ss:
         factor = scipy.linalg.cho_factor(s, lower=True)
         sinvs.append(scipy.linalg.cho_solve(factor, np.eye(s.shape[0])))
-    if coupling is None:
-        schur = _schur_complement(a_blocks, xs, sinvs)
-    else:
-        schur = _coupling_schur(xs, sinvs, coupling)
+    schur = op.schur(xs, sinvs)
 
     def direction(sigma_mu, corr_blocks):
         extras = [
             x @ rd @ sinv - sigma_mu * sinv + corr @ sinv
             for x, rd, sinv, corr in zip(xs, rds, sinvs, corr_blocks)
         ]
-        rhs = b + _apply_a(a_blocks, extras)
+        rhs = b + op.apply_a(extras)
         dy = _chol_solve_refined(schur, rhs)
-        atdy = _apply_at(a_blocks, dy)
+        atdy = op.apply_at(dy)
         dss = [rd - at for rd, at in zip(rds, atdy)]
         dxs = [
             _sym(sigma_mu * sinv - x - (x @ ds + corr) @ sinv)

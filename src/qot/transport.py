@@ -87,7 +87,11 @@ class DualWitness:
 
 @dataclass(frozen=True)
 class TransportResult:
-    """Optimal transport cost with its primal coupling and dual certificate."""
+    """Optimal transport cost with its primal coupling and dual certificate.
+
+    ``gap`` is ``value`` minus the dual value of ``dual_witness`` on the
+    input states: the primal-dual gap that the returned witness certifies.
+    """
 
     value: float
     coupling: DensityMatrix
@@ -135,11 +139,13 @@ def transport_cost(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAUL
     full_a, full_b = _balance_traces(full_a, full_b)
 
     coupling = _lift_coupling(block, iso_a, iso_b, d)
+    witness = DualWitness(HermitianOperator(full_a), HermitianOperator(full_b))
+    value = float(sol.primal_value)
     return TransportResult(
-        value=float(sol.primal_value),
+        value=value,
         coupling=DensityMatrix(coupling / np.trace(coupling).real),
-        dual_witness=DualWitness(HermitianOperator(full_a), HermitianOperator(full_b)),
-        gap=float(sol.gap),
+        dual_witness=witness,
+        gap=value - dual_value(rho, sigma, witness),
     )
 
 

@@ -226,29 +226,86 @@ class TestCouplingStructure:
 
     SHAPES = [(1, 1, 1), (1, 3, 1), (3, 1, 2), (2, 3, 1), (4, 4, 2), (8, 8, 1)]
 
-    @pytest.mark.parametrize("ra, rb, k", SHAPES)
-    @pytest.mark.parametrize("iterates", ["embedded", "real"])
-    def test_structured_schur_matches_dense(self, ra, rb, k, iterates):
-        problem = _random_coupling_problem(ra, rb, k)
-        _, a_blocks, _ = sdp._embedded_data(problem)
+    @staticmethod
+    def _iterates(ra, rb, k, iterates):
+        """Random SPD iterates: embedded ones lie in the image of the
+        embedding; real ones are any SPD matrix of twice the size."""
         rng = np.random.default_rng(ra * 100 + rb * 10 + k)
         n = ra * rb
 
         def pd():
-            # embedded iterates lie in the image of the embedding; real ones
-            # are any SPD matrix of twice the size
             if iterates == "embedded":
                 g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
                 return complex_to_real_embedding(g @ g.conj().T + 0.1 * np.eye(n))
             g = rng.normal(size=(2 * n, 2 * n))
             return g @ g.T + 0.1 * np.eye(2 * n)
 
+        return pd
+
+    @pytest.mark.parametrize("ra, rb, k", SHAPES)
+    @pytest.mark.parametrize("iterates", ["embedded", "real"])
+    def test_structured_schur_matches_dense(self, ra, rb, k, iterates):
+        problem = _random_coupling_problem(ra, rb, k)
+        a_blocks = sdp._constraint_stacks(problem)
+        pd = self._iterates(ra, rb, k, iterates)
         xs = [pd() for _ in range(k)]
         sinvs = [np.linalg.inv(pd()) for _ in range(k)]
         dense = sdp._schur_complement(a_blocks, xs, sinvs)
         structured = sdp._coupling_schur(xs, sinvs, sdp._coupling_structure(problem._coupling))
         assert structured.shape == dense.shape == (ra * ra + rb * rb - 1,) * 2
         assert np.max(np.abs(structured - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("ra, rb, k", SHAPES)
+    @pytest.mark.parametrize("iterates", ["embedded", "real"])
+    def test_structured_maps_match_dense(self, ra, rb, k, iterates):
+        """Built directly, whatever the size threshold says; rb = 1 has no
+        B-side rows."""
+        problem = _random_coupling_problem(ra, rb, k)
+        dense = sdp._DenseOperator(sdp._constraint_stacks(problem))
+        structured = sdp._CouplingOperator(problem._coupling, k)
+        pd = self._iterates(ra, rb, k, iterates)
+        # the solver also applies A to products such as X R S^-1, which are not symmetric
+        xs = [pd() for _ in range(k)] + [pd() @ pd() for _ in range(k)]
+        for x_set in (xs[:k], xs[k:]):
+            want = dense.apply_a(x_set)
+            got = structured.apply_a(x_set)
+            assert got.shape == want.shape == (problem.n_constraints,)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        y = np.random.default_rng(k).normal(size=problem.n_constraints)
+        for got, want in zip(structured.apply_at(y), dense.apply_at(y), strict=True):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("ra, rb, k", SHAPES)
+    def test_closed_form_gram_matches_dense(self, ra, rb, k):
+        problem = _random_coupling_problem(ra, rb, k)
+        stacks = sdp._constraint_stacks(problem)
+        m = problem.n_constraints
+        gram = sum(a.reshape(m, -1) @ a.reshape(m, -1).T for a in stacks)
+        solve_closed = sdp._CouplingOperator(problem._coupling, k).gram_solver()
+        inverse = np.column_stack([solve_closed(e) for e in np.eye(m)])
+        assert np.max(np.abs(inverse @ gram - np.eye(m))) <= 1e-13
+        r = np.random.default_rng(m).normal(size=m)
+        solve_dense = sdp._DenseOperator(stacks).gram_solver()
+        assert np.max(np.abs(solve_closed(r) - solve_dense(r))) <= 1e-12 * np.max(np.abs(solve_dense(r)))
+
+    def test_large_couplings_never_build_the_stack(self, monkeypatch):
+        from qot.transport import stabilized_cost, transport_cost
+
+        def no_stack(problem):
+            raise AssertionError("dense constraint stack built")
+
+        monkeypatch.setattr(sdp, "_constraint_stacks", no_stack)
+        rho, sigma = random_density_matrix(6, 1), random_density_matrix(6, 2)
+        assert 6 * 6 >= sdp._STRUCTURED_MIN_DIM
+        res = transport_cost(rho, sigma)
+        assert 0 <= res.gap <= 1e-8
+        ts = stabilized_cost(rho, sigma)
+        assert ts.value <= res.value + 2e-8
+        small = random_density_matrix(4, 3)
+        assert 4 * 4 < sdp._STRUCTURED_MIN_DIM
+        with pytest.raises(AssertionError, match="stack"):
+            transport_cost(small, small)
+
 
     @pytest.mark.parametrize("r", [1, 2, 3, 5])
     def test_orthogonal_basis(self, r):
@@ -298,8 +355,9 @@ class TestCouplingStructure:
             ((proj_asym(3).matrix,), 3, 3),
             ((proj_sym(2).matrix, proj_asym(2).matrix), 2, 2),
             (None, 2, 3),
+            (None, 5, 5),
         ],
-        ids=["transport-d3", "stabilized-d2", "random-2x3"],
+        ids=["transport-d3", "stabilized-d2", "random-2x3", "random-5x5"],
     )
     def test_structure_record_keeps_the_value(self, costs, ra, rb):
         tol = 1e-8
@@ -314,3 +372,45 @@ class TestCouplingStructure:
         assert s1.status == s2.status == STATUS_OPTIMAL
         assert abs(s1.primal_value - s2.primal_value) <= 2 * tol
         assert abs(s1.dual_value - s2.dual_value) <= 2 * tol
+
+
+def _max_step_reference(x, dx):
+    """The step length by Cholesky, two triangular solves and eigvalsh, with
+    the same shifted retry when x is not numerically PD."""
+    try:
+        lo = np.linalg.cholesky(x)
+    except np.linalg.LinAlgError:
+        n = x.shape[0]
+        shift = 2.0 * abs(float(np.linalg.eigvalsh(x)[0])) + 1e-16 * (1.0 + abs(float(np.trace(x))) / n)
+        for _ in range(8):
+            try:
+                lo = np.linalg.cholesky(x + shift * np.eye(n))
+                break
+            except np.linalg.LinAlgError:
+                shift *= 10
+    w = scipy.linalg.solve_triangular(lo, dx, lower=True)
+    w = scipy.linalg.solve_triangular(lo, w.T, lower=True)
+    lam = float(np.linalg.eigvalsh((w + w.T) / 2)[0])
+    return 1e30 if lam >= -1e-14 else -1.0 / lam
+
+
+class TestMaxStep:
+    @pytest.mark.parametrize("n", [8, 32, 72])
+    @pytest.mark.parametrize("kind", ["pd", "singular", "unbounded"])
+    def test_matches_cholesky_formula(self, n, kind):
+        rng = np.random.default_rng(n)
+        g = rng.normal(size=(n, n))
+        x = g @ g.T + 0.1 * np.eye(n)
+        h = rng.normal(size=(n, n))
+        dx = (h + h.T) / 2
+        if kind == "singular":
+            # an exactly zero pivot: no Cholesky factor, so the shifted fallback runs
+            x[:, -1] = x[-1, :] = 0.0
+            with pytest.raises(np.linalg.LinAlgError):
+                scipy.linalg.eigh(dx, x, eigvals_only=True, subset_by_index=[0, 0])
+        if kind == "unbounded":
+            dx = dx @ dx.T
+        want = _max_step_reference(x, dx)
+        got = sdp._max_step(x, dx)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert (got == 1e30) == (kind == "unbounded")

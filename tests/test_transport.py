@@ -75,6 +75,16 @@ class TestTransportCost:
         with pytest.raises(DimensionMismatchError):
             transport_cost(E0, random_density_matrix(3, 0))
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gap_is_that_of_the_returned_witness(self, seed):
+        """For a rank-deficient input the witness is lifted off the support,
+        which costs dual value; the reported gap includes that loss."""
+        vals, vecs = np.linalg.eigh(random_density_matrix(3, 70 + seed).matrix)
+        rho = DensityMatrix((vecs[:, 1:] * (vals[1:] / vals[1:].sum())) @ vecs[:, 1:].conj().T)
+        sigma = random_density_matrix(3, 80 + seed)
+        res = transport_cost(rho, sigma)
+        assert abs(res.gap - (res.value - dual_value(rho, sigma, res.dual_witness))) <= 1e-12
+
 
 def near_singular(d, eps, seed):
     """Random eigenbasis, smallest eigenvalue eps, the rest a flat Dirichlet draw."""
