@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the coupling-SDP kernels the solver chooses between, per call.
+"""Time the coupling-SDP kernels against the dense ones they replace, per call.
 
 For d x d marginals (d = 2..8) and k = 1 or 2 PSD blocks, a coupling problem
 is built with ``qot.sdp.coupling_problem`` (the transport cost for k = 1, the
@@ -10,9 +10,8 @@ restorer Gram) is timed too.  The step length ``_max_step`` (one LAPACK sygvx
 call) is timed against the Cholesky, two triangular solves and eigvalsh it
 replaced, at each embedded block size 2 d^2.  Every pair of routines is
 checked to give equal results before it is timed; the script exits non-zero
-if one does not.  Last, whole ``sdp.solve`` calls are timed with either
-operator forced, which is what the size threshold ``_STRUCTURED_MIN_DIM``
-decides between.
+if one does not.  ``sdp.solve`` uses the partial-trace maps for every
+coupling problem and the dense stack only for hand-built problems.
 
 BLAS is pinned to one thread, as in ``perfbench/run.py``, and the effective
 count is read back and recorded.  Run from the repository root:
@@ -45,7 +44,6 @@ REPEATS = 7
 MIN_REPEAT_S = 0.02
 MAP_RTOL = 1e-13
 STEP_RTOL = 1e-12
-SOLVE_REPEATS = 9
 
 
 def per_call_us(fn) -> float:
@@ -159,32 +157,6 @@ def step_row(d: int) -> dict:
     }
 
 
-def solve_row(d: int, k: int) -> dict:
-    """Median wall time of whole solves with the dense and the structured
-    operator forced, by moving the threshold below or above d^2."""
-    problem = coupling(d, k)
-    row = {"d": d, "k": k, "block_dim": d * d}
-    saved = sdp._STRUCTURED_MIN_DIM
-    try:
-        for name, threshold in (("dense", d * d + 1), ("structured", d * d)):
-            sdp._STRUCTURED_MIN_DIM = threshold
-            samples, sol = [], None
-            for _ in range(SOLVE_REPEATS):
-                start = time.perf_counter()
-                sol = sdp.solve(problem)
-                samples.append(time.perf_counter() - start)
-            if sol.status != sdp.STATUS_OPTIMAL:
-                raise SystemExit(f"d={d} k={k}: {name} solve ended {sol.status}")
-            row[f"{name}_ms"] = 1e3 * statistics.median(samples)
-            row[f"{name}_iterations"] = sol.iterations
-            row[f"{name}_value"] = sol.primal_value
-    finally:
-        sdp._STRUCTURED_MIN_DIM = saved
-    if abs(row["dense_value"] - row["structured_value"]) > 2 * sdp.DEFAULT_TOL:
-        raise SystemExit(f"d={d} k={k}: the two operators solve to different values")
-    return row
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", help="write the JSON record here instead of stdout")
@@ -192,15 +164,11 @@ def main(argv=None) -> int:
 
     maps = [map_row(d, k) for d in DIMS for k in BLOCKS]
     steps = [step_row(d) for d in DIMS]
-    solves = [solve_row(d, k) for d in DIMS for k in BLOCKS]
     record = {
-        "what": "coupling-SDP constraint maps, step length and whole solves, dense against structured",
+        "what": "coupling-SDP constraint maps and step length, dense against structured",
         "environment": blas.environment(),
-        "structured_min_dim_in_solver": sdp._STRUCTURED_MIN_DIM,
-        "structured_solve_faster_at_d_k": [[r["d"], r["k"]] for r in solves if r["structured_ms"] < r["dense_ms"]],
         "maps": maps,
         "step_length": steps,
-        "solves": solves,
     }
     text = json.dumps(record, indent=1)
     if args.out:

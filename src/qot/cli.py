@@ -62,7 +62,7 @@ def _cmd_transport(args) -> int:
     dual = dual_value(rho, sigma, result.dual_witness)
     print(f"transport cost:  {result.value:.12g}")
     print(f"dual value:      {dual:.12g}")
-    print(f"solver gap:      {result.gap:.3e}")
+    print(f"certified gap:   {result.gap:.3e}")
     if args.out:
         write_report(args.out, transport_report(result, dual, args.tol, inputs))
         print(f"report written to {args.out}")

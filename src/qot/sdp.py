@@ -27,10 +27,9 @@ by the marginals, so that near-singular marginals keep every iterate well
 conditioned, and record that scaling.  Their Schur complement is assembled
 from the Kronecker structure of the constraints in O(ra^3 rb^3) time and
 O(ra^2 rb^2) extra memory (the constraint-structure trick of Fujisawa, Kojima
-and Nakata 1997).  From ra*rb = ``_STRUCTURED_MIN_DIM`` on, their constraints
-are also applied as partial traces and Kronecker products in O(ra^2 rb^2),
-with a diagonal restorer Gram in closed form, and the dense stack is never
-built; below it the dense maps are faster.  Problems without a strictly
+and Nakata 1997).  Their constraints are applied as partial traces and
+Kronecker products in O(ra^2 rb^2), with a diagonal restorer Gram in closed
+form, and the dense stack is never built.  Problems without a strictly
 feasible primal converge slowly here; build couplings on marginal supports
 instead (see the transport module) so that every solved instance has
 interior.
@@ -66,13 +65,6 @@ STATUS_INFEASIBLE = "infeasible_detected"
 DEFAULT_TOL = 1e-8
 _MAX_ITER = 100
 _STEP_FRACTION = 0.98
-# Block dimension ra*rb from which a coupling problem applies its constraints
-# with _CouplingOperator instead of the dense stack.  Whole solves with the
-# structured maps were faster from ra*rb = 25 on, for one block and for two.
-# At ra*rb <= 16 the dense maps were faster per call, and neither was faster
-# per solve in every run.  See BENCH_sdp_kernels.json, written by
-# scripts/bench_sdp_kernels.py.
-_STRUCTURED_MIN_DIM = 25
 
 
 class SolverFailure(RuntimeError):
@@ -283,9 +275,8 @@ def coupling_problem(costs, red_a: np.ndarray, red_b: np.ndarray) -> SdpProblem:
 
     Use ``coupling_solution`` to read the couplings and the marginal
     potentials off a solution.  The problem records its scaling, from which
-    ``solve`` assembles the Schur complement in structured form and, for
-    ra*rb >= ``_STRUCTURED_MIN_DIM``, applies the constraints without the
-    dense stack.
+    ``solve`` applies the constraints and assembles the Schur complement in
+    structured form, without the dense stack.
     """
     red_a, red_b = np.asarray(red_a), np.asarray(red_b)
     ra, rb = red_a.shape[0], red_b.shape[0]
@@ -377,16 +368,11 @@ def _constraint_stacks(problem: SdpProblem) -> list[np.ndarray]:
 
 
 def _constraint_operator(problem: SdpProblem):
-    """The constraint operator ``solve`` iterates with: structured maps for a
-    coupling problem of block dimension at least ``_STRUCTURED_MIN_DIM``,
-    otherwise the dense stack (with the structured Schur complement for any
-    coupling problem)."""
-    rec = problem._coupling
-    if rec is None:
+    """The constraint operator ``solve`` iterates with: the structured maps
+    for a coupling problem, the dense stack for any other."""
+    if problem._coupling is None:
         return _DenseOperator(_constraint_stacks(problem))
-    if problem.blocks[0] >= _STRUCTURED_MIN_DIM:
-        return _CouplingOperator(rec, len(problem.blocks))
-    return _DenseOperator(_constraint_stacks(problem), _coupling_structure(rec))
+    return _CouplingOperator(problem._coupling, len(problem.blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -402,15 +388,20 @@ def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
 
     That is -1/lam for lam the smallest eigenvalue of the pencil (dx, x),
     found by one LAPACK sygvx call.  When x is not numerically PD, lam is
-    taken on the first shifted copy x + shift*I that has a Cholesky factor.
+    taken on the first shifted copy x + shift*I that is PD.
     """
     try:
-        lam = float(scipy.linalg.eigh(dx, x, eigvals_only=True, subset_by_index=[0, 0])[0])
+        lam = _pencil_min(dx, x)
     except np.linalg.LinAlgError:
         lam = _shifted_pencil_min(x, dx)
     if lam >= -1e-14:
         return 1e30
     return -1.0 / lam
+
+
+def _pencil_min(dx: np.ndarray, x: np.ndarray) -> float:
+    """Smallest eigenvalue of the pencil (dx, x); LinAlgError unless x is PD."""
+    return float(scipy.linalg.eigh(dx, x, eigvals_only=True, subset_by_index=[0, 0])[0])
 
 
 def _shifted_pencil_min(x: np.ndarray, dx: np.ndarray) -> float:
@@ -420,25 +411,18 @@ def _shifted_pencil_min(x: np.ndarray, dx: np.ndarray) -> float:
     shift = 2.0 * abs(float(np.linalg.eigvalsh(x)[0])) + 1e-16 * (1.0 + abs(float(np.trace(x))) / n)
     for _ in range(8):
         try:
-            lo = np.linalg.cholesky(x + shift * np.eye(n))
-            break
+            return _pencil_min(dx, x + shift * np.eye(n))
         except np.linalg.LinAlgError:
             shift *= 10
-    else:
-        raise np.linalg.LinAlgError("step-length matrix is not positive definite after shifting")
-    w = scipy.linalg.solve_triangular(lo, dx, lower=True)
-    w = scipy.linalg.solve_triangular(lo, w.T, lower=True)
-    return float(np.linalg.eigvalsh(_sym(w))[0])
+    raise np.linalg.LinAlgError("step-length matrix is not positive definite after shifting")
 
 
 class _DenseOperator:
-    """Constraint maps through the dense real stacks, one (m, 2n, 2n) array
-    per block.  The Schur complement is assembled from the stacks, or from
-    ``structure`` (a ``_coupling_structure``) for a coupling problem."""
+    """Constraint maps and Schur complement through the dense real stacks,
+    one (m, 2n, 2n) array per block."""
 
-    def __init__(self, stacks, structure=None):
+    def __init__(self, stacks):
         self.stacks = stacks
-        self.structure = structure
 
     def apply_a(self, xs) -> np.ndarray:
         m = self.stacks[0].shape[0]
@@ -451,9 +435,7 @@ class _DenseOperator:
         return [np.tensordot(y, a, axes=(0, 0)) for a in self.stacks]
 
     def schur(self, xs, sinvs) -> np.ndarray:
-        if self.structure is None:
-            return _schur_complement(self.stacks, xs, sinvs)
-        return _coupling_schur(xs, sinvs, self.structure)
+        return _schur_complement(self.stacks, xs, sinvs)
 
     def gram_solver(self):
         """Solve with the constraint Gram matrix, or None when it is too ill

@@ -89,8 +89,11 @@ class DualWitness:
 class TransportResult:
     """Optimal transport cost with its primal coupling and dual certificate.
 
-    ``gap`` is ``value`` minus the dual value of ``dual_witness`` on the
-    input states: the primal-dual gap that the returned witness certifies.
+    ``gap`` is the primal-dual gap that the returned witness certifies:
+    ``value`` minus the dual value of ``dual_witness`` on the input states,
+    plus the witness's infeasibility ``max(0, -feasibility_margin)``.  A
+    witness infeasible by delta bounds the cost of every unit-trace coupling
+    only from dual value minus delta.
     """
 
     value: float
@@ -109,7 +112,8 @@ class StabilizedResult:
 
     ``sym_block`` is charged against the symmetric projector in the
     objective, ``asym_block`` against the antisymmetric one; their sum is a
-    coupling of the two input states.
+    coupling of the two input states.  ``gap`` is the solver's primal-dual
+    gap of that split SDP; no witness is returned.
     """
 
     value: float
@@ -145,7 +149,7 @@ def transport_cost(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAUL
         value=value,
         coupling=DensityMatrix(coupling / np.trace(coupling).real),
         dual_witness=witness,
-        gap=value - dual_value(rho, sigma, witness),
+        gap=value - dual_value(rho, sigma, witness) + max(0.0, -witness.feasibility_margin),
     )
 
 

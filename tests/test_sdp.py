@@ -3,7 +3,7 @@ import pytest
 import scipy.optimize
 
 from qot import sdp
-from qot.quantum import HermitianOperator, hermitian_basis, proj_asym, proj_sym, random_density_matrix
+from qot.quantum import DensityMatrix, HermitianOperator, hermitian_basis, proj_asym, proj_sym, random_density_matrix
 from qot.sdp import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -288,24 +288,23 @@ class TestCouplingStructure:
         solve_dense = sdp._DenseOperator(stacks).gram_solver()
         assert np.max(np.abs(solve_closed(r) - solve_dense(r))) <= 1e-12 * np.max(np.abs(solve_dense(r)))
 
-    def test_large_couplings_never_build_the_stack(self, monkeypatch):
+    def test_couplings_never_build_the_stack(self, monkeypatch):
         from qot.transport import stabilized_cost, transport_cost
 
         def no_stack(problem):
             raise AssertionError("dense constraint stack built")
 
         monkeypatch.setattr(sdp, "_constraint_stacks", no_stack)
-        rho, sigma = random_density_matrix(6, 1), random_density_matrix(6, 2)
-        assert 6 * 6 >= sdp._STRUCTURED_MIN_DIM
-        res = transport_cost(rho, sigma)
-        assert 0 <= res.gap <= 1e-8
-        ts = stabilized_cost(rho, sigma)
-        assert ts.value <= res.value + 2e-8
-        small = random_density_matrix(4, 3)
-        assert 4 * 4 < sdp._STRUCTURED_MIN_DIM
+        for d in (2, 6):
+            rho, sigma = random_density_matrix(d, 1), random_density_matrix(d, 2)
+            res = transport_cost(rho, sigma)
+            assert 0 <= res.gap <= 1e-8
+            ts = stabilized_cost(rho, sigma)
+            assert ts.value <= res.value + 2e-8
+        pure = DensityMatrix(np.diag([1.0, 0.0, 0.0]))
+        assert transport_cost(pure, pure).value <= 1e-8
         with pytest.raises(AssertionError, match="stack"):
-            transport_cost(small, small)
-
+            solve(transport_problem(rho.matrix, sigma.matrix))
 
     @pytest.mark.parametrize("r", [1, 2, 3, 5])
     def test_orthogonal_basis(self, r):
@@ -412,5 +411,7 @@ class TestMaxStep:
             dx = dx @ dx.T
         want = _max_step_reference(x, dx)
         got = sdp._max_step(x, dx)
-        assert got == pytest.approx(want, rel=1e-12)
+        # The shifted pencil has a pivot of order sqrt(shift) ~ 1e-7, so any
+        # two kernel sequences agree on it only to about 1e-16 / shift.
+        assert got == pytest.approx(want, rel=1e-2 if kind == "singular" else 1e-12)
         assert (got == 1e30) == (kind == "unbounded")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qot import transport
 from qot.quantum import (
     DensityMatrix,
     DimensionMismatchError,
@@ -78,12 +79,31 @@ class TestTransportCost:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_gap_is_that_of_the_returned_witness(self, seed):
         """For a rank-deficient input the witness is lifted off the support,
-        which costs dual value; the reported gap includes that loss."""
+        which costs dual value; the reported gap includes that loss and the
+        witness's infeasibility, if any."""
         vals, vecs = np.linalg.eigh(random_density_matrix(3, 70 + seed).matrix)
         rho = DensityMatrix((vecs[:, 1:] * (vals[1:] / vals[1:].sum())) @ vecs[:, 1:].conj().T)
         sigma = random_density_matrix(3, 80 + seed)
         res = transport_cost(rho, sigma)
-        assert abs(res.gap - (res.value - dual_value(rho, sigma, res.dual_witness))) <= 1e-12
+        slack = max(0.0, -res.dual_witness.feasibility_margin)
+        assert abs(res.gap - (res.value - dual_value(rho, sigma, res.dual_witness) + slack)) <= 1e-12
+        assert res.gap >= res.value - dual_value(rho, sigma, res.dual_witness)
+
+    def test_gap_counts_the_witness_infeasibility(self, monkeypatch):
+        """A witness that is infeasible by delta certifies only dual - delta."""
+        rho, sigma = random_density_matrix(3, 71), random_density_matrix(3, 81)
+        delta = 5e-8
+
+        def shifted(pot_a, pot_b):
+            # raise the dual by delta/2 on each side: infeasible by delta
+            return pot_a + delta / 2 * np.eye(3), pot_b + delta / 2 * np.eye(3)
+
+        monkeypatch.setattr(transport, "_balance_traces", shifted)
+        res = transport_cost(rho, sigma)
+        margin = res.dual_witness.feasibility_margin
+        assert margin < -delta / 2
+        dual = dual_value(rho, sigma, res.dual_witness)
+        assert abs(res.gap - (res.value - dual - margin)) <= 1e-12
 
 
 def near_singular(d, eps, seed):
