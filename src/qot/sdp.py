@@ -464,7 +464,6 @@ class _CouplingOperator:
     """
 
     def __init__(self, rec: _Coupling, k: int):
-        self.structure = _coupling_structure(rec)
         ra, rb = rec.root_a.shape[0], rec.root_b.shape[0]
         self._dims = (ra, rb)
         self._k = k
@@ -474,6 +473,12 @@ class _CouplingOperator:
         # Tr[F M] = <F^T, M> entrywise, for the flattened bases
         self._rows_a = rec.basis_a.transpose(0, 2, 1).reshape(ra * ra, ra * ra)
         self._rows_b = rec.basis_b.transpose(0, 2, 1).reshape(rb * rb - 1, rb * rb)
+        # for the Schur complement: the flattened embedded bases and the
+        # embedded marginal factors P = E(I (x) red_b) and Q = E(red_a (x) I)
+        self._emb_a = _embed(rec.basis_a).reshape(ra * ra, 4 * ra * ra)
+        self._emb_b = _embed(rec.basis_b).reshape(rb * rb - 1, 4 * rb * rb)
+        self._p = complex_to_real_embedding(np.kron(np.eye(ra), self._red_b))
+        self._q = complex_to_real_embedding(np.kron(self._red_a, np.eye(rb)))
 
     def apply_a(self, xs) -> np.ndarray:
         (ra, rb), x = self._dims, sum(xs[1:], xs[0])
@@ -500,7 +505,33 @@ class _CouplingOperator:
         return [_embed(h.reshape(n, n))] * self._k
 
     def schur(self, xs, sinvs) -> np.ndarray:
-        return _coupling_schur(xs, sinvs, self.structure)
+        """The Schur complement of a ``coupling_problem``, equal to
+        ``_schur_complement`` but assembled from the Kronecker structure.
+
+        A-side rows are E(F_i (x) red_b) = (E(F_i) (x) I_rb) P and B-side rows
+        E(red_a (x) G_i) = Q (I_ra (x) E(G_i)), with P = E(I (x) red_b) and
+        Q = E(red_a (x) I) commuting with the other factor.  So the blocks M_AA,
+        M_AB and M_BB are Tr[L_i X~ R_k Sinv] with X~ = P X P, P X Q and Q X Q,
+        where L and R act on one side only: each is then F Z G^T, with F and G
+        the flattened embedded bases and Z one contraction of X~ and Sinv.  That
+        is O(ra^3 rb^3) time and O(ra^2 rb^2) memory per PSD block instead of
+        O(m n^3).
+        """
+        (ra, rb), emb_a, emb_b, p, q = self._dims, self._emb_a, self._emb_b, self._p, self._q
+        shape = (len(xs), 2, ra, rb, 2, ra, rb)
+        sinv7 = np.stack(sinvs).reshape(shape)
+
+        def contraction(left_factor, right_factor, left, right):
+            x7 = np.stack([left_factor @ x @ right_factor for x in xs]).reshape(shape)
+            return _side_contraction(x7, sinv7, left, right)
+
+        ma = emb_a.shape[0]
+        mat = np.empty((ma + emb_b.shape[0],) * 2)
+        mat[:ma, :ma] = emb_a @ contraction(p, p, _A_SIDE, _A_SIDE) @ emb_a.T
+        mat[:ma, ma:] = emb_a @ contraction(p, q, _A_SIDE, _B_SIDE) @ emb_b.T
+        mat[ma:, :ma] = mat[:ma, ma:].T
+        mat[ma:, ma:] = emb_b @ contraction(q, q, _B_SIDE, _B_SIDE) @ emb_b.T
+        return _sym(mat)
 
     def gram_solver(self):
         """Solve with the closed-form diagonal Gram; its condition number is
@@ -547,48 +578,6 @@ def _side_contraction(x7, sinv7, left, right) -> np.ndarray:
     pl, pr = xm.shape[0] * xm.shape[1], xm.shape[2] * xm.shape[3]
     prod = xm.reshape(pl * pr, -1) @ sm.reshape(pl * pr, -1).T
     return prod.reshape(pl, pr, pl, pr).transpose(2, 0, 1, 3).reshape(pl * pl, pr * pr)
-
-
-def _coupling_structure(rec: _Coupling):
-    """What ``_coupling_schur`` needs of a coupling problem, built once per
-    solve: the marginal dimensions, the flattened embedded bases and the
-    embedded marginal factors P and Q."""
-    ra, rb = rec.root_a.shape[0], rec.root_b.shape[0]
-    emb_a = _embed(rec.basis_a).reshape(ra * ra, 4 * ra * ra)
-    emb_b = _embed(rec.basis_b).reshape(rb * rb - 1, 4 * rb * rb)
-    p = complex_to_real_embedding(np.kron(np.eye(ra), rec.red_b))
-    q = complex_to_real_embedding(np.kron(rec.red_a, np.eye(rb)))
-    return (ra, rb), emb_a, emb_b, p, q
-
-
-def _coupling_schur(xs, sinvs, structure) -> np.ndarray:
-    """The Schur complement of a ``coupling_problem``, equal to
-    ``_schur_complement`` but assembled from the Kronecker structure.
-
-    A-side rows are E(F_i (x) red_b) = (E(F_i) (x) I_rb) P and B-side rows
-    E(red_a (x) G_i) = Q (I_ra (x) E(G_i)), with P = E(I (x) red_b) and
-    Q = E(red_a (x) I) commuting with the other factor.  So the blocks M_AA,
-    M_AB and M_BB are Tr[L_i X~ R_k Sinv] with X~ = P X P, P X Q and Q X Q,
-    where L and R act on one side only: each is then F Z G^T, with F and G
-    the flattened embedded bases and Z one contraction of X~ and Sinv.  That
-    is O(ra^3 rb^3) time and O(ra^2 rb^2) memory per PSD block instead of
-    O(m n^3).
-    """
-    (ra, rb), emb_a, emb_b, p, q = structure
-    shape = (len(xs), 2, ra, rb, 2, ra, rb)
-    sinv7 = np.stack(sinvs).reshape(shape)
-
-    def contraction(left_factor, right_factor, left, right):
-        x7 = np.stack([left_factor @ x @ right_factor for x in xs]).reshape(shape)
-        return _side_contraction(x7, sinv7, left, right)
-
-    ma = emb_a.shape[0]
-    mat = np.empty((ma + emb_b.shape[0],) * 2)
-    mat[:ma, :ma] = emb_a @ contraction(p, p, _A_SIDE, _A_SIDE) @ emb_a.T
-    mat[:ma, ma:] = emb_a @ contraction(p, q, _A_SIDE, _B_SIDE) @ emb_b.T
-    mat[ma:, :ma] = mat[:ma, ma:].T
-    mat[ma:, ma:] = emb_b @ contraction(q, q, _B_SIDE, _B_SIDE) @ emb_b.T
-    return _sym(mat)
 
 
 def _chol_solve_refined(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines and
-margins; every tolerance is pinned here, nothing is deferred.
+margins; every tolerance is pinned here, nothing is deferred.  Criteria 3 and
+5-7 run rows of the selftest's invariant table at their own seeds and sizes.
 """
 
 import time
 
 import numpy as np
-import pytest
 
 from qot.cli import main
 from qot.counterexample import (
@@ -15,36 +15,27 @@ from qot.counterexample import (
     reference_witness,
     search_witness,
     symmetric_excess,
-    tensor_feasibility_equivalence,
     violation_report,
 )
-from qot.quantum import (
-    DensityMatrix,
-    HermitianOperator,
-    apply_channel,
-    proj_asym,
-    proj_asym_reshuffled,
-    proj_sym,
-    random_density_matrix,
-    random_kraus_channel,
-    random_pure_state,
-    random_unitary,
-    twirl,
-)
+from qot.quantum import proj_asym, proj_sym, random_density_matrix
+from qot.selftest import CHECKS
 from qot.serialize import read_report
-from qot.transport import (
-    dual_value,
-    stabilized_cost,
-    stabilized_cost_via_tensoring,
-    tensored_cost,
-    transport_cost,
-)
+from qot.transport import stabilized_cost, stabilized_cost_via_tensoring, tensored_cost
 
 SOLVER_TOL = 1e-8
 
 
 def _report(name, detail):
     print(f"\nACCEPTANCE PASS {name}: {detail}")
+
+
+def _holds(rng, name, bound, **sizes):
+    """Run the selftest check ``name`` on ``rng`` at ``sizes``, pinning its bound."""
+    check = CHECKS[name]
+    assert check.bound == bound
+    result = check.run(rng, **sizes)
+    assert result.passed is True, f"{name}: {result.detail}"
+    return result.detail
 
 
 def test_criterion_01_counterexample_reproduction(tmp_path):
@@ -87,21 +78,10 @@ def test_criterion_02_witness_feasibility():
 def test_criterion_03_strong_duality():
     start = time.monotonic()
     rng = np.random.default_rng(101)
-    worst = 0.0
-    for d in (2, 3, 4):
-        for _ in range(20):
-            rho = random_density_matrix(d, int(rng.integers(1 << 31)))
-            sigma = random_density_matrix(d, int(rng.integers(1 << 31)))
-            res = transport_cost(rho, sigma, SOLVER_TOL)
-            gap = abs(res.value - dual_value(rho, sigma, res.dual_witness))
-            worst = max(worst, gap)
-    assert worst <= 1e-6
+    detail = _holds(rng, "strong-duality", 1e-6, dims=(2, 3, 4), pairs=20)
     elapsed = time.monotonic() - start
     assert elapsed < 120
-    _report(
-        "criterion 3 (strong duality)",
-        f"max |primal - dual| {worst:.3e} <= 1e-6 over 20 pairs x d in 2..4, {elapsed:.1f}s",
-    )
+    _report("criterion 3 (strong duality)", f"{detail} (<= 1e-6; weak duality <= 1e-12), {elapsed:.1f}s")
 
 
 def test_criterion_04_stabilized_equality():
@@ -122,137 +102,30 @@ def test_criterion_04_stabilized_equality():
 
 def test_criterion_05_pure_state_oracle():
     rng = np.random.default_rng(303)
-    worst = 0.0
-    for d in (2, 3, 4):
-        for _ in range(20):
-            psi = random_pure_state(d, int(rng.integers(1 << 31)))
-            phi = random_pure_state(d, int(rng.integers(1 << 31)))
-            overlap = abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2
-            value = transport_cost(psi.density(), phi.density(), SOLVER_TOL).value
-            worst = max(worst, abs(value - (1 - overlap) / 2))
-    assert worst <= 1e-7
-    _report(
-        "criterion 5 (pure-state closed form)",
-        f"max |T - (1-overlap)/2| {worst:.3e} <= 1e-7 over 20 pairs x d in 2..4",
-    )
+    detail = _holds(rng, "pure-state-closed-form", 1e-7, dims=(2, 3, 4), pairs=20)
+    _report("criterion 5 (pure-state closed form)", f"{detail} <= 1e-7 over 20 pairs x d in 2..4")
 
 
 def test_criterion_06_invariance_suite():
     rng = np.random.default_rng(404)
-
-    unitary_drift = 0.0
-    for d in (2, 3):
-        rho = random_density_matrix(d, int(rng.integers(1 << 31)))
-        sigma = random_density_matrix(d, int(rng.integers(1 << 31)))
-        u = random_unitary(d, int(rng.integers(1 << 31)))
-        ru = DensityMatrix(u @ rho.matrix @ u.conj().T)
-        su = DensityMatrix(u @ sigma.matrix @ u.conj().T)
-        unitary_drift = max(
-            unitary_drift,
-            abs(transport_cost(rho, sigma).value - transport_cost(ru, su).value),
-            abs(stabilized_cost(rho, sigma).value - stabilized_cost(ru, su).value),
-        )
-    assert unitary_drift <= 1e-6
-
-    convexity_slack = np.inf
-    d = 3
-    r1, s1, r2, s2 = (random_density_matrix(d, int(rng.integers(1 << 31))) for _ in range(4))
-    for cost in (
-        lambda a, b: transport_cost(a, b).value,
-        lambda a, b: stabilized_cost(a, b).value,
-    ):
-        c11, c22 = cost(r1, s1), cost(r2, s2)
-        for lam in (0.25, 0.5, 0.75):
-            mr = DensityMatrix(lam * r1.matrix + (1 - lam) * r2.matrix)
-            ms = DensityMatrix(lam * s1.matrix + (1 - lam) * s2.matrix)
-            convexity_slack = min(convexity_slack, lam * c11 + (1 - lam) * c22 - cost(mr, ms))
-    assert convexity_slack >= -1e-6
-
-    tensoring_slack = np.inf
-    for _ in range(3):
-        rho = random_density_matrix(3, int(rng.integers(1 << 31)))
-        sigma = random_density_matrix(3, int(rng.integers(1 << 31)))
-        gamma = random_density_matrix(2, int(rng.integers(1 << 31)))
-        tensoring_slack = min(
-            tensoring_slack,
-            transport_cost(rho, sigma).value - tensored_cost(rho, sigma, gamma, gamma),
-        )
-    assert tensoring_slack >= -1e-6
-
-    invariance_drift = 0.0
-    for _ in range(2):
-        rho = random_density_matrix(2, int(rng.integers(1 << 31)))
-        sigma = random_density_matrix(2, int(rng.integers(1 << 31)))
-        gamma = random_density_matrix(2, int(rng.integers(1 << 31)))
-        base = stabilized_cost(rho, sigma).value
-        ext = stabilized_cost(
-            DensityMatrix(np.kron(rho.matrix, gamma.matrix)),
-            DensityMatrix(np.kron(sigma.matrix, gamma.matrix)),
-        ).value
-        invariance_drift = max(invariance_drift, abs(base - ext))
-    assert invariance_drift <= 1e-6
-
-    channel_slack = np.inf
-    for _ in range(20):
-        d_in = int(rng.integers(2, 5))
-        d_out = int(rng.integers(2, 5))
-        rho = random_density_matrix(d_in, int(rng.integers(1 << 31)))
-        sigma = random_density_matrix(d_in, int(rng.integers(1 << 31)))
-        channel = random_kraus_channel(d_in, d_out, 2, int(rng.integers(1 << 31)))
-        before = stabilized_cost(rho, sigma).value
-        after = stabilized_cost(apply_channel(channel, rho), apply_channel(channel, sigma)).value
-        channel_slack = min(channel_slack, before - after)
-    assert channel_slack >= -1e-6
-
-    _report(
-        "criterion 6 (invariance suite)",
-        f"unitary drift {unitary_drift:.2e}, convexity slack {convexity_slack:.2e}, "
-        f"tensoring slack {tensoring_slack:.2e}, tensor-invariance drift {invariance_drift:.2e}, "
-        f"channel slack {channel_slack:.2e}, all within 1e-6",
-    )
+    details = [
+        _holds(rng, "unitary-invariance", 1e-6),
+        _holds(rng, "joint-convexity", 1e-6, repeats=1),
+        _holds(rng, "tensoring-monotonicity", 1e-6, d=3),
+        _holds(rng, "stabilized-tensor-invariance", 1e-6),
+        _holds(rng, "stabilized-channel-monotonicity", 1e-6, n=20, top=4),
+    ]
+    _report("criterion 6 (invariance suite)", "; ".join(details) + ", all within 1e-6")
 
 
 def test_criterion_07_structural_identities():
-    key_residual = 0.0
-    for d1 in (1, 2, 3, 4):
-        for d2 in (1, 2, 3, 4):
-            lhs = proj_asym_reshuffled(d1, d2).matrix
-            rhs = np.kron(proj_asym(d1).matrix, proj_sym(d2).matrix) + np.kron(
-                proj_sym(d1).matrix, proj_asym(d2).matrix
-            )
-            key_residual = max(key_residual, float(np.max(np.abs(lhs - rhs))))
-    assert key_residual <= 1e-14
-
     rng = np.random.default_rng(505)
-    twirl_defect = 0.0
-    for d in (2, 3):
-        x = HermitianOperator(random_density_matrix(d * d, int(rng.integers(1 << 31))).matrix)
-        t = twirl(x)
-        twirl_defect = max(twirl_defect, float(np.max(np.abs(twirl(t).matrix - t.matrix))))
-        twirl_defect = max(twirl_defect, abs(np.trace(t.matrix).real - np.trace(x.matrix).real))
-        for _ in range(20):
-            u = random_unitary(d, int(rng.integers(1 << 31)))
-            uu = np.kron(u, u)
-            twirl_defect = max(twirl_defect, float(np.max(np.abs(t.matrix @ uu - uu @ t.matrix))))
-    assert twirl_defect <= 1e-10
-
-    dead_zone = 0
-    for _ in range(50):
-        d1 = int(rng.integers(2, 4))
-        scale = 0.3 * rng.random() + 0.05
-        g = rng.normal(size=(d1, d1)) + 1j * rng.normal(size=(d1, d1))
-        a = scale * (g + g.conj().T) / 2
-        g = rng.normal(size=(d1, d1)) + 1j * rng.normal(size=(d1, d1))
-        b = scale * (g + g.conj().T) / 2
-        check = tensor_feasibility_equivalence(a, b, 2)  # raises on identity breach
-        if any(abs(m) <= 1e-9 for m in check.margins):
-            dead_zone += 1
-
-    _report(
-        "criterion 7 (structural identities)",
-        f"split-identity residual {key_residual:.2e} <= 1e-14, twirl defect {twirl_defect:.2e} <= 1e-10, "
-        f"50 equivalence pairs consistent ({dead_zone} in dead zone)",
-    )
+    details = [
+        _holds(rng, "reshuffled-projector-identity", 1e-14, top=4),  # draws nothing
+        _holds(rng, "twirl-idempotent-invariant", 1e-10, dims=(2, 3)),
+        _holds(rng, "feasibility-split-equivalence", 1e-9, n=50),  # raises on identity breach
+    ]
+    _report("criterion 7 (structural identities)", "; ".join(details))
 
 
 def test_criterion_08_tensoring_is_weakest_extension():

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 import time
@@ -5,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from qot import quantum
+from qot import quantum, transport
 from qot.cli import main
 from qot.quantum import random_density_matrix
 from qot.serialize import read_report, write_matrix
@@ -156,6 +157,17 @@ class TestSelftestCommand:
         assert main(["selftest", "--quick"]) == 4
         captured = capsys.readouterr()
         assert "reshuffled-projector-identity" in captured.err
+
+    def test_corrupted_solver_value_is_named(self, monkeypatch, capsys):
+        good = transport.transport_cost
+
+        def off_by_1e5(rho, sigma, tol=transport.DEFAULT_TOL):
+            res = good(rho, sigma, tol)
+            return dataclasses.replace(res, value=res.value + 1e-5)
+
+        monkeypatch.setattr(transport, "transport_cost", off_by_1e5)
+        assert main(["selftest", "--quick"]) == 4
+        assert "strong-duality" in capsys.readouterr().err
 
 
 class TestConsoleEntry:

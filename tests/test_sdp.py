@@ -251,7 +251,7 @@ class TestCouplingStructure:
         xs = [pd() for _ in range(k)]
         sinvs = [np.linalg.inv(pd()) for _ in range(k)]
         dense = sdp._schur_complement(a_blocks, xs, sinvs)
-        structured = sdp._coupling_schur(xs, sinvs, sdp._coupling_structure(problem._coupling))
+        structured = sdp._CouplingOperator(problem._coupling, k).schur(xs, sinvs)
         assert structured.shape == dense.shape == (ra * ra + rb * rb - 1,) * 2
         assert np.max(np.abs(structured - dense)) <= 1e-12 * np.max(np.abs(dense))
 
