@@ -1,17 +1,15 @@
 #!/usr/bin/env python3
-"""Time the coupling-SDP kernels against the dense ones they replace, per call.
+"""Check the coupling-SDP constraint map and time the step length per call.
 
 For d x d marginals (d = 2..8) and k = 1 or 2 PSD blocks, a coupling problem
 is built with ``qot.sdp.coupling_problem`` (the transport cost for k = 1, the
-stabilized split for k = 2).  Its constraints are applied through the dense
-real stack (``_DenseOperator``) and through the partial-trace maps
-(``_CouplingOperator``), and each operator's set-up (stack or structure, and
-restorer Gram) is timed too.  The step length ``_max_step`` (one LAPACK sygvx
-call) is timed against the Cholesky, two triangular solves and eigvalsh it
-replaced, at each embedded block size 2 d^2.  Every pair of routines is
-checked to give equal results before it is timed; the script exits non-zero
-if one does not.  ``sdp.solve`` uses the partial-trace maps for every
-coupling problem and the dense stack only for hand-built problems.
+stabilized split for k = 2).  Before any timing, the partial-trace map
+``_CouplingOperator.apply_a`` is checked against 2 Re Tr[A_i X] summed over
+the blocks, with A_i read from the explicit list ``problem.constraints``.
+The step length ``_max_step`` (one LAPACK sygvx call) is then timed against
+the Cholesky, two triangular solves and eigvalsh it replaced, at each
+embedded block size 2 d^2, after checking that both give the same step.  The
+script exits non-zero if a check fails.
 
 BLAS is pinned to one thread, as in ``perfbench/run.py``, and the effective
 count is read back and recorded.  Run from the repository root:
@@ -80,10 +78,7 @@ def step_reference(x, dx) -> float:
     return 1e30 if lam >= -1e-14 else -1.0 / lam
 
 
-def spd(rng, n, embedded):
-    if embedded:
-        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        return complex_to_real_embedding(g @ g.conj().T / n + 0.1 * np.eye(n))
+def spd(rng, n):
     g = rng.normal(size=(n, n))
     return g @ g.T / n + 0.1 * np.eye(n)
 
@@ -95,52 +90,31 @@ def coupling(d: int, k: int):
     return sdp.coupling_problem(costs, random_density_matrix(d, d).matrix, random_density_matrix(d, d + 50).matrix)
 
 
-def map_row(d: int, k: int) -> dict:
+def map_check(d: int, k: int) -> dict:
+    """``apply_a`` on embedded random PSD blocks against the explicit
+    constraint list: Tr[E(A) E(X)] = 2 Re Tr[A X] for Hermitian A and X."""
     rng = np.random.default_rng(100 * d + k)
     problem = coupling(d, k)
-    rec, m = problem._coupling, problem.n_constraints
-
-    def dense_setup():
-        op = sdp._DenseOperator(sdp._constraint_stacks(problem))
-        return op, op.gram_solver()
-
-    def structured_setup():
-        op = sdp._CouplingOperator(rec, k)
-        return op, op.gram_solver()
-
-    (dense, dense_gram), (structured, structured_gram) = dense_setup(), structured_setup()
-    xs = [spd(rng, d * d, embedded=True) for _ in range(k)]
-    y = rng.normal(size=m)
-    r = rng.normal(size=m)
-    errors = {
-        "apply_a": rel_err(structured.apply_a(xs), dense.apply_a(xs)),
-        "apply_at": max(rel_err(s, t) for s, t in zip(structured.apply_at(y), dense.apply_at(y))),
-        "gram_solve": rel_err(structured_gram(r), dense_gram(r)),
-    }
-    if max(errors.values()) > MAP_RTOL:
-        raise SystemExit(f"d={d} k={k}: structured and dense maps differ: {errors}")
-    return {
-        "d": d,
-        "k": k,
-        "block_dim": d * d,
-        "m": m,
-        "stack_mb": sum(a.nbytes for a in dense.stacks) / 1e6,
-        "us_per_call": {
-            "dense_apply_a": per_call_us(lambda: dense.apply_a(xs)),
-            "structured_apply_a": per_call_us(lambda: structured.apply_a(xs)),
-            "dense_apply_at": per_call_us(lambda: dense.apply_at(y)),
-            "structured_apply_at": per_call_us(lambda: structured.apply_at(y)),
-            "dense_setup": per_call_us(dense_setup),
-            "structured_setup": per_call_us(structured_setup),
-        },
-        "max_rel_err": errors,
-    }
+    n = d * d
+    blocks = []
+    for _ in range(k):
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        blocks.append(g @ g.conj().T / n + 0.1 * np.eye(n))
+    want = [
+        sum(2.0 * np.trace(a.matrix @ x).real for a, x in zip(coeffs, blocks))
+        for coeffs, _ in problem.constraints
+    ]
+    got = sdp._CouplingOperator(problem).apply_a([complex_to_real_embedding(x) for x in blocks])
+    err = rel_err(got, want)
+    if err > MAP_RTOL:
+        raise SystemExit(f"d={d} k={k}: apply_a differs from the constraint list by {err:.2e} relative")
+    return {"d": d, "k": k, "block_dim": n, "m": problem.n_constraints, "apply_a_rel_err": err}
 
 
 def step_row(d: int) -> dict:
     rng = np.random.default_rng(d)
     n = 2 * d * d
-    x = spd(rng, n, embedded=False)
+    x = spd(rng, n)
     h = rng.normal(size=(n, n))
     dx = (h + h.T) / 2
     err = abs(sdp._max_step(x, dx) - step_reference(x, dx)) / step_reference(x, dx)
@@ -162,12 +136,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write the JSON record here instead of stdout")
     args = parser.parse_args(argv)
 
-    maps = [map_row(d, k) for d in DIMS for k in BLOCKS]
+    checks = [map_check(d, k) for d in DIMS for k in BLOCKS]
     steps = [step_row(d) for d in DIMS]
     record = {
-        "what": "coupling-SDP constraint maps and step length, dense against structured",
+        "what": "coupling-SDP apply_a checked against the constraint list; step length, sygvx against Cholesky",
         "environment": blas.environment(),
-        "maps": maps,
+        "apply_a_check": checks,
         "step_length": steps,
     }
     text = json.dumps(record, indent=1)

@@ -165,7 +165,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the invariant battery")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--quick", action="store_true", help="subset at dimensions <= 3, < 30 s")
+    p.add_argument(
+        "--quick",
+        action="store_true",
+        help="subset in < 30 s: marginals of dimension 2 or 3, 4-dimensional products of qubit states "
+        "in the tensoring and tensor-invariance checks, and no reference-witness check",
+    )
     p.set_defaults(func=_cmd_selftest)
     return parser
 

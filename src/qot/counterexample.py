@@ -48,6 +48,8 @@ __all__ = [
 MIN_VIOLATION_DIM = 4
 MAX_VIOLATION_DIM = 6
 CHAIN_TOL = 1e-7
+# Margins of the feasibility split identity this close to zero are inconclusive.
+SPLIT_DEAD_ZONE = 1e-9
 
 # Known 4x4 pair: feasible for the antisymmetric-projector bound while
 # exceeding the symmetric one.  Stored bit-exactly as decimal literals.
@@ -140,8 +142,8 @@ def tensor_feasibility_equivalence(pot_a, pot_b, d2: int) -> EquivalenceCheck:
     """Check that joint feasibility on a d1*d2 product space is equivalent to
     feasibility against both plain projectors on the d1 space.
 
-    The equivalence is exact; margins within 1e-9 of zero are treated as
-    inconclusive and exempt from the consistency assertion.
+    The equivalence is exact; margins within ``SPLIT_DEAD_ZONE`` of zero are
+    treated as inconclusive and exempt from the consistency assertion.
     """
     a = pot_a if isinstance(pot_a, HermitianOperator) else HermitianOperator(pot_a)
     b = pot_b if isinstance(pot_b, HermitianOperator) else HermitianOperator(pot_b)
@@ -163,7 +165,7 @@ def tensor_feasibility_equivalence(pot_a, pot_b, d2: int) -> EquivalenceCheck:
         sym_dominated=m_sym <= 0,
         margins=(m_joint, m_asym, m_sym),
     )
-    decisive = all(abs(m) > 1e-9 for m in check.margins)
+    decisive = all(abs(m) > SPLIT_DEAD_ZONE for m in check.margins)
     if decisive and check.joint_feasible != (check.asym_feasible and check.sym_dominated):
         raise RuntimeError(f"feasibility split identity violated: margins {check.margins}")
     return check

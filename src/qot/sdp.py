@@ -1,43 +1,38 @@
-"""Block-diagonal semidefinite programming with a certified primal-dual gap.
+"""Coupling semidefinite programs with a certified primal-dual gap.
 
-Problems are stated over complex Hermitian PSD variables::
+The one problem type is the coupling SDP, built by ``coupling_problem``:
+one complex Hermitian PSD block X_j per cost C_j, charged against that
+cost, whose sum has fixed partial traces ``red_a`` (ra x ra) and ``red_b``
+(rb x rb)::
 
-    minimize    sum_j <C_j, X_j>
-    subject to  sum_j <A_ij, X_j> = b_i     (i = 1..m)
-                X_j >= 0                    (PSD, j = 1..k)
+    minimize    sum_j Tr[C_j X_j]
+    subject to  Tr_B sum_j X_j = red_a,   Tr_A sum_j X_j = red_b,
+                X_j >= 0                  (PSD, j = 1..k)
 
-with <A, B> = Tr[A B].  Every Hermitian block is embedded as a real symmetric
-block of twice the size, the real problem is solved by an infeasible-start
-Mehrotra predictor-corrector primal-dual interior-point method, and objective
-and constraint values are halved afterwards to undo the trace doubling of the
-embedding.  When the constraint Gram matrix is well conditioned, iterates are
-nudged back onto the affine constraints each iteration, which keeps the final
-primal residual near machine precision.  The solver is deterministic:
-identical problems and tolerances take identical iteration paths.
+Every Hermitian block is embedded as a real symmetric block of twice the
+size, the real problem is solved by an infeasible-start Mehrotra
+predictor-corrector primal-dual interior-point method, and objective and
+constraint values are halved afterwards to undo the trace doubling of the
+embedding.  Iterates are nudged back onto the affine constraints each
+iteration, which keeps the final primal residual near machine precision.
+The solver is deterministic: identical problems and tolerances take
+identical iteration paths.
 
-Intended scale: blocks up to a few hundred rows and a few hundred
-constraints.  The solver reaches the constraints through one operator object
-per problem, which applies A and A^T, assembles the Schur complement and
-solves with the Gram matrix of the feasibility restorer.  A hand-built
-problem stores its constraints as a dense real stack, assembles the Schur
-complement from it in O(m n^3) per iteration, and factors the dense Gram.
-Coupling problems built by ``coupling_problem`` (marginals of dimension ra
-and rb fixed by partial-trace constraints) are stated in coordinates scaled
-by the marginals, so that near-singular marginals keep every iterate well
-conditioned, and record that scaling.  Their Schur complement is assembled
-from the Kronecker structure of the constraints in O(ra^3 rb^3) time and
-O(ra^2 rb^2) extra memory (the constraint-structure trick of Fujisawa, Kojima
-and Nakata 1997).  Their constraints are applied as partial traces and
-Kronecker products in O(ra^2 rb^2), with a diagonal restorer Gram in closed
-form, and the dense stack is never built.  Problems without a strictly
-feasible primal converge slowly here; build couplings on marginal supports
-instead (see the transport module) so that every solved instance has
-interior.
+The problem is stated in coordinates scaled by the marginals, so that
+near-singular marginals keep every iterate well conditioned.  The solver
+reaches the constraints through one operator that applies them as partial
+traces and Kronecker products in O(ra^2 rb^2), solves with the diagonal
+restorer Gram in closed form, and assembles the Schur complement from the
+Kronecker structure in O(ra^3 rb^3) time and O(ra^2 rb^2) extra memory (the
+constraint-structure trick of Fujisawa, Kojima and Nakata 1997).  No dense
+constraint stack is built.  Intended scale: marginals up to ra*rb of a few
+hundred.  Singular marginals have no strictly feasible coupling; build
+couplings on marginal supports instead (see the transport module).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -45,7 +40,7 @@ import scipy.linalg
 from .quantum import DimensionMismatchError, HermitianOperator, hermitian_basis
 
 __all__ = [
-    "SdpProblem",
+    "CouplingProblem",
     "SdpSolution",
     "SolverFailure",
     "solve",
@@ -55,12 +50,10 @@ __all__ = [
     "feasibility_margin",
     "STATUS_OPTIMAL",
     "STATUS_MAX_ITERATIONS",
-    "STATUS_INFEASIBLE",
 ]
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITERATIONS = "max_iterations"
-STATUS_INFEASIBLE = "infeasible_detected"
 
 DEFAULT_TOL = 1e-8
 _MAX_ITER = 100
@@ -76,16 +69,23 @@ class SolverFailure(RuntimeError):
 
 
 @dataclass(frozen=True)
-class _Coupling:
-    """How a ``coupling_problem`` is scaled: the coupling is X = W Y W with
-    W = root_a (x) root_b, the square roots of the marginals, and Y is the
-    solved variable.  A-side constraints are basis_a[i] (x) red_b and B-side
-    ones red_a (x) basis_b[i]."""
+class CouplingProblem:
+    """A coupling SDP as ``coupling_problem`` states it, for Y = W^-1 X W^-1
+    with X the coupling and W = root_a (x) root_b, the square roots of the
+    marginals.
+
+    ``objective`` holds W C W for each cost C, one PSD block each.  The
+    constraints are Tr[(basis_a[i] (x) red_b) Y] = Tr[basis_a[i]] for every
+    i, then Tr[(red_a (x) basis_b[i]) Y] = Tr[basis_b[i]], on the sum Y of
+    the blocks.  ``constraints`` lists them explicitly for independent
+    checks; the solver never reads that list.
+    """
 
     root_a: np.ndarray
     root_b: np.ndarray
     basis_a: np.ndarray
     basis_b: np.ndarray
+    objective: tuple[HermitianOperator, ...]
 
     @property
     def red_a(self) -> np.ndarray:
@@ -95,53 +95,25 @@ class _Coupling:
     def red_b(self) -> np.ndarray:
         return self.root_b @ self.root_b
 
-
-@dataclass(frozen=True)
-class SdpProblem:
-    """Standard-form SDP data over complex Hermitian blocks.
-
-    ``constraints`` is a sequence of ``(coefficients, rhs)`` pairs where
-    ``coefficients`` holds one HermitianOperator per block (or None for a
-    block that does not enter the constraint).  Sense is always minimize.
-    """
-
-    blocks: tuple[int, ...]
-    objective: tuple[HermitianOperator, ...]
-    constraints: tuple[tuple[tuple[HermitianOperator | None, ...], float], ...]
-    # The scaling of a ``coupling_problem``; only that builder sets it.
-    _coupling: _Coupling | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        blocks = tuple(int(n) for n in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        if not blocks or any(n < 1 for n in blocks):
-            raise ValueError(f"block dimensions must be positive, got {blocks}")
-        if len(self.objective) != len(blocks):
-            raise DimensionMismatchError("need exactly one objective operator per block")
-        for c, n in zip(self.objective, blocks):
-            if c.dim != n:
-                raise DimensionMismatchError(f"objective block has dim {c.dim}, expected {n}")
-        cons = []
-        for coeffs, rhs in self.constraints:
-            coeffs = tuple(coeffs)
-            if len(coeffs) != len(blocks):
-                raise DimensionMismatchError("each constraint needs one entry per block")
-            if all(a is None for a in coeffs):
-                raise ValueError("constraint touches no block")
-            for a, n in zip(coeffs, blocks):
-                if a is not None and a.dim != n:
-                    raise DimensionMismatchError(f"constraint block has dim {a.dim}, expected {n}")
-            rhs = float(rhs)
-            if not np.isfinite(rhs):
-                raise ValueError("constraint right-hand side must be finite")
-            cons.append((coeffs, rhs))
-        if not cons:
-            raise ValueError("problem needs at least one constraint")
-        object.__setattr__(self, "constraints", tuple(cons))
+    @property
+    def blocks(self) -> tuple[int, ...]:
+        return (self.root_a.shape[0] * self.root_b.shape[0],) * len(self.objective)
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
+        return self.basis_a.shape[0] + self.basis_b.shape[0]
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return np.array([np.trace(f).real for f in (*self.basis_a, *self.basis_b)])
+
+    @property
+    def constraints(self) -> tuple[tuple[tuple[HermitianOperator, ...], float], ...]:
+        """``(coefficients, rhs)`` per constraint, one dense HermitianOperator
+        per block; built on each read."""
+        k, red_a, red_b = len(self.objective), self.red_a, self.red_b
+        coeffs = [np.kron(f, red_b) for f in self.basis_a] + [np.kron(red_a, g) for g in self.basis_b]
+        return tuple(((HermitianOperator(a),) * k, float(rhs)) for a, rhs in zip(coeffs, self.rhs))
 
 
 @dataclass(frozen=True)
@@ -186,7 +158,7 @@ def _complex_from_embedding(y: np.ndarray) -> np.ndarray:
     return (y11 + y22) / 2 + 0.5j * (y21 - y12)
 
 
-def feasibility_margin(blocks, problem: SdpProblem) -> tuple[float, float]:
+def feasibility_margin(blocks, problem: CouplingProblem) -> tuple[float, float]:
     """Recompute, from scratch, how good candidate primal blocks are.
 
     Returns ``(objective_value, residual)`` where ``objective_value`` is the
@@ -215,20 +187,27 @@ def feasibility_margin(blocks, problem: SdpProblem) -> tuple[float, float]:
     return float(value), float(residual)
 
 
-def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
-    """Solve the SDP to an absolute primal-dual gap of at most ``tol``.
+def solve(problem: CouplingProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
+    """Solve a ``coupling_problem`` to an absolute primal-dual gap of at most
+    ``tol``.
 
     Returns status ``optimal`` when gap and max constraint residual are both
-    below ``tol``; ``max_iterations`` when progress stalls above it;
-    ``infeasible_detected`` when a dual improving ray is found (best effort).
+    below ``tol``, and ``max_iterations`` when progress stalls above it.
     """
+    c_blocks = [complex_to_real_embedding(c.matrix) for c in problem.objective]
+    # the rhs doubles with the traces of the embedding
+    return _solve_embedded(c_blocks, 2.0 * problem.rhs, _CouplingOperator(problem), tol)
+
+
+def _solve_embedded(c_blocks, b, op, tol: float) -> SdpSolution:
+    """The IPM on the real embedding: objective blocks ``c_blocks``,
+    right-hand side ``b`` and constraint operator ``op``, all doubled by the
+    embedding; the solution is reported on the complex side."""
     if not (1e-10 <= tol <= 1e-2):
         raise ValueError(f"tol must lie in [1e-10, 1e-2], got {tol}")
 
-    c_blocks, b = _embedded_data(problem)
-    op = _constraint_operator(problem)
     # Embedded quantities are twice the complex-side ones, so target 2*tol.
-    y_blocks, y_dual, status, iterations = _solve_real(c_blocks, op, b, 2 * tol, 2 * tol)
+    y_blocks, y_dual, status, iterations = _solve_real(c_blocks, op, b, 2 * tol)
 
     primal = tuple(_complex_from_embedding(yb) for yb in y_blocks)
     # Tr[A X] as the elementwise sum of E(A)^T * E(X), halved: O(m n^2), no matmul.
@@ -252,7 +231,7 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     )
 
 
-def coupling_problem(costs, red_a: np.ndarray, red_b: np.ndarray) -> SdpProblem:
+def coupling_problem(costs, red_a: np.ndarray, red_b: np.ndarray) -> CouplingProblem:
     """Coupling SDP over one PSD block per cost, charged against its own cost,
     whose sum couples the positive definite marginals ``red_a`` (ra x ra)
     and ``red_b`` (rb x rb).
@@ -274,30 +253,21 @@ def coupling_problem(costs, red_a: np.ndarray, red_b: np.ndarray) -> SdpProblem:
     block.
 
     Use ``coupling_solution`` to read the couplings and the marginal
-    potentials off a solution.  The problem records its scaling, from which
-    ``solve`` applies the constraints and assembles the Schur complement in
-    structured form, without the dense stack.
+    potentials off a solution.
     """
     red_a, red_b = np.asarray(red_a), np.asarray(red_b)
-    ra, rb = red_a.shape[0], red_b.shape[0]
-    rec = _Coupling(_psd_sqrt(red_a), _psd_sqrt(red_b), hermitian_basis(ra), _orthogonal_basis(red_b))
-    w = np.kron(rec.root_a, rec.root_b)
-    k = len(costs)
-    constraints = []
-    for f in rec.basis_a:
-        constraints.append(((HermitianOperator(np.kron(f, red_b)),) * k, np.trace(f).real))
-    for g in rec.basis_b:
-        constraints.append(((HermitianOperator(np.kron(red_a, g)),) * k, np.trace(g).real))
-    problem = SdpProblem(
-        blocks=(ra * rb,) * k,
+    root_a, root_b = _psd_sqrt(red_a), _psd_sqrt(red_b)
+    w = np.kron(root_a, root_b)
+    return CouplingProblem(
+        root_a=root_a,
+        root_b=root_b,
+        basis_a=hermitian_basis(red_a.shape[0]),
+        basis_b=_orthogonal_basis(red_b),
         objective=tuple(HermitianOperator(w @ cost @ w) for cost in costs),
-        constraints=tuple(constraints),
     )
-    object.__setattr__(problem, "_coupling", rec)
-    return problem
 
 
-def coupling_solution(problem: SdpProblem, solution: SdpSolution):
+def coupling_solution(problem: CouplingProblem, solution: SdpSolution):
     """``(couplings, pot_a, pot_b)`` of a solved ``coupling_problem``.
 
     ``couplings`` holds X_j = W Y_j W for each block; the potentials are the
@@ -305,16 +275,13 @@ def coupling_solution(problem: SdpProblem, solution: SdpSolution):
     pot_a (x) I + I (x) pot_b is dominated by every cost (up to the solver's
     tolerance) and Tr[pot_a red_a] + Tr[pot_b red_b] is the dual value.
     """
-    rec = problem._coupling
-    if rec is None:
-        raise ValueError("problem was not built by coupling_problem")
-    ma = rec.basis_a.shape[0]
+    ma = problem.basis_a.shape[0]
     y = solution.dual_vector
-    w = np.kron(rec.root_a, rec.root_b)
+    w = np.kron(problem.root_a, problem.root_b)
     couplings = tuple(_hermitian(w @ x @ w) for x in solution.primal_blocks)
-    inv_a, inv_b = np.linalg.inv(rec.root_a), np.linalg.inv(rec.root_b)
-    pot_a = inv_a @ np.tensordot(y[:ma], rec.basis_a, axes=(0, 0)) @ inv_a
-    pot_b = inv_b @ np.tensordot(y[ma:], rec.basis_b, axes=(0, 0)) @ inv_b
+    inv_a, inv_b = np.linalg.inv(problem.root_a), np.linalg.inv(problem.root_b)
+    pot_a = inv_a @ np.tensordot(y[:ma], problem.basis_a, axes=(0, 0)) @ inv_a
+    pot_b = inv_b @ np.tensordot(y[ma:], problem.basis_b, axes=(0, 0)) @ inv_b
     return couplings, _hermitian(pot_a), _hermitian(pot_b)
 
 
@@ -343,36 +310,6 @@ def _orthogonal_basis(red: np.ndarray) -> np.ndarray:
     u[0] += 1.0  # v[0] = Tr[red]/sqrt(r) > 0, so this never cancels
     reflect = np.eye(len(v)) - 2.0 * np.outer(u, u) / (u @ u)
     return np.tensordot(reflect[:, 1:].T, basis, axes=(1, 0))
-
-
-def _embedded_data(problem: SdpProblem):
-    """(objective blocks, rhs) of the real embedding; the rhs doubles with
-    the traces."""
-    c_blocks = [complex_to_real_embedding(c.matrix) for c in problem.objective]
-    b = 2.0 * np.array([rhs for _, rhs in problem.constraints])
-    return c_blocks, b
-
-
-def _constraint_stacks(problem: SdpProblem) -> list[np.ndarray]:
-    """Dense constraint stacks of the real embedding, one (m, 2n, 2n) array
-    per block."""
-    m = problem.n_constraints
-    stacks = []
-    for j, n in enumerate(problem.blocks):
-        stack = np.zeros((m, 2 * n, 2 * n))
-        for i, (coeffs, _) in enumerate(problem.constraints):
-            if coeffs[j] is not None:
-                stack[i] = _embed(coeffs[j].matrix)
-        stacks.append(stack)
-    return stacks
-
-
-def _constraint_operator(problem: SdpProblem):
-    """The constraint operator ``solve`` iterates with: the structured maps
-    for a coupling problem, the dense stack for any other."""
-    if problem._coupling is None:
-        return _DenseOperator(_constraint_stacks(problem))
-    return _CouplingOperator(problem._coupling, len(problem.blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -417,37 +354,6 @@ def _shifted_pencil_min(x: np.ndarray, dx: np.ndarray) -> float:
     raise np.linalg.LinAlgError("step-length matrix is not positive definite after shifting")
 
 
-class _DenseOperator:
-    """Constraint maps and Schur complement through the dense real stacks,
-    one (m, 2n, 2n) array per block."""
-
-    def __init__(self, stacks):
-        self.stacks = stacks
-
-    def apply_a(self, xs) -> np.ndarray:
-        m = self.stacks[0].shape[0]
-        out = np.zeros(m)
-        for a, x in zip(self.stacks, xs):
-            out += a.reshape(m, -1) @ x.T.reshape(-1)
-        return out
-
-    def apply_at(self, y) -> list[np.ndarray]:
-        return [np.tensordot(y, a, axes=(0, 0)) for a in self.stacks]
-
-    def schur(self, xs, sinvs) -> np.ndarray:
-        return _schur_complement(self.stacks, xs, sinvs)
-
-    def gram_solver(self):
-        """Solve with the constraint Gram matrix, or None when it is too ill
-        conditioned for the restorer."""
-        m = self.stacks[0].shape[0]
-        gram = sum(a.reshape(m, -1) @ a.reshape(m, -1).T for a in self.stacks)
-        if np.linalg.cond(gram) > 1e10:
-            return None
-        factor = scipy.linalg.cho_factor(gram, lower=True)
-        return lambda r: scipy.linalg.cho_solve(factor, r)
-
-
 class _CouplingOperator:
     """Constraint maps of a ``coupling_problem`` from its Kronecker
     structure, without the dense stack.
@@ -463,20 +369,20 @@ class _CouplingOperator:
     on the A rows and 2k Tr[red_a^2] on the B rows.
     """
 
-    def __init__(self, rec: _Coupling, k: int):
-        ra, rb = rec.root_a.shape[0], rec.root_b.shape[0]
+    def __init__(self, problem: CouplingProblem):
+        ra, rb = problem.root_a.shape[0], problem.root_b.shape[0]
         self._dims = (ra, rb)
-        self._k = k
-        self._red_a, self._red_b = rec.red_a, rec.red_b
-        self._basis_a = rec.basis_a.reshape(ra * ra, ra * ra)
-        self._basis_b = rec.basis_b.reshape(rb * rb - 1, rb * rb)
+        self._k = len(problem.objective)
+        self._red_a, self._red_b = problem.red_a, problem.red_b
+        self._basis_a = problem.basis_a.reshape(ra * ra, ra * ra)
+        self._basis_b = problem.basis_b.reshape(rb * rb - 1, rb * rb)
         # Tr[F M] = <F^T, M> entrywise, for the flattened bases
-        self._rows_a = rec.basis_a.transpose(0, 2, 1).reshape(ra * ra, ra * ra)
-        self._rows_b = rec.basis_b.transpose(0, 2, 1).reshape(rb * rb - 1, rb * rb)
+        self._rows_a = problem.basis_a.transpose(0, 2, 1).reshape(ra * ra, ra * ra)
+        self._rows_b = problem.basis_b.transpose(0, 2, 1).reshape(rb * rb - 1, rb * rb)
         # for the Schur complement: the flattened embedded bases and the
         # embedded marginal factors P = E(I (x) red_b) and Q = E(red_a (x) I)
-        self._emb_a = _embed(rec.basis_a).reshape(ra * ra, 4 * ra * ra)
-        self._emb_b = _embed(rec.basis_b).reshape(rb * rb - 1, 4 * rb * rb)
+        self._emb_a = _embed(problem.basis_a).reshape(ra * ra, 4 * ra * ra)
+        self._emb_b = _embed(problem.basis_b).reshape(rb * rb - 1, 4 * rb * rb)
         self._p = complex_to_real_embedding(np.kron(np.eye(ra), self._red_b))
         self._q = complex_to_real_embedding(np.kron(self._red_a, np.eye(rb)))
 
@@ -505,8 +411,8 @@ class _CouplingOperator:
         return [_embed(h.reshape(n, n))] * self._k
 
     def schur(self, xs, sinvs) -> np.ndarray:
-        """The Schur complement of a ``coupling_problem``, equal to
-        ``_schur_complement`` but assembled from the Kronecker structure.
+        """The Schur complement M[i, k] = sum_j Tr[A_ij X_j A_kj Sinv_j] of a
+        ``coupling_problem``, assembled from the Kronecker structure.
 
         A-side rows are E(F_i (x) red_b) = (E(F_i) (x) I_rb) P and B-side rows
         E(red_a (x) G_i) = Q (I_ra (x) E(G_i)), with P = E(I (x) red_b) and
@@ -515,7 +421,7 @@ class _CouplingOperator:
         where L and R act on one side only: each is then F Z G^T, with F and G
         the flattened embedded bases and Z one contraction of X~ and Sinv.  That
         is O(ra^3 rb^3) time and O(ra^2 rb^2) memory per PSD block instead of
-        O(m n^3).
+        O(m n^3) from a dense constraint stack.
         """
         (ra, rb), emb_a, emb_b, p, q = self._dims, self._emb_a, self._emb_b, self._p, self._q
         shape = (len(xs), 2, ra, rb, 2, ra, rb)
@@ -535,26 +441,12 @@ class _CouplingOperator:
 
     def gram_solver(self):
         """Solve with the closed-form diagonal Gram; its condition number is
-        at most max(ra, rb), so the restorer is always available."""
+        at most max(ra, rb)."""
         ma, mb = self._basis_a.shape[0], self._basis_b.shape[0]
         purity_a = float(np.vdot(self._red_a, self._red_a).real)
         purity_b = float(np.vdot(self._red_b, self._red_b).real)
         diag = 2.0 * self._k * np.concatenate([np.full(ma, purity_b), np.full(mb, purity_a)])
         return lambda r: r / diag
-
-
-def _schur_complement(a_blocks, xs, sinvs) -> np.ndarray:
-    """M[i, k] = sum_j Tr[A_ij X_j A_kj Sinv_j], assembled in memory-bounded chunks."""
-    m = a_blocks[0].shape[0]
-    mat = np.zeros((m, m))
-    for a, x, sinv in zip(a_blocks, xs, sinvs):
-        n = x.shape[0]
-        a_flat = a.reshape(m, n * n)
-        chunk = max(1, int(4_000_000 / (n * n)))
-        for s in range(0, m, chunk):
-            t = x @ a[s : s + chunk] @ sinv
-            mat[:, s : s + chunk] += a_flat @ t.transpose(0, 2, 1).reshape(-1, n * n).T
-    return _sym(mat)
 
 
 # Axes of a block reshaped to (s, a, b, s', a', b'), s the real/imaginary
@@ -600,14 +492,10 @@ def _chol_solve_refined(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _make_restorer(op, b):
     """Damped least-squares projection onto the affine constraints.
 
-    Only available when the constraint Gram matrix is well conditioned (the
-    problem builders in this package emit near-orthogonal constraints); keeps
-    the primal residual at machine precision so late iterations never fight
-    an ill-conditioned Schur system over feasibility.
+    Keeps the primal residual at machine precision so late iterations never
+    fight an ill-conditioned Schur system over feasibility.
     """
     gram_solve = op.gram_solver()
-    if gram_solve is None:
-        return None
 
     def restore(xs):
         for _ in range(3):
@@ -624,29 +512,29 @@ def _make_restorer(op, b):
     return restore
 
 
-def _solve_real(c_blocks, op, b, eps_gap, eps_feas, max_iter=_MAX_ITER):
-    """Infeasible-start Mehrotra predictor-corrector with HKM search direction.
+def _solve_real(c_blocks, op, b, eps):
+    """Infeasible-start Mehrotra predictor-corrector with HKM search direction,
+    to gap and residuals of at most ``eps``.
 
-    ``op`` is the problem's constraint operator (``_DenseOperator`` or
-    ``_CouplingOperator``): it applies A and A^T, assembles the Schur
-    complement and solves with the restorer's Gram matrix.
+    ``op`` is the problem's constraint operator: it applies A and A^T,
+    assembles the Schur complement and solves with the restorer's Gram
+    matrix.
     """
     dims = [c.shape[0] for c in c_blocks]
     n_total = sum(dims)
-    m = len(b)
 
-    scale_p = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
+    scale_p = max(1.0, float(np.max(np.abs(b))))
     scale_d = max(1.0, *(float(np.linalg.norm(c, 2)) for c in c_blocks))
     xs = [scale_p * np.eye(n) for n in dims]
     ss = [scale_d * np.eye(n) for n in dims]
-    y = np.zeros(m)
+    y = np.zeros(len(b))
     restore = _make_restorer(op, b)
 
     status = STATUS_MAX_ITERATIONS
     best_score = np.inf
     stall = 0
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         rp = b - op.apply_a(xs)
         aty = op.apply_at(y)
         rds = [c - s - at for c, s, at in zip(c_blocks, ss, aty)]
@@ -655,28 +543,12 @@ def _solve_real(c_blocks, op, b, eps_gap, eps_feas, max_iter=_MAX_ITER):
         pobj = sum(np.tensordot(c, x) for c, x in zip(c_blocks, xs))
         dobj = float(b @ y)
         gap = pobj - dobj
-        pinf = float(np.max(np.abs(rp))) if m else 0.0
+        pinf = float(np.max(np.abs(rp)))
         dinf = max(float(np.max(np.abs(r))) for r in rds)
 
-        if (
-            mu * n_total <= eps_gap
-            and abs(gap) <= eps_gap
-            and pinf <= eps_feas
-            and dinf <= eps_feas * scale_d
-        ):
+        if mu * n_total <= eps and abs(gap) <= eps and pinf <= eps and dinf <= eps * scale_d:
             status = STATUS_OPTIMAL
             break
-
-        # Dual improving ray => primal infeasible (best effort; the transport
-        # problems this library builds are always feasible).
-        y_norm = float(np.linalg.norm(y))
-        if y_norm > 1e8 * scale_p:
-            ray = y / y_norm
-            aty_ray = op.apply_at(ray)
-            ray_psd = max(float(np.linalg.eigvalsh(_sym(at))[-1]) for at in aty_ray)
-            if b @ ray > 1e-8 and ray_psd < 1e-10:
-                status = STATUS_INFEASIBLE
-                break
 
         score = max(mu * n_total, pinf, dinf)
         if score < 0.7 * best_score:
@@ -739,6 +611,4 @@ def _ipm_step(op, b, xs, ss, y, rds, mu, n_total, restore):
     xs = [_sym(x + ap * dx) for x, dx in zip(xs, dxs)]
     ss = [_sym(s + ad * ds) for s, ds in zip(ss, dss)]
     y = y + ad * dy
-    if restore is not None:
-        xs = restore(xs)
-    return xs, ss, y
+    return restore(xs), ss, y

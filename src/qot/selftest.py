@@ -239,7 +239,7 @@ def _feasibility_split(rng, bound, n):
         if any(abs(m) <= bound for m in check.margins):
             dead += 1
     # tensor_feasibility_equivalence raises if the boolean identity breaks
-    return True, 1.0, f"{n} random pairs consistent ({dead} inside the 1e-9 dead zone)"
+    return True, 1.0, f"{n} random pairs consistent ({dead} inside the {bound:g} dead zone)"
 
 
 def _pure_closed_form(rng, bound, dims, pairs):
@@ -308,7 +308,7 @@ CHECKS = {
             "stabilized-channel-monotonicity", 1e-6,
             dict(n=5, top=3), dict(n=20, top=4), _channel_monotonicity,
         ),
-        Check("feasibility-split-equivalence", 1e-9, dict(n=10), dict(n=50), _feasibility_split),
+        Check("feasibility-split-equivalence", ce.SPLIT_DEAD_ZONE, dict(n=10), dict(n=50), _feasibility_split),
         Check(
             "pure-state-closed-form", 1e-7,
             dict(dims=(2, 3), pairs=4), dict(dims=(2, 3, 4), pairs=4), _pure_closed_form,

@@ -287,7 +287,7 @@ def _psd_clean(mat: np.ndarray) -> np.ndarray:
     return (vecs * vals) @ vecs.conj().T
 
 
-def _solved(problem: sdp.SdpProblem, tol: float) -> sdp.SdpSolution:
+def _solved(problem: sdp.CouplingProblem, tol: float) -> sdp.SdpSolution:
     sol = sdp.solve(problem, tol)
     if sol.status != sdp.STATUS_OPTIMAL:
         raise sdp.SolverFailure(

@@ -1,20 +1,137 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from qot import sdp
-from qot.quantum import DensityMatrix, HermitianOperator, hermitian_basis, proj_asym, proj_sym, random_density_matrix
-from qot.sdp import (
-    STATUS_INFEASIBLE,
-    STATUS_OPTIMAL,
-    SdpProblem,
-    complex_to_real_embedding,
-    coupling_problem,
-    feasibility_margin,
-    solve,
+from qot.quantum import (
+    DensityMatrix,
+    DimensionMismatchError,
+    HermitianOperator,
+    hermitian_basis,
+    proj_asym,
+    proj_sym,
+    random_density_matrix,
 )
+from qot.sdp import STATUS_OPTIMAL, complex_to_real_embedding, coupling_problem, feasibility_margin, solve
 
 H = HermitianOperator
+
+
+# ---------------------------------------------------------------------------
+# Dense reference oracle: hand-built SDPs with an explicit constraint list,
+# solved by the library's interior-point core through a dense (m, 2n, 2n)
+# constraint stack per block.
+
+
+@dataclass(frozen=True)
+class SdpProblem:
+    """Standard-form SDP data over complex Hermitian blocks.
+
+    ``constraints`` is a sequence of ``(coefficients, rhs)`` pairs where
+    ``coefficients`` holds one HermitianOperator per block (or None for a
+    block that does not enter the constraint).  Sense is always minimize.
+    """
+
+    blocks: tuple[int, ...]
+    objective: tuple[HermitianOperator, ...]
+    constraints: tuple[tuple[tuple[HermitianOperator | None, ...], float], ...]
+
+    def __post_init__(self):
+        blocks = tuple(int(n) for n in self.blocks)
+        object.__setattr__(self, "blocks", blocks)
+        if not blocks or any(n < 1 for n in blocks):
+            raise ValueError(f"block dimensions must be positive, got {blocks}")
+        if len(self.objective) != len(blocks):
+            raise DimensionMismatchError("need exactly one objective operator per block")
+        for c, n in zip(self.objective, blocks):
+            if c.dim != n:
+                raise DimensionMismatchError(f"objective block has dim {c.dim}, expected {n}")
+        cons = []
+        for coeffs, rhs in self.constraints:
+            coeffs = tuple(coeffs)
+            if len(coeffs) != len(blocks):
+                raise DimensionMismatchError("each constraint needs one entry per block")
+            if all(a is None for a in coeffs):
+                raise ValueError("constraint touches no block")
+            for a, n in zip(coeffs, blocks):
+                if a is not None and a.dim != n:
+                    raise DimensionMismatchError(f"constraint block has dim {a.dim}, expected {n}")
+            rhs = float(rhs)
+            if not np.isfinite(rhs):
+                raise ValueError("constraint right-hand side must be finite")
+            cons.append((coeffs, rhs))
+        if not cons:
+            raise ValueError("problem needs at least one constraint")
+        object.__setattr__(self, "constraints", tuple(cons))
+
+    @property
+    def n_constraints(self) -> int:
+        return len(self.constraints)
+
+
+def constraint_stacks(problem) -> list[np.ndarray]:
+    """Dense constraint stacks of the real embedding, one (m, 2n, 2n) array
+    per block, for an ``SdpProblem`` or a ``CouplingProblem``."""
+    m = problem.n_constraints
+    stacks = []
+    for j, n in enumerate(problem.blocks):
+        stack = np.zeros((m, 2 * n, 2 * n))
+        for i, (coeffs, _) in enumerate(problem.constraints):
+            if coeffs[j] is not None:
+                stack[i] = complex_to_real_embedding(coeffs[j].matrix)
+        stacks.append(stack)
+    return stacks
+
+
+def schur_complement(a_blocks, xs, sinvs) -> np.ndarray:
+    """M[i, k] = sum_j Tr[A_ij X_j A_kj Sinv_j], assembled in memory-bounded chunks."""
+    m = a_blocks[0].shape[0]
+    mat = np.zeros((m, m))
+    for a, x, sinv in zip(a_blocks, xs, sinvs):
+        n = x.shape[0]
+        a_flat = a.reshape(m, n * n)
+        chunk = max(1, int(4_000_000 / (n * n)))
+        for s in range(0, m, chunk):
+            t = x @ a[s : s + chunk] @ sinv
+            mat[:, s : s + chunk] += a_flat @ t.transpose(0, 2, 1).reshape(-1, n * n).T
+    return (mat + mat.T) / 2
+
+
+class DenseOperator:
+    """Constraint maps, Schur complement and restorer Gram through the dense
+    real stacks; the interface of ``sdp._CouplingOperator``."""
+
+    def __init__(self, stacks):
+        self.stacks = stacks
+
+    def apply_a(self, xs) -> np.ndarray:
+        m = self.stacks[0].shape[0]
+        out = np.zeros(m)
+        for a, x in zip(self.stacks, xs):
+            out += a.reshape(m, -1) @ x.T.reshape(-1)
+        return out
+
+    def apply_at(self, y) -> list[np.ndarray]:
+        return [np.tensordot(y, a, axes=(0, 0)) for a in self.stacks]
+
+    def schur(self, xs, sinvs) -> np.ndarray:
+        return schur_complement(self.stacks, xs, sinvs)
+
+    def gram_solver(self):
+        m = self.stacks[0].shape[0]
+        gram = sum(a.reshape(m, -1) @ a.reshape(m, -1).T for a in self.stacks)
+        factor = scipy.linalg.cho_factor(gram, lower=True)
+        return lambda r: scipy.linalg.cho_solve(factor, r)
+
+
+def dense_solve(problem: SdpProblem, tol: float) -> sdp.SdpSolution:
+    """The library's interior-point core on a hand-built problem."""
+    c_blocks = [complex_to_real_embedding(c.matrix) for c in problem.objective]
+    b = 2.0 * np.array([rhs for _, rhs in problem.constraints])
+    return sdp._solve_embedded(c_blocks, b, DenseOperator(constraint_stacks(problem)), tol)
 
 
 def pin_problem(target):
@@ -68,7 +185,7 @@ class TestEmbedding:
 
 class TestSolveBasics:
     def test_fully_pinned_identity(self):
-        sol = solve(pin_problem(np.eye(2)), 1e-8)
+        sol = dense_solve(pin_problem(np.eye(2)), 1e-8)
         assert sol.status == STATUS_OPTIMAL
         assert sol.primal_value == pytest.approx(2.0, abs=1e-7)
 
@@ -78,7 +195,7 @@ class TestSolveBasics:
         # boundary point, so the raw core only reaches coarse accuracy here;
         # transport_cost reduces to marginal supports first and is exact
         # (see test_transport).
-        sol = solve(transport_problem(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), 1e-6)
+        sol = dense_solve(transport_problem(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), 1e-6)
         assert sol.primal_value == pytest.approx(0.5, abs=2e-3)
         assert sol.dual_value <= 0.5 + 1e-6
 
@@ -90,20 +207,16 @@ class TestSolveBasics:
 
     def test_tol_validation(self):
         prob = pin_problem(np.eye(2))
-        with pytest.raises(ValueError):
-            solve(prob, 1e-12)
-        with pytest.raises(ValueError):
-            solve(prob, 0.5)
-
-    def test_infeasible_detection(self):
-        prob = SdpProblem(
-            blocks=(2,), objective=(H(np.eye(2)),), constraints=(((H(np.eye(2)),), -1.0),)
-        )
-        assert solve(prob, 1e-8).status == STATUS_INFEASIBLE
+        coupling = coupling_problem((proj_asym(2).matrix,), np.eye(2) / 2, np.eye(2) / 2)
+        for bad in (1e-12, 0.5):
+            with pytest.raises(ValueError):
+                dense_solve(prob, bad)
+            with pytest.raises(ValueError):
+                solve(coupling, bad)
 
     def test_determinism_bitwise(self):
         prob = transport_problem(random_density_matrix(3, 8).matrix, random_density_matrix(3, 9).matrix)
-        s1, s2 = solve(prob, 1e-8), solve(prob, 1e-8)
+        s1, s2 = dense_solve(prob, 1e-8), dense_solve(prob, 1e-8)
         assert s1.iterations == s2.iterations
         assert s1.primal_value == s2.primal_value
         assert s1.dual_value == s2.dual_value
@@ -111,7 +224,7 @@ class TestSolveBasics:
     def test_scaling_equivariance(self):
         rho = random_density_matrix(2, 11).matrix
         sigma = random_density_matrix(2, 12).matrix
-        base = solve(transport_problem(rho, sigma), 1e-8).primal_value
+        base = dense_solve(transport_problem(rho, sigma), 1e-8).primal_value
         d = 2
         basis = hermitian_basis(d)
         cons = [
@@ -124,13 +237,13 @@ class TestSolveBasics:
         scaled = SdpProblem(
             blocks=(4,), objective=(H(3.0 * proj_asym(2).matrix),), constraints=tuple(cons)
         )
-        assert solve(scaled, 1e-8).primal_value == pytest.approx(3 * base, abs=3e-8)
+        assert dense_solve(scaled, 1e-8).primal_value == pytest.approx(3 * base, abs=3e-8)
 
     def test_weak_duality_on_solved_instances(self):
         for seed in range(4):
             rho = random_density_matrix(3, 20 + seed).matrix
             sigma = random_density_matrix(3, 30 + seed).matrix
-            sol = solve(transport_problem(rho, sigma), 1e-8)
+            sol = dense_solve(transport_problem(rho, sigma), 1e-8)
             assert sol.status == STATUS_OPTIMAL
             assert sol.dual_value <= sol.primal_value + 1e-12
 
@@ -151,7 +264,7 @@ class TestAgainstLinearProgramming:
         assert lp.success
 
         cons = tuple(((H(np.diag(a[i])),), b[i]) for i in range(m))
-        sol = solve(
+        sol = dense_solve(
             SdpProblem(blocks=(n,), objective=(H(np.diag(c)),), constraints=cons), 1e-8
         )
         assert sol.status == STATUS_OPTIMAL
@@ -175,7 +288,7 @@ class TestFeasibilityMargin:
 
     def test_solver_output_verifies(self):
         prob = transport_problem(random_density_matrix(3, 40).matrix, random_density_matrix(3, 41).matrix)
-        sol = solve(prob, 1e-8)
+        sol = dense_solve(prob, 1e-8)
         value, residual = feasibility_margin(sol.primal_blocks, prob)
         assert residual <= 1e-8
         assert value == pytest.approx(sol.primal_value, abs=1e-12)
@@ -222,7 +335,7 @@ def _random_coupling_problem(ra, rb, k, seed=0):
 
 
 class TestCouplingStructure:
-    """The structured paths for ``coupling_problem`` against the dense ones."""
+    """The structured paths for ``coupling_problem`` against the dense oracle."""
 
     SHAPES = [(1, 1, 1), (1, 3, 1), (3, 1, 2), (2, 3, 1), (4, 4, 2), (8, 8, 1)]
 
@@ -246,23 +359,22 @@ class TestCouplingStructure:
     @pytest.mark.parametrize("iterates", ["embedded", "real"])
     def test_structured_schur_matches_dense(self, ra, rb, k, iterates):
         problem = _random_coupling_problem(ra, rb, k)
-        a_blocks = sdp._constraint_stacks(problem)
+        a_blocks = constraint_stacks(problem)
         pd = self._iterates(ra, rb, k, iterates)
         xs = [pd() for _ in range(k)]
         sinvs = [np.linalg.inv(pd()) for _ in range(k)]
-        dense = sdp._schur_complement(a_blocks, xs, sinvs)
-        structured = sdp._CouplingOperator(problem._coupling, k).schur(xs, sinvs)
+        dense = schur_complement(a_blocks, xs, sinvs)
+        structured = sdp._CouplingOperator(problem).schur(xs, sinvs)
         assert structured.shape == dense.shape == (ra * ra + rb * rb - 1,) * 2
         assert np.max(np.abs(structured - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("ra, rb, k", SHAPES)
     @pytest.mark.parametrize("iterates", ["embedded", "real"])
     def test_structured_maps_match_dense(self, ra, rb, k, iterates):
-        """Built directly, whatever the size threshold says; rb = 1 has no
-        B-side rows."""
+        """rb = 1 has no B-side rows."""
         problem = _random_coupling_problem(ra, rb, k)
-        dense = sdp._DenseOperator(sdp._constraint_stacks(problem))
-        structured = sdp._CouplingOperator(problem._coupling, k)
+        dense = DenseOperator(constraint_stacks(problem))
+        structured = sdp._CouplingOperator(problem)
         pd = self._iterates(ra, rb, k, iterates)
         # the solver also applies A to products such as X R S^-1, which are not symmetric
         xs = [pd() for _ in range(k)] + [pd() @ pd() for _ in range(k)]
@@ -278,23 +390,24 @@ class TestCouplingStructure:
     @pytest.mark.parametrize("ra, rb, k", SHAPES)
     def test_closed_form_gram_matches_dense(self, ra, rb, k):
         problem = _random_coupling_problem(ra, rb, k)
-        stacks = sdp._constraint_stacks(problem)
+        stacks = constraint_stacks(problem)
         m = problem.n_constraints
         gram = sum(a.reshape(m, -1) @ a.reshape(m, -1).T for a in stacks)
-        solve_closed = sdp._CouplingOperator(problem._coupling, k).gram_solver()
+        solve_closed = sdp._CouplingOperator(problem).gram_solver()
         inverse = np.column_stack([solve_closed(e) for e in np.eye(m)])
         assert np.max(np.abs(inverse @ gram - np.eye(m))) <= 1e-13
         r = np.random.default_rng(m).normal(size=m)
-        solve_dense = sdp._DenseOperator(stacks).gram_solver()
+        solve_dense = DenseOperator(stacks).gram_solver()
         assert np.max(np.abs(solve_closed(r) - solve_dense(r))) <= 1e-12 * np.max(np.abs(solve_dense(r)))
 
     def test_couplings_never_build_the_stack(self, monkeypatch):
-        from qot.transport import stabilized_cost, transport_cost
+        """No library solve reads the explicit constraint list."""
+        from qot.transport import stabilized_cost, tensored_cost, transport_cost
 
-        def no_stack(problem):
-            raise AssertionError("dense constraint stack built")
+        def no_list(problem):
+            raise AssertionError("explicit constraint list built")
 
-        monkeypatch.setattr(sdp, "_constraint_stacks", no_stack)
+        monkeypatch.setattr(sdp.CouplingProblem, "constraints", property(no_list))
         for d in (2, 6):
             rho, sigma = random_density_matrix(d, 1), random_density_matrix(d, 2)
             res = transport_cost(rho, sigma)
@@ -303,8 +416,10 @@ class TestCouplingStructure:
             assert ts.value <= res.value + 2e-8
         pure = DensityMatrix(np.diag([1.0, 0.0, 0.0]))
         assert transport_cost(pure, pure).value <= 1e-8
-        with pytest.raises(AssertionError, match="stack"):
-            solve(transport_problem(rho.matrix, sigma.matrix))
+        q1, q2 = random_density_matrix(2, 3), random_density_matrix(2, 4)
+        assert 0 <= tensored_cost(q1, q2, q1, q2) <= 0.5 + 1e-8
+        with pytest.raises(AssertionError, match="constraint list"):
+            feasibility_margin([np.eye(4)], _random_coupling_problem(2, 2, 1))
 
     @pytest.mark.parametrize("r", [1, 2, 3, 5])
     def test_orthogonal_basis(self, r):
@@ -342,11 +457,7 @@ class TestCouplingStructure:
         extension = np.kron(pot_a, np.eye(3)) + np.kron(np.eye(3), pot_b)
         assert np.linalg.eigvalsh(extension - proj_asym(3).matrix)[-1] <= tol
         if eps is None:
-            assert abs(solve(reference, tol).primal_value - sol.primal_value) <= 2 * tol
-        assert built._coupling is not None
-        assert reference._coupling is None
-        with pytest.raises(ValueError):
-            sdp.coupling_solution(reference, sol)
+            assert abs(dense_solve(reference, tol).primal_value - sol.primal_value) <= 2 * tol
 
     @pytest.mark.parametrize(
         "costs, ra, rb",
@@ -367,7 +478,7 @@ class TestCouplingStructure:
         plain = SdpProblem(
             blocks=structured.blocks, objective=structured.objective, constraints=structured.constraints
         )
-        s1, s2 = solve(structured, tol), solve(plain, tol)
+        s1, s2 = solve(structured, tol), dense_solve(plain, tol)
         assert s1.status == s2.status == STATUS_OPTIMAL
         assert abs(s1.primal_value - s2.primal_value) <= 2 * tol
         assert abs(s1.dual_value - s2.dual_value) <= 2 * tol
