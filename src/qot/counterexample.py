@@ -27,7 +27,7 @@ from .quantum import (
     proj_sym,
     tensor,
 )
-from .transport import DualWitness, _identity_extension, stabilized_cost, transport_cost
+from .transport import DualWitness, _identity_extension, dual_value, stabilized_cost, transport_cost
 
 __all__ = [
     "ChainCheckError",
@@ -261,10 +261,7 @@ def violation_report(d: int, tol: float = 1e-8) -> ViolationReport:
     sym_expectation = float((amp.conj() @ proj_sym(d).matrix @ amp).real)
     extension = _identity_extension(witness.potential_a.matrix, witness.potential_b.matrix)
     extension_expectation = float((amp.conj() @ extension @ amp).real)
-    dual_bound = float(
-        np.trace(witness.potential_a.matrix @ rho.matrix).real
-        + np.trace(witness.potential_b.matrix @ sigma.matrix).real
-    )
+    dual_bound = dual_value(rho, sigma, witness)
     report = ViolationReport(
         dim=d,
         witness=witness,
@@ -325,7 +322,6 @@ def search_witness(d: int, seed, iterations: int) -> DualWitness | None:
         raise ValueError("search needs dimension >= 2")
     iterations = int(iterations)
     psym = proj_sym(d).matrix
-    pasym = proj_asym(d).matrix
     eye = np.eye(d)
     rng = np.random.default_rng(seed)
 
@@ -355,8 +351,7 @@ def search_witness(d: int, seed, iterations: int) -> DualWitness | None:
             best = float(vals[-1])
         if witness is None or best <= 1e-6:
             continue
-        lhs = _identity_extension(witness.potential_a.matrix, witness.potential_b.matrix)
-        shift = max(0.0, float(np.linalg.eigvalsh(lhs - pasym)[-1]))
+        shift = max(0.0, -witness.feasibility_margin)
         witness = DualWitness(
             HermitianOperator(witness.potential_a.matrix - shift * eye),
             witness.potential_b,

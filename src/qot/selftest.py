@@ -272,10 +272,7 @@ def _cost_bounds(rng, bound):
 
 def _reference_witness(rng, bound):
     wit = ce.reference_witness()
-    d = wit.dim
-    lhs = tr._identity_extension(wit.potential_a.matrix, wit.potential_b.matrix)
-    m_asym = float(np.linalg.eigvalsh(lhs - q.proj_asym(d).matrix)[-1])
-    m_sym = float(np.linalg.eigvalsh(lhs - q.proj_sym(d).matrix)[-1])
+    m_asym, m_sym = -wit.feasibility_margin, ce.symmetric_excess(wit)
     return (
         m_asym <= bound and m_sym > 1e-4,
         min(bound - m_asym, m_sym - 1e-4),

@@ -45,7 +45,18 @@ class FileFormatError(ValueError):
     """A matrix or report file failed to parse or to meet its invariants."""
 
 
+def _has_non_number(payload) -> bool:
+    """Whether a parsed JSON value holds anything but numbers and lists;
+    ``bool`` is a subclass of ``int``, so compare exact types."""
+    if isinstance(payload, list):
+        return any(_has_non_number(v) for v in payload)
+    return type(payload) not in (int, float)
+
+
 def _as_float_grid(payload, name: str, dim: int) -> np.ndarray:
+    # np.asarray would read true as 1.0 and "0.5" as 0.5
+    if _has_non_number(payload):
+        raise FileFormatError(f"field '{name}' holds an entry that is not a JSON number")
     try:
         arr = np.asarray(payload, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -87,7 +98,7 @@ def read_matrix(path) -> tuple[np.ndarray, str]:
     if kind not in MATRIX_KINDS:
         raise FileFormatError(f"{path}: field 'kind' must be one of {MATRIX_KINDS}, got {kind!r}")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise FileFormatError(f"{path}: field 'dim' must be a positive integer, got {dim!r}")
     for field in ("re", "im"):
         if field not in doc:

@@ -65,6 +65,20 @@ class TestMatrixFiles:
         with pytest.raises(FileFormatError, match="kind"):
             read_matrix(path)
 
+    @pytest.mark.parametrize(
+        "field, value, dim",
+        [("dim", True, 1), ("re", [["0.5", "0"], ["0", "0.5"]], 2), ("re", [[0.5, 0], [0, True]], 2)],
+        ids=["bool-dim", "string-entries", "bool-entry"],
+    )
+    def test_non_numbers_rejected(self, tmp_path, field, value, dim):
+        """JSON booleans and strings are not numbers, though numpy coerces them."""
+        zeros = [[0] * dim for _ in range(dim)]
+        doc = {"kind": "general", "dim": dim, "re": zeros, "im": zeros, field: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=f"'{field}'"):
+            read_matrix(path)
+
     def test_non_density_rejected_by_density_reader(self, tmp_path):
         path = tmp_path / "u.json"
         write_matrix(path, random_unitary(2, 0), "unitary")
