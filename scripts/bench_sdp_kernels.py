@@ -4,13 +4,12 @@
 For d x d marginals (d = 2..8) and k = 1 or 2 PSD blocks, a coupling problem
 is built with ``qot.sdp.coupling_problem`` (the transport cost for k = 1, the
 stabilized split for k = 2).  Before any timing, the partial-trace map
-``_CouplingOperator.apply_a`` is checked on complex Hermitian blocks against
-Re Tr[A_i X] summed over the blocks, with A_i read from the explicit list
-``problem.constraints``.  The step length ``_max_step`` (one LAPACK hegvx
-call) is then timed against the Cholesky, two triangular solves and eigvalsh
-it replaced, on complex Hermitian pencils of the solver's block size d^2,
-after checking that both give the same step.  The script exits non-zero if a
-check fails.
+``_CouplingOperator.apply_a`` is checked against 2 Re Tr[A_i X] summed over
+the blocks, with A_i read from the explicit list ``problem.constraints``.
+The step length ``_max_step`` (one LAPACK sygvx call) is then timed against
+the Cholesky, two triangular solves and eigvalsh it replaced, at each
+embedded block size 2 d^2, after checking that both give the same step.  The
+script exits non-zero if a check fails.
 
 BLAS is pinned to one thread, as in ``perfbench/run.py``, and the effective
 count is read back and recorded.  Run from the repository root:
@@ -34,6 +33,7 @@ import numpy as np  # noqa: E402
 import scipy.linalg  # noqa: E402
 
 from qot import sdp  # noqa: E402
+from qot.sdp import complex_to_real_embedding  # noqa: E402
 from qot.quantum import proj_asym, proj_sym, random_density_matrix  # noqa: E402
 
 DIMS = range(2, 9)
@@ -73,18 +73,14 @@ def step_reference(x, dx) -> float:
     """The step length as computed before sygvx, for PD x."""
     lo = np.linalg.cholesky(x)
     w = scipy.linalg.solve_triangular(lo, dx, lower=True)
-    w = scipy.linalg.solve_triangular(lo, w.conj().T, lower=True)
-    lam = float(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
+    w = scipy.linalg.solve_triangular(lo, w.T, lower=True)
+    lam = float(np.linalg.eigvalsh((w + w.T) / 2)[0])
     return 1e30 if lam >= -1e-14 else -1.0 / lam
 
 
-def complex_normal(rng, n):
-    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-
-
-def hpd(rng, n):
-    g = complex_normal(rng, n)
-    return g @ g.conj().T / n + 0.1 * np.eye(n)
+def spd(rng, n):
+    g = rng.normal(size=(n, n))
+    return g @ g.T / n + 0.1 * np.eye(n)
 
 
 def coupling(d: int, k: int):
@@ -95,17 +91,20 @@ def coupling(d: int, k: int):
 
 
 def map_check(d: int, k: int) -> dict:
-    """``apply_a`` on random complex Hermitian PD blocks against the explicit
-    constraint list, Re Tr[A_i X] summed over the blocks."""
+    """``apply_a`` on embedded random PSD blocks against the explicit
+    constraint list: Tr[E(A) E(X)] = 2 Re Tr[A X] for Hermitian A and X."""
     rng = np.random.default_rng(100 * d + k)
     problem = coupling(d, k)
     n = d * d
-    blocks = [hpd(rng, n) for _ in range(k)]
+    blocks = []
+    for _ in range(k):
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        blocks.append(g @ g.conj().T / n + 0.1 * np.eye(n))
     want = [
-        sum(np.trace(a.matrix @ x).real for a, x in zip(coeffs, blocks))
+        sum(2.0 * np.trace(a.matrix @ x).real for a, x in zip(coeffs, blocks))
         for coeffs, _ in problem.constraints
     ]
-    got = sdp._CouplingOperator(problem).apply_a(blocks)
+    got = sdp._CouplingOperator(problem).apply_a([complex_to_real_embedding(x) for x in blocks])
     err = rel_err(got, want)
     if err > MAP_RTOL:
         raise SystemExit(f"d={d} k={k}: apply_a differs from the constraint list by {err:.2e} relative")
@@ -114,10 +113,10 @@ def map_check(d: int, k: int) -> dict:
 
 def step_row(d: int) -> dict:
     rng = np.random.default_rng(d)
-    n = d * d
-    x = hpd(rng, n)
-    h = complex_normal(rng, n)
-    dx = (h + h.conj().T) / 2
+    n = 2 * d * d
+    x = spd(rng, n)
+    h = rng.normal(size=(n, n))
+    dx = (h + h.T) / 2
     err = abs(sdp._max_step(x, dx) - step_reference(x, dx)) / step_reference(x, dx)
     if err > STEP_RTOL:
         raise SystemExit(f"d={d}: step lengths differ by {err:.2e} relative")
@@ -126,7 +125,7 @@ def step_row(d: int) -> dict:
         "n": n,
         "us_per_call": {
             "cholesky_eigvalsh": per_call_us(lambda: step_reference(x, dx)),
-            "hegvx": per_call_us(lambda: sdp._max_step(x, dx)),
+            "sygvx": per_call_us(lambda: sdp._max_step(x, dx)),
         },
         "rel_err": err,
     }
@@ -140,7 +139,7 @@ def main(argv=None) -> int:
     checks = [map_check(d, k) for d in DIMS for k in BLOCKS]
     steps = [step_row(d) for d in DIMS]
     record = {
-        "what": "coupling-SDP apply_a checked against the constraint list; step length, hegvx against Cholesky",
+        "what": "coupling-SDP apply_a checked against the constraint list; step length, sygvx against Cholesky",
         "environment": blas.environment(),
         "apply_a_check": checks,
         "step_length": steps,

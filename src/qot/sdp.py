@@ -9,9 +9,11 @@ cost, whose sum has fixed partial traces ``red_a`` (ra x ra) and ``red_b``
     subject to  Tr_B sum_j X_j = red_a,   Tr_A sum_j X_j = red_b,
                 X_j >= 0                  (PSD, j = 1..k)
 
-The problem is solved on the complex Hermitian blocks themselves by an
-infeasible-start Mehrotra predictor-corrector primal-dual interior-point
-method.  Iterates are nudged back onto the affine constraints each
+Every Hermitian block is embedded as a real symmetric block of twice the
+size, the real problem is solved by an infeasible-start Mehrotra
+predictor-corrector primal-dual interior-point method, and objective and
+constraint values are halved afterwards to undo the trace doubling of the
+embedding.  Iterates are nudged back onto the affine constraints each
 iteration, which keeps the final primal residual near machine precision.
 The solver is deterministic: identical problems and tolerances take
 identical iteration paths.
@@ -134,8 +136,26 @@ def complex_to_real_embedding(h) -> np.ndarray:
     For Hermitian H the image is symmetric, PSD iff H is PSD, traces double,
     and every eigenvalue appears with doubled multiplicity.
     """
-    h = np.asarray(h, dtype=complex)
-    return np.block([[h.real, -h.imag], [h.imag, h.real]])
+    return _embed(np.asarray(h, dtype=complex))
+
+
+def _embed(m: np.ndarray) -> np.ndarray:
+    """The embedding applied to the last two axes of a complex array."""
+    n = m.shape[-1]
+    out = np.empty(m.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = out[..., n:, n:] = m.real
+    out[..., n:, :n] = m.imag
+    out[..., :n, n:] = -m.imag
+    return out
+
+
+def _complex_from_embedding(y: np.ndarray) -> np.ndarray:
+    """Recover a complex matrix from a real 2d x 2d one, averaging over the
+    embedding symmetry (PSD is preserved for symmetric PSD input)."""
+    n = y.shape[0] // 2
+    y11, y12 = y[:n, :n], y[:n, n:]
+    y21, y22 = y[n:, :n], y[n:, n:]
+    return (y11 + y22) / 2 + 0.5j * (y21 - y12)
 
 
 def feasibility_margin(blocks, problem: CouplingProblem) -> tuple[float, float]:
@@ -172,36 +192,40 @@ def solve(problem: CouplingProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     ``tol``.
 
     Returns status ``optimal`` when gap and max constraint residual are both
-    below ``tol``, and ``max_iterations`` when the solver stops above it: at
-    the iteration cap, at a vanishing barrier parameter, or at a numerical
-    breakdown.
+    below ``tol``, and ``max_iterations`` when progress stalls above it.
     """
-    return _solve_blocks([c.matrix for c in problem.objective], problem.rhs, _CouplingOperator(problem), tol)
+    c_blocks = [complex_to_real_embedding(c.matrix) for c in problem.objective]
+    # the rhs doubles with the traces of the embedding
+    return _solve_embedded(c_blocks, 2.0 * problem.rhs, _CouplingOperator(problem), tol)
 
 
-def _solve_blocks(c_blocks, b, op, tol: float) -> SdpSolution:
-    """The IPM on complex Hermitian objective blocks ``c_blocks``, with
-    right-hand side ``b`` and constraint operator ``op``."""
+def _solve_embedded(c_blocks, b, op, tol: float) -> SdpSolution:
+    """The IPM on the real embedding: objective blocks ``c_blocks``,
+    right-hand side ``b`` and constraint operator ``op``, all doubled by the
+    embedding; the solution is reported on the complex side."""
     if not (1e-10 <= tol <= 1e-2):
         raise ValueError(f"tol must lie in [1e-10, 1e-2], got {tol}")
 
-    primal, y_dual, status, iterations = _interior_point(c_blocks, op, b, tol)
+    # Embedded quantities are twice the complex-side ones, so target 2*tol.
+    y_blocks, y_dual, status, iterations = _solve_real(c_blocks, op, b, 2 * tol)
 
-    # Tr[C X] as the entrywise sum of conj(C) * X for Hermitian C: no matmul.
-    primal_value = sum(float(np.vdot(c, x).real) for c, x in zip(c_blocks, primal))
-    dual_value = float(y_dual @ b)
-    infeas = float(np.max(np.abs(op.apply_a(primal) - b)))
+    primal = tuple(_complex_from_embedding(yb) for yb in y_blocks)
+    # Tr[A X] as the elementwise sum of E(A)^T * E(X), halved: O(m n^2), no matmul.
+    embedded = [complex_to_real_embedding(x) for x in primal]
+    primal_value = sum(float(np.vdot(c, x)) for c, x in zip(c_blocks, embedded)) / 2.0
+    dual_value = float(y_dual @ b) / 2.0
+    infeas = float(np.max(np.abs(op.apply_a(embedded) - b))) / 2.0
 
-    gap = primal_value - dual_value
+    gap = float(primal_value - dual_value)
     if status == STATUS_OPTIMAL and (gap > tol or infeas > tol):
         status = STATUS_MAX_ITERATIONS
     return SdpSolution(
-        primal_blocks=tuple(primal),
+        primal_blocks=primal,
         dual_vector=y_dual.copy(),
-        primal_value=primal_value,
+        primal_value=float(primal_value),
         dual_value=dual_value,
         gap=gap,
-        primal_infeasibility=infeas,
+        primal_infeasibility=float(infeas),
         status=status,
         iterations=iterations,
     )
@@ -289,16 +313,19 @@ def _orthogonal_basis(red: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Interior-point core on complex Hermitian blocks
+# Real symmetric core
+
+
+def _sym(x: np.ndarray) -> np.ndarray:
+    return (x + x.T) / 2
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
     """Largest alpha with x + alpha*dx still PSD, for (near-)PD x.
 
     That is -1/lam for lam the smallest eigenvalue of the pencil (dx, x),
-    found by one LAPACK hegvx call (sygvx for real input).  When x is not
-    numerically PD, lam is taken on the first shifted copy x + shift*I that
-    is PD.
+    found by one LAPACK sygvx call.  When x is not numerically PD, lam is
+    taken on the first shifted copy x + shift*I that is PD.
     """
     try:
         lam = _pencil_min(dx, x)
@@ -331,14 +358,15 @@ class _CouplingOperator:
     """Constraint maps of a ``coupling_problem`` from its Kronecker
     structure, without the dense stack.
 
-    Every block enters the constraints through their sum X.  An A-side row
-    is Re Tr[F_i M_A] with M_A = Tr_B[(I (x) red_b) X], and a B-side row is
-    Re Tr[G_i M_B] with M_B = Tr_A[(red_a (x) I) X]; X may be any complex
-    matrix, since the solver also applies A to non-Hermitian products.
-    A^T y is (sum_i y_i F_i) (x) red_b + red_a (x) (sum_i y_i G_i) for every
-    block.  Both maps cost O(ra^2 rb^2).  The bases are orthonormal and every
-    G_i is orthogonal to red_b, so the restorer Gram Re Tr[A_i A_k] is
-    diagonal: k Tr[red_b^2] on the A rows and k Tr[red_a^2] on the B rows.
+    Every block enters the constraints through their sum X, and X through
+    the complex matrix Z = (X11 + X22) + i(X21 - X12) of its 2 x 2 block
+    split: Tr[E(H) X] = Re Tr[H Z] for any complex H and any real X.  So an
+    A-side row is Re Tr[F_i M_A] with M_A = Tr_B[(I (x) red_b) Z], and a
+    B-side row is Re Tr[G_i M_B] with M_B = Tr_A[(red_a (x) I) Z].  A^T y is
+    E((sum_i y_i F_i) (x) red_b + red_a (x) (sum_i y_i G_i)) for every block.
+    Both maps cost O(ra^2 rb^2).  The bases are orthonormal and every G_i is
+    orthogonal to red_b, so the restorer Gram is diagonal: 2k Tr[red_b^2]
+    on the A rows and 2k Tr[red_a^2] on the B rows.
     """
 
     def __init__(self, problem: CouplingProblem):
@@ -351,16 +379,22 @@ class _CouplingOperator:
         # Tr[F M] = <F^T, M> entrywise, for the flattened bases
         self._rows_a = problem.basis_a.transpose(0, 2, 1).reshape(ra * ra, ra * ra)
         self._rows_b = problem.basis_b.transpose(0, 2, 1).reshape(rb * rb - 1, rb * rb)
-        # the marginal factors P = I (x) red_b and Q = red_a (x) I of the Schur complement
-        self._p = np.kron(np.eye(ra), self._red_b)
-        self._q = np.kron(self._red_a, np.eye(rb))
+        # for the Schur complement: the flattened embedded bases and the
+        # embedded marginal factors P = E(I (x) red_b) and Q = E(red_a (x) I)
+        self._emb_a = _embed(problem.basis_a).reshape(ra * ra, 4 * ra * ra)
+        self._emb_b = _embed(problem.basis_b).reshape(rb * rb - 1, 4 * rb * rb)
+        self._p = complex_to_real_embedding(np.kron(np.eye(ra), self._red_b))
+        self._q = complex_to_real_embedding(np.kron(self._red_a, np.eye(rb)))
 
     def apply_a(self, xs) -> np.ndarray:
         (ra, rb), x = self._dims, sum(xs[1:], xs[0])
-        ma = ra * ra
-        x4 = x.reshape(ra, rb, ra, rb)
-        m_a = x4.transpose(0, 2, 1, 3).reshape(ma, rb * rb) @ self._red_b.T.reshape(-1)
-        m_b = x4.transpose(1, 3, 0, 2).reshape(rb * rb, ma) @ self._red_a.T.reshape(-1)
+        n, ma = ra * rb, ra * ra
+        z = np.empty((n, n), dtype=complex)
+        np.add(x[:n, :n], x[n:, n:], out=z.real)
+        np.subtract(x[n:, :n], x[:n, n:], out=z.imag)
+        z4 = z.reshape(ra, rb, ra, rb)
+        m_a = z4.transpose(0, 2, 1, 3).reshape(ma, rb * rb) @ self._red_b.T.reshape(-1)
+        m_b = z4.transpose(1, 3, 0, 2).reshape(rb * rb, ma) @ self._red_a.T.reshape(-1)
         out = np.empty(ma + self._rows_b.shape[0])
         out[:ma] = (self._rows_a @ m_a).real
         out[ma:] = (self._rows_b @ m_b).real
@@ -374,37 +408,36 @@ class _CouplingOperator:
         # pot_a (x) red_b + red_a (x) pot_b, broadcast on (a, b, a', b')
         h = pot_a * self._red_b[None, :, None, :] + self._red_a[:, None, :, None] * pot_b
         # one array for every block: callers only read A^T y
-        return [h.reshape(n, n)] * self._k
+        return [_embed(h.reshape(n, n))] * self._k
 
     def schur(self, xs, sinvs) -> np.ndarray:
-        """The Schur complement M[i, k] = Re sum_j Tr[A_ij X_j A_kj Sinv_j] of
-        a ``coupling_problem``, assembled from the Kronecker structure.
+        """The Schur complement M[i, k] = sum_j Tr[A_ij X_j A_kj Sinv_j] of a
+        ``coupling_problem``, assembled from the Kronecker structure.
 
-        A-side rows are F_i (x) red_b = (F_i (x) I_rb) P and B-side rows
-        red_a (x) G_i = Q (I_ra (x) G_i), with P = I (x) red_b and
-        Q = red_a (x) I commuting with the other factor.  So the blocks M_AA,
-        M_AB and M_BB are Re Tr[L_i X~ R_k Sinv] with X~ = P X P, P X Q and
-        Q X Q, where L and R act on one side only: each is then Re F Z G^T,
-        with F and G the flattened bases and Z one contraction of X~ and
-        Sinv.  That is O(ra^3 rb^3) time and O(ra^2 rb^2) memory per PSD block
-        instead of O(m n^3) from a dense constraint stack.  M is symmetric for
-        Hermitian X_j and Sinv_j, which gives M_BA = M_AB^T.
+        A-side rows are E(F_i (x) red_b) = (E(F_i) (x) I_rb) P and B-side rows
+        E(red_a (x) G_i) = Q (I_ra (x) E(G_i)), with P = E(I (x) red_b) and
+        Q = E(red_a (x) I) commuting with the other factor.  So the blocks M_AA,
+        M_AB and M_BB are Tr[L_i X~ R_k Sinv] with X~ = P X P, P X Q and Q X Q,
+        where L and R act on one side only: each is then F Z G^T, with F and G
+        the flattened embedded bases and Z one contraction of X~ and Sinv.  That
+        is O(ra^3 rb^3) time and O(ra^2 rb^2) memory per PSD block instead of
+        O(m n^3) from a dense constraint stack.
         """
-        (ra, rb), basis_a, basis_b, p, q = self._dims, self._basis_a, self._basis_b, self._p, self._q
-        shape = (len(xs), ra, rb, ra, rb)
-        sinv5 = np.stack(sinvs).reshape(shape)
+        (ra, rb), emb_a, emb_b, p, q = self._dims, self._emb_a, self._emb_b, self._p, self._q
+        shape = (len(xs), 2, ra, rb, 2, ra, rb)
+        sinv7 = np.stack(sinvs).reshape(shape)
 
         def contraction(left_factor, right_factor, left, right):
-            x5 = np.stack([left_factor @ x @ right_factor for x in xs]).reshape(shape)
-            return _side_contraction(x5, sinv5, left, right)
+            x7 = np.stack([left_factor @ x @ right_factor for x in xs]).reshape(shape)
+            return _side_contraction(x7, sinv7, left, right)
 
-        ma = basis_a.shape[0]
-        mat = np.empty((ma + basis_b.shape[0],) * 2)
-        mat[:ma, :ma] = (basis_a @ contraction(p, p, _A_SIDE, _A_SIDE) @ basis_a.T).real
-        mat[:ma, ma:] = (basis_a @ contraction(p, q, _A_SIDE, _B_SIDE) @ basis_b.T).real
+        ma = emb_a.shape[0]
+        mat = np.empty((ma + emb_b.shape[0],) * 2)
+        mat[:ma, :ma] = emb_a @ contraction(p, p, _A_SIDE, _A_SIDE) @ emb_a.T
+        mat[:ma, ma:] = emb_a @ contraction(p, q, _A_SIDE, _B_SIDE) @ emb_b.T
         mat[ma:, :ma] = mat[:ma, ma:].T
-        mat[ma:, ma:] = (basis_b @ contraction(q, q, _B_SIDE, _B_SIDE) @ basis_b.T).real
-        return _hermitian(mat)
+        mat[ma:, ma:] = emb_b @ contraction(q, q, _B_SIDE, _B_SIDE) @ emb_b.T
+        return _sym(mat)
 
     def gram_solver(self):
         """Solve with the closed-form diagonal Gram; its condition number is
@@ -412,29 +445,29 @@ class _CouplingOperator:
         ma, mb = self._basis_a.shape[0], self._basis_b.shape[0]
         purity_a = float(np.vdot(self._red_a, self._red_a).real)
         purity_b = float(np.vdot(self._red_b, self._red_b).real)
-        diag = self._k * np.concatenate([np.full(ma, purity_b), np.full(mb, purity_a)])
+        diag = 2.0 * self._k * np.concatenate([np.full(ma, purity_b), np.full(mb, purity_a)])
         return lambda r: r / diag
 
 
-# Axes of a block reshaped to (a, b, a', b'): the row axis an operator
-# F (x) I_rb acts on, with the row axis it leaves alone, and likewise for
-# I_ra (x) G.
-_A_SIDE = (0, 1)
-_B_SIDE = (1, 0)
+# Axes of a block reshaped to (s, a, b, s', a', b'), s the real/imaginary
+# index of the embedding: the row axes an operator E(F) (x) I_rb acts on, with
+# the row axis it leaves alone, and likewise for I_ra (x) E(G).
+_A_SIDE = ((0, 1), 2)
+_B_SIDE = ((0, 2), 1)
 
 
-def _side_contraction(x5, sinv5, left, right) -> np.ndarray:
+def _side_contraction(x7, sinv7, left, right) -> np.ndarray:
     """Z with sum_j Tr[L_i X_j R_k Sinv_j] = <F_i (x) G_k, Z> for L_i = F_i
     on the ``left`` side and R_k = G_k on the ``right`` side.
 
-    ``x5`` and ``sinv5`` stack the k blocks on axis 0, so
+    ``x7`` and ``sinv7`` stack the k blocks on axis 0, so
     Z[u1 u2, v3 v4] = sum_{j, t, t'} X_j[u2 t, v3 t'] Sinv_j[v4 t', u1 t]
     is one matmul over the block index and the two identity factors.
     """
     (l_op, l_id), (r_op, r_id) = left, right
-    xm = x5.transpose(1 + l_op, 3 + r_op, 0, 1 + l_id, 3 + r_id)
-    sm = sinv5.transpose(3 + l_op, 1 + r_op, 0, 3 + l_id, 1 + r_id)
-    pl, pr = xm.shape[:2]
+    xm = x7.transpose(*(1 + i for i in l_op), *(4 + i for i in r_op), 0, 1 + l_id, 4 + r_id)
+    sm = sinv7.transpose(*(4 + i for i in l_op), *(1 + i for i in r_op), 0, 4 + l_id, 1 + r_id)
+    pl, pr = xm.shape[0] * xm.shape[1], xm.shape[2] * xm.shape[3]
     prod = xm.reshape(pl * pr, -1) @ sm.reshape(pl * pr, -1).T
     return prod.reshape(pl, pr, pl, pr).transpose(2, 0, 1, 3).reshape(pl * pl, pr * pr)
 
@@ -463,69 +496,68 @@ def _make_restorer(op, b):
     fight an ill-conditioned Schur system over feasibility.
     """
     gram_solve = op.gram_solver()
-    # the test of the real symmetric embedding, in which rp and b are doubled
-    stop = 0.5e-13 * (1.0 + 2.0 * float(np.max(np.abs(b))))
 
     def restore(xs):
         for _ in range(3):
             rp = b - op.apply_a(xs)
-            if float(np.max(np.abs(rp))) <= stop:
+            if float(np.max(np.abs(rp))) <= 1e-13 * (1.0 + float(np.max(np.abs(b)))):
                 break
             corrs = op.apply_at(gram_solve(rp))
             theta = min(1.0, 0.99 * min(_max_step(x, c) for x, c in zip(xs, corrs)))
             if theta <= 1e-8:
                 break
-            xs = [_hermitian(x + theta * c) for x, c in zip(xs, corrs)]
+            xs = [_sym(x + theta * c) for x, c in zip(xs, corrs)]
         return xs
 
     return restore
 
 
-def _interior_point(c_blocks, op, b, tol):
+def _solve_real(c_blocks, op, b, eps):
     """Infeasible-start Mehrotra predictor-corrector with HKM search direction,
-    to gap and residuals of at most ``tol``.
+    to gap and residuals of at most ``eps``.
 
     ``op`` is the problem's constraint operator: it applies A and A^T,
     assembles the Schur complement and solves with the restorer's Gram
-    matrix.  The start point and the stopping tests are those of the same
-    method on the real symmetric embedding of every block, written for the
-    complex blocks, so both take the same iterations up to rounding.
-
-    No stall test ends a solve early: on nearly pure qubit pairs, solves
-    that converge can first go up to 36 iterations without progress, and
-    only the iteration cap bounds them.
+    matrix.
     """
     dims = [c.shape[0] for c in c_blocks]
     n_total = sum(dims)
 
-    # the embedding doubles b, and starts at max(1, |2b|) I
-    scale_p = max(1.0, 2.0 * float(np.max(np.abs(b))))
+    scale_p = max(1.0, float(np.max(np.abs(b))))
     scale_d = max(1.0, *(float(np.linalg.norm(c, 2)) for c in c_blocks))
-    xs = [scale_p * np.eye(n, dtype=complex) for n in dims]
-    ss = [scale_d * np.eye(n, dtype=complex) for n in dims]
+    xs = [scale_p * np.eye(n) for n in dims]
+    ss = [scale_d * np.eye(n) for n in dims]
     y = np.zeros(len(b))
     restore = _make_restorer(op, b)
 
     status = STATUS_MAX_ITERATIONS
+    best_score = np.inf
+    stall = 0
     it = 0
     for it in range(1, _MAX_ITER + 1):
         rp = b - op.apply_a(xs)
         aty = op.apply_at(y)
         rds = [c - s - at for c, s, at in zip(c_blocks, ss, aty)]
-        mu = sum(np.vdot(x, s).real for x, s in zip(xs, ss)) / n_total
+        mu = sum(np.tensordot(x, s) for x, s in zip(xs, ss)) / n_total
 
-        pobj = sum(np.vdot(c, x).real for c, x in zip(c_blocks, xs))
+        pobj = sum(np.tensordot(c, x) for c, x in zip(c_blocks, xs))
         dobj = float(b @ y)
         gap = pobj - dobj
         pinf = float(np.max(np.abs(rp)))
-        # the largest real or imaginary part: the largest entry of the embedding
-        dinf = max(float(np.max(np.abs(r.view(float)))) for r in rds)
+        dinf = max(float(np.max(np.abs(r))) for r in rds)
 
-        # the embedding's test at 2 tol: there mu n, gap and pinf double, dinf does not
-        if mu * n_total <= tol and abs(gap) <= tol and pinf <= tol and dinf <= 2 * tol * scale_d:
+        if mu * n_total <= eps and abs(gap) <= eps and pinf <= eps and dinf <= eps * scale_d:
             status = STATUS_OPTIMAL
             break
 
+        score = max(mu * n_total, pinf, dinf)
+        if score < 0.7 * best_score:
+            best_score = score
+            stall = 0
+        else:
+            stall += 1
+            if stall >= 12:
+                break
         if mu < 1e-16 * scale_d * scale_p:
             break
 
@@ -556,7 +588,7 @@ def _ipm_step(op, b, xs, ss, y, rds, mu, n_total, restore):
         atdy = op.apply_at(dy)
         dss = [rd - at for rd, at in zip(rds, atdy)]
         dxs = [
-            _hermitian(sigma_mu * sinv - x - (x @ ds + corr) @ sinv)
+            _sym(sigma_mu * sinv - x - (x @ ds + corr) @ sinv)
             for x, ds, sinv, corr in zip(xs, dss, sinvs, corr_blocks)
         ]
         return dxs, dy, dss
@@ -566,7 +598,7 @@ def _ipm_step(op, b, xs, ss, y, rds, mu, n_total, restore):
     ap_aff = min(1.0, min(_max_step(x, dx) for x, dx in zip(xs, dxs_aff)))
     ad_aff = min(1.0, min(_max_step(s, ds) for s, ds in zip(ss, dss_aff)))
     mu_aff = sum(
-        np.vdot(x + ap_aff * dx, s + ad_aff * ds).real
+        np.tensordot(x + ap_aff * dx, s + ad_aff * ds)
         for x, dx, s, ds in zip(xs, dxs_aff, ss, dss_aff)
     ) / n_total
     sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)
@@ -576,7 +608,7 @@ def _ipm_step(op, b, xs, ss, y, rds, mu, n_total, restore):
 
     ap = min(1.0, _STEP_FRACTION * min(_max_step(x, dx) for x, dx in zip(xs, dxs)))
     ad = min(1.0, _STEP_FRACTION * min(_max_step(s, ds) for s, ds in zip(ss, dss)))
-    xs = [_hermitian(x + ap * dx) for x, dx in zip(xs, dxs)]
-    ss = [_hermitian(s + ad * ds) for s, ds in zip(ss, dss)]
+    xs = [_sym(x + ap * dx) for x, dx in zip(xs, dxs)]
+    ss = [_sym(s + ad * ds) for s, ds in zip(ss, dss)]
     y = y + ad * dy
     return restore(xs), ss, y

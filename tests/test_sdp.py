@@ -22,8 +22,8 @@ H = HermitianOperator
 
 # ---------------------------------------------------------------------------
 # Dense reference oracle: hand-built SDPs with an explicit constraint list,
-# solved by the library's interior-point core through a dense (m, n, n)
-# complex Hermitian constraint stack per block.
+# solved by the library's interior-point core through a dense (m, 2n, 2n)
+# constraint stack per block.
 
 
 @dataclass(frozen=True)
@@ -73,21 +73,21 @@ class SdpProblem:
 
 
 def constraint_stacks(problem) -> list[np.ndarray]:
-    """Dense constraint stacks, one (m, n, n) complex Hermitian array per
-    block, for an ``SdpProblem`` or a ``CouplingProblem``."""
+    """Dense constraint stacks of the real embedding, one (m, 2n, 2n) array
+    per block, for an ``SdpProblem`` or a ``CouplingProblem``."""
     m = problem.n_constraints
     stacks = []
     for j, n in enumerate(problem.blocks):
-        stack = np.zeros((m, n, n), dtype=complex)
+        stack = np.zeros((m, 2 * n, 2 * n))
         for i, (coeffs, _) in enumerate(problem.constraints):
             if coeffs[j] is not None:
-                stack[i] = coeffs[j].matrix
+                stack[i] = complex_to_real_embedding(coeffs[j].matrix)
         stacks.append(stack)
     return stacks
 
 
 def schur_complement(a_blocks, xs, sinvs) -> np.ndarray:
-    """M[i, k] = Re sum_j Tr[A_ij X_j A_kj Sinv_j], assembled in memory-bounded chunks."""
+    """M[i, k] = sum_j Tr[A_ij X_j A_kj Sinv_j], assembled in memory-bounded chunks."""
     m = a_blocks[0].shape[0]
     mat = np.zeros((m, m))
     for a, x, sinv in zip(a_blocks, xs, sinvs):
@@ -96,19 +96,13 @@ def schur_complement(a_blocks, xs, sinvs) -> np.ndarray:
         chunk = max(1, int(4_000_000 / (n * n)))
         for s in range(0, m, chunk):
             t = x @ a[s : s + chunk] @ sinv
-            mat[:, s : s + chunk] += (a_flat @ t.transpose(0, 2, 1).reshape(-1, n * n).T).real
+            mat[:, s : s + chunk] += a_flat @ t.transpose(0, 2, 1).reshape(-1, n * n).T
     return (mat + mat.T) / 2
-
-
-def _gram(stack) -> np.ndarray:
-    """G[i, k] = Re Tr[A_i A_k] for one (m, n, n) stack."""
-    m = stack.shape[0]
-    return (stack.reshape(m, -1) @ stack.transpose(0, 2, 1).reshape(m, -1).T).real
 
 
 class DenseOperator:
     """Constraint maps, Schur complement and restorer Gram through the dense
-    stacks; the interface of ``sdp._CouplingOperator``."""
+    real stacks; the interface of ``sdp._CouplingOperator``."""
 
     def __init__(self, stacks):
         self.stacks = stacks
@@ -117,8 +111,7 @@ class DenseOperator:
         m = self.stacks[0].shape[0]
         out = np.zeros(m)
         for a, x in zip(self.stacks, xs):
-            # Re Tr[A_i X] = Re sum_pq A_i[p, q] X[q, p]
-            out += (a.reshape(m, -1) @ x.T.reshape(-1)).real
+            out += a.reshape(m, -1) @ x.T.reshape(-1)
         return out
 
     def apply_at(self, y) -> list[np.ndarray]:
@@ -129,16 +122,16 @@ class DenseOperator:
 
     def gram_solver(self):
         m = self.stacks[0].shape[0]
-        gram = sum(_gram(a) for a in self.stacks)
+        gram = sum(a.reshape(m, -1) @ a.reshape(m, -1).T for a in self.stacks)
         factor = scipy.linalg.cho_factor(gram, lower=True)
         return lambda r: scipy.linalg.cho_solve(factor, r)
 
 
 def dense_solve(problem: SdpProblem, tol: float) -> sdp.SdpSolution:
     """The library's interior-point core on a hand-built problem."""
-    c_blocks = [c.matrix for c in problem.objective]
-    b = np.array([rhs for _, rhs in problem.constraints])
-    return sdp._solve_blocks(c_blocks, b, DenseOperator(constraint_stacks(problem)), tol)
+    c_blocks = [complex_to_real_embedding(c.matrix) for c in problem.objective]
+    b = 2.0 * np.array([rhs for _, rhs in problem.constraints])
+    return sdp._solve_embedded(c_blocks, b, DenseOperator(constraint_stacks(problem)), tol)
 
 
 def pin_problem(target):
@@ -348,29 +341,28 @@ class TestCouplingStructure:
 
     @staticmethod
     def _iterates(ra, rb, k, iterates):
-        """Random matrices: ``embedded`` ones are complex Hermitian PD, like
-        the solver's iterates; ``real`` ones are general complex matrices,
-        neither Hermitian nor PD."""
+        """Random SPD iterates: embedded ones lie in the image of the
+        embedding; real ones are any SPD matrix of twice the size."""
         rng = np.random.default_rng(ra * 100 + rb * 10 + k)
         n = ra * rb
 
-        def draw():
-            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            return g @ g.conj().T + 0.1 * np.eye(n) if iterates == "embedded" else g
+        def pd():
+            if iterates == "embedded":
+                g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                return complex_to_real_embedding(g @ g.conj().T + 0.1 * np.eye(n))
+            g = rng.normal(size=(2 * n, 2 * n))
+            return g @ g.T + 0.1 * np.eye(2 * n)
 
-        return draw
+        return pd
 
     @pytest.mark.parametrize("ra, rb, k", SHAPES)
     @pytest.mark.parametrize("iterates", ["embedded", "real"])
     def test_structured_schur_matches_dense(self, ra, rb, k, iterates):
-        """``real`` takes the Hermitian parts of general complex matrices, which
-        are indefinite: the Schur complement is symmetric only for Hermitian
-        arguments."""
         problem = _random_coupling_problem(ra, rb, k)
         a_blocks = constraint_stacks(problem)
-        draw = self._iterates(ra, rb, k, iterates)
-        xs = [sdp._hermitian(draw()) for _ in range(k)]
-        sinvs = [np.linalg.inv(sdp._hermitian(draw())) for _ in range(k)]
+        pd = self._iterates(ra, rb, k, iterates)
+        xs = [pd() for _ in range(k)]
+        sinvs = [np.linalg.inv(pd()) for _ in range(k)]
         dense = schur_complement(a_blocks, xs, sinvs)
         structured = sdp._CouplingOperator(problem).schur(xs, sinvs)
         assert structured.shape == dense.shape == (ra * ra + rb * rb - 1,) * 2
@@ -383,9 +375,9 @@ class TestCouplingStructure:
         problem = _random_coupling_problem(ra, rb, k)
         dense = DenseOperator(constraint_stacks(problem))
         structured = sdp._CouplingOperator(problem)
-        draw = self._iterates(ra, rb, k, iterates)
-        # the solver also applies A to products such as X R S^-1, which are not Hermitian
-        xs = [draw() for _ in range(k)] + [draw() @ draw() for _ in range(k)]
+        pd = self._iterates(ra, rb, k, iterates)
+        # the solver also applies A to products such as X R S^-1, which are not symmetric
+        xs = [pd() for _ in range(k)] + [pd() @ pd() for _ in range(k)]
         for x_set in (xs[:k], xs[k:]):
             want = dense.apply_a(x_set)
             got = structured.apply_a(x_set)
@@ -400,7 +392,7 @@ class TestCouplingStructure:
         problem = _random_coupling_problem(ra, rb, k)
         stacks = constraint_stacks(problem)
         m = problem.n_constraints
-        gram = sum(_gram(a) for a in stacks)
+        gram = sum(a.reshape(m, -1) @ a.reshape(m, -1).T for a in stacks)
         solve_closed = sdp._CouplingOperator(problem).gram_solver()
         inverse = np.column_stack([solve_closed(e) for e in np.eye(m)])
         assert np.max(np.abs(inverse @ gram - np.eye(m))) <= 1e-13
@@ -520,8 +512,8 @@ class TestMaxStep:
         ids=["pd", "singular", "unbounded", "pd-complex", "singular-complex", "unbounded-complex"],
     )
     def test_matches_cholesky_formula(self, n, kind, field):
-        """Real symmetric and complex Hermitian pencils; the solver's blocks
-        are complex Hermitian."""
+        """Real symmetric and complex Hermitian pencils; LAPACK picks the
+        complex driver for the latter."""
         rng = np.random.default_rng(n)
 
         def draw():
@@ -533,8 +525,16 @@ class TestMaxStep:
         h = draw()
         dx = (h + h.conj().T) / 2
         if kind == "singular":
-            # an exactly zero pivot: no Cholesky factor, so the shifted fallback runs
-            x[:, -1] = x[-1, :] = 0.0
+            if field == "real":
+                # an exactly zero pivot: no Cholesky factor, so the shifted fallback runs
+                x[:, -1] = x[-1, :] = 0.0
+            else:
+                # an eigenvalue of -1e-10, grazing the cone: no Cholesky factor,
+                # and a shift of 2e-10, far above rounding
+                w, v = np.linalg.eigh(x)
+                w[0] = -1e-10
+                x = (v * w) @ v.conj().T
+                x = (x + x.conj().T) / 2
             with pytest.raises(np.linalg.LinAlgError):
                 scipy.linalg.eigh(dx, x, eigvals_only=True, subset_by_index=[0, 0])
         if kind == "unbounded":
@@ -542,9 +542,6 @@ class TestMaxStep:
         want = _max_step_reference(x, dx)
         got = sdp._max_step(x, dx)
         # The shifted pencil has a pivot of order sqrt(shift) ~ 1e-7, so any
-        # two kernel sequences agree on it only to about 1e-16 / shift.  The
-        # complex shift at n = 8 is 1.7e-15 (bound 6e-2): there hegvx lies
-        # 1.3e-2 and the reference 1e-3 from a 60-digit evaluation.
-        singular_rel = 1e-2 if field == "real" else 5e-2
-        assert got == pytest.approx(want, rel=singular_rel if kind == "singular" else 1e-12)
+        # two kernel sequences agree on it only to about 1e-16 / shift.
+        assert got == pytest.approx(want, rel=1e-2 if kind == "singular" else 1e-12)
         assert (got == 1e30) == (kind == "unbounded")
