@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .quantum import (
     DensityMatrix,
@@ -25,9 +26,8 @@ from .quantum import (
     proj_asym,
     proj_asym_reshuffled,
     proj_sym,
-    tensor,
 )
-from .transport import DualWitness, _identity_extension, dual_value, stabilized_cost, transport_cost
+from .transport import DualWitness, _excess, _identity_extension, dual_value, stabilized_cost, transport_cost
 
 __all__ = [
     "ChainCheckError",
@@ -124,9 +124,7 @@ def reference_witness() -> DualWitness:
 
 
 def _reference_repaired() -> tuple[DualWitness, float]:
-    lhs = _identity_extension(_REFERENCE_A, _REFERENCE_B)
-    excess = float(np.linalg.eigvalsh(lhs - proj_asym(4).matrix)[-1])
-    shift = max(0.0, excess)
+    shift = max(0.0, _excess(_REFERENCE_A, _REFERENCE_B, proj_asym(4).matrix))
     pot_a = _REFERENCE_A - shift * np.eye(4)
     return DualWitness(HermitianOperator(pot_a), HermitianOperator(_REFERENCE_B)), shift
 
@@ -134,8 +132,7 @@ def _reference_repaired() -> tuple[DualWitness, float]:
 def symmetric_excess(witness: DualWitness) -> float:
     """Largest eigenvalue of the witness extension minus the symmetric
     projector; positive means the witness breaks monotonicity."""
-    lhs = _identity_extension(witness.potential_a.matrix, witness.potential_b.matrix)
-    return float(np.linalg.eigvalsh(lhs - proj_sym(witness.dim).matrix)[-1])
+    return _excess(witness.potential_a.matrix, witness.potential_b.matrix, proj_sym(witness.dim).matrix)
 
 
 def tensor_feasibility_equivalence(pot_a, pot_b, d2: int) -> EquivalenceCheck:
@@ -152,12 +149,11 @@ def tensor_feasibility_equivalence(pot_a, pot_b, d2: int) -> EquivalenceCheck:
     if d2 < 2:
         raise ValueError("the ancilla factor needs dimension >= 2")
     d1 = a.dim
-    eye1 = np.eye(d1)
-    joint = tensor(a.matrix, eye1, np.eye(d2 * d2)) + tensor(eye1, b.matrix, np.eye(d2 * d2))
+    # a (x) I_B1 (x) I_A2B2 + I_A1 (x) b (x) I_A2B2, split as A1 against B1 A2 B2
+    joint = _identity_extension(a.matrix, np.kron(b.matrix, np.eye(d2 * d2)))
     m_joint = float(np.linalg.eigvalsh(joint - proj_asym_reshuffled(d1, d2).matrix)[-1])
-    lhs = _identity_extension(a.matrix, b.matrix)
-    m_asym = float(np.linalg.eigvalsh(lhs - proj_asym(d1).matrix)[-1])
-    m_sym = float(np.linalg.eigvalsh(lhs - proj_sym(d1).matrix)[-1])
+    m_asym = _excess(a.matrix, b.matrix, proj_asym(d1).matrix)
+    m_sym = _excess(a.matrix, b.matrix, proj_sym(d1).matrix)
 
     check = EquivalenceCheck(
         joint_feasible=m_joint <= 0,
@@ -175,46 +171,32 @@ def embed_witness(base: DualWitness, k: int, alpha: float | None = None) -> Dual
     """Extend a witness to dimension dim+k by padding both potentials with
     -alpha on the new directions.
 
-    With ``alpha`` omitted, the smallest feasible value in [0, 100] is found
-    by bisection at resolution 1e-4 and then doubled for margin.  The
+    The flip pairs each old (x) new vector |i, j> only with its mirror
+    |j, i>, and on each such pair of blocks the padded extension minus the
+    antisymmetric projector acts as M - alpha I, with
+    M = [[A - I/2, I/2], [I/2, B - I/2]] built from the base potentials A, B.
+    The new (x) new block needs only alpha >= 0, so the padded pair is
+    feasible exactly when the base pair is and alpha >= max(0, lambda_max(M)).
+    With ``alpha`` omitted, that threshold is doubled for margin; a base with
+    a negative margin is rejected, since no padding repairs it.  The
     symmetric-side violation is inherited: the violating state embeds.
     """
     if k < 1:
         raise ValueError("need at least one padding dimension")
-    d = base.dim
-    d_new = d + k
-    pasym = proj_asym(d_new).matrix
-
-    def padded(a):
-        out = np.zeros((d_new, d_new), dtype=complex)
-        out[:d, :d] = base.potential_a.matrix if a else base.potential_b.matrix
-        out[d:, d:] = -alpha_val * np.eye(k)
-        return out
-
-    def excess(value):
-        nonlocal alpha_val
-        alpha_val = value
-        lhs = _identity_extension(padded(True), padded(False))
-        return float(np.linalg.eigvalsh(lhs - pasym)[-1])
-
-    alpha_val = 0.0
-    if alpha is not None:
-        alpha_val = float(alpha)
-    else:
-        if excess(100.0) > 0:
-            raise ValueError("no padding weight up to 100 restores feasibility; base pair unusable")
-        if excess(0.0) <= 0:
-            alpha_val = 0.0
-        else:
-            lo, hi = 0.0, 100.0
-            while hi - lo > 1e-4:
-                mid = (lo + hi) / 2
-                if excess(mid) <= 0:
-                    hi = mid
-                else:
-                    lo = mid
-            alpha_val = 2 * hi
-    return DualWitness(HermitianOperator(padded(True)), HermitianOperator(padded(False)))
+    pot_a, pot_b = base.potential_a.matrix, base.potential_b.matrix
+    if alpha is None:
+        if base.feasibility_margin < 0:
+            raise ValueError(
+                f"base pair unusable: margin {base.feasibility_margin:.3e}, no padding repairs it"
+            )
+        half = np.eye(base.dim) / 2
+        mirror = np.block([[pot_a - half, half], [half, pot_b - half]])
+        alpha = 2 * max(0.0, float(np.linalg.eigvalsh(mirror)[-1]))
+    pad = -float(alpha) * np.eye(k)
+    return DualWitness(
+        HermitianOperator(scipy.linalg.block_diag(pot_a, pad)),
+        HermitianOperator(scipy.linalg.block_diag(pot_b, pad)),
+    )
 
 
 def extract_violating_state(witness: DualWitness) -> PureState:

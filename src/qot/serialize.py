@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__ as _version
 from .counterexample import ViolationReport, chain_values
 from .quantum import DensityMatrix
-from .transport import StabilizedResult, TransportResult
+from .transport import StabilizedResult, TransportResult, _psd_clean
 
 __all__ = [
     "FileFormatError",
@@ -129,10 +129,7 @@ def read_density_matrix(path) -> DensityMatrix:
     m, kind = read_matrix(path)
     if kind != "density":
         raise FileFormatError(f"{path}: expected kind 'density', got '{kind}'")
-    h = (m + m.conj().T) / 2
-    vals, vecs = np.linalg.eigh(h)
-    vals = np.clip(vals, 0.0, None)
-    cleaned = (vecs * vals) @ vecs.conj().T
+    cleaned = _psd_clean(m)
     return DensityMatrix(cleaned / np.trace(cleaned).real)
 
 

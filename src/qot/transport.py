@@ -74,8 +74,7 @@ class DualWitness:
     def __post_init__(self):
         if self.potential_a.dim != self.potential_b.dim:
             raise DimensionMismatchError("witness potentials must share one dimension")
-        lhs = _identity_extension(self.potential_a.matrix, self.potential_b.matrix)
-        margin = -float(np.linalg.eigvalsh(lhs - proj_asym(self.potential_a.dim).matrix)[-1])
+        margin = -_excess(self.potential_a.matrix, self.potential_b.matrix, proj_asym(self.dim).matrix)
         if margin < -WITNESS_FEASIBILITY_TOL:
             raise ValueError(f"witness is infeasible: margin {margin:.3e}")
         object.__setattr__(self, "feasibility_margin", margin)
@@ -281,7 +280,8 @@ def _lift_coupling(block: np.ndarray, iso_a, iso_b, d: int) -> np.ndarray:
 
 
 def _psd_clean(mat: np.ndarray) -> np.ndarray:
-    """Clip the tiny negative eigenvalue dust an epsilon-optimal block carries."""
+    """Symmetrize and clip negative eigenvalue dust to zero, as carried by an
+    epsilon-optimal block or a hand-rounded state file."""
     vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
     vals = np.clip(vals, 0.0, None)
     return (vecs * vals) @ vecs.conj().T
@@ -309,6 +309,12 @@ def _identity_extension(pot_a: np.ndarray, pot_b: np.ndarray) -> np.ndarray:
     return np.kron(pot_a, np.eye(pot_b.shape[0])) + np.kron(np.eye(pot_a.shape[0]), pot_b)
 
 
+def _excess(pot_a: np.ndarray, pot_b: np.ndarray, cost: np.ndarray) -> float:
+    """Largest eigenvalue of pot_a (x) I + I (x) pot_b - cost: how far the
+    pair's identity extension rises above the cost (<= 0 means feasible)."""
+    return float(np.linalg.eigvalsh(_identity_extension(pot_a, pot_b) - cost)[-1])
+
+
 def _balance_traces(pot_a: np.ndarray, pot_b: np.ndarray):
     """Fix the identity-shift ambiguity by equalizing the two traces."""
     d = pot_a.shape[0]
@@ -325,7 +331,7 @@ def _lift_potentials(pot_a, pot_b, iso_a, iso_b, reduced_cost, d: int):
     feasibility margin exactly zero (for near-optimal reduced potentials the
     dual supremum is approached, not attained, so some shift is inherent).
     """
-    excess = float(np.linalg.eigvalsh(_identity_extension(pot_a, pot_b) - reduced_cost)[-1])
+    excess = _excess(pot_a, pot_b, reduced_cost)
     if excess > 0:  # solver dual dust; restore exact reduced feasibility
         pot_a = pot_a - excess * np.eye(pot_a.shape[0])
 
@@ -342,7 +348,7 @@ def _lift_potentials(pot_a, pot_b, iso_a, iso_b, reduced_cost, d: int):
     for _ in range(12):
         full_a = extend(pot_a, iso_a, beta)
         full_b = extend(pot_b, iso_b, beta)
-        delta = float(np.linalg.eigvalsh(_identity_extension(full_a, full_b) - pasym)[-1])
+        delta = _excess(full_a, full_b, pasym)
         if delta <= 5e-7:
             break
         beta *= 4

@@ -1,11 +1,14 @@
 import dataclasses
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qot
 from qot import quantum, transport
 from qot.cli import main
 from qot.quantum import random_density_matrix
@@ -172,9 +175,14 @@ class TestSelftestCommand:
 
 class TestConsoleEntry:
     def test_module_invocation(self, qubit_files):
+        # the child must import the same qot as this process, which pytest
+        # may have found through its own sys.path entry
+        path = [str(Path(qot.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         proc = subprocess.run(
             [sys.executable, "-m", "qot", "transport", *qubit_files],
             capture_output=True,
+            env=env,
             text=True,
             timeout=300,
         )

@@ -118,6 +118,30 @@ class TestEmbedding:
         emb = embed_witness(wit, k, alpha=alpha)
         assert emb.feasibility_margin >= -1e-9
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_default_padding_is_twice_the_exact_threshold(self, k):
+        # the flip pairs old (x) new with new (x) old; on each such pair the
+        # extension minus the projector is this mirror block minus alpha
+        half = np.eye(4) / 2
+        mirror = np.block([[EXPECTED_A - half, half], [half, EXPECTED_B - half]])
+        alpha_min = max(0.0, float(np.linalg.eigvalsh(mirror)[-1]))
+        assert alpha_min > 1e-3
+        emb = embed_witness(reference_witness(), k)
+        assert abs(-emb.potential_a.matrix[4, 4].real - 2 * alpha_min) <= 1e-12
+        assert embed_witness(reference_witness(), k, alpha=alpha_min).feasibility_margin >= -1e-12
+        with pytest.raises(ValueError, match="infeasible"):
+            embed_witness(reference_witness(), k, alpha=alpha_min - 1e-5)
+
+    def test_negative_margin_base_rejected(self):
+        # shifted up to margin -5e-8: still a witness, but no padding repairs it
+        shift = reference_witness().feasibility_margin + 5e-8
+        base = DualWitness(
+            HermitianOperator(EXPECTED_A + shift * np.eye(4)), HermitianOperator(EXPECTED_B)
+        )
+        assert -1e-7 < base.feasibility_margin < 0
+        with pytest.raises(ValueError, match="unusable"):
+            embed_witness(base, 1)
+
     def test_infeasible_base_rejected(self):
         base = DualWitness(
             HermitianOperator(np.zeros((2, 2))), HermitianOperator(np.zeros((2, 2)))

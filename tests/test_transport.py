@@ -12,6 +12,7 @@ from qot.quantum import (
     random_pure_state,
     random_unitary,
 )
+from qot.sdp import SolverFailure
 from qot.transport import (
     DualWitness,
     dual_value,
@@ -131,6 +132,22 @@ class TestNearSingularMarginals:
         assert np.max(np.abs(partial_trace(tau, (d, d), (0,)) - rho.matrix)) <= tol
         assert np.max(np.abs(partial_trace(tau, (d, d), (1,)) - sigma.matrix)) <= tol
         assert stabilized_cost(rho, sigma, tol).value <= res.value + 2 * tol
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=SolverFailure,
+        reason="ROADMAP item 1: the IPM stalls when both marginals carry an eigenvalue near zero",
+    )
+    @pytest.mark.parametrize("s", [0, 1, 2])
+    def test_stabilized_both_sides_near_singular(self, s):
+        tol = 1e-8
+        rho = near_singular(3, 1e-7, 100 + s)
+        sigma = near_singular(3, 1e-7, 200 + s)
+        res = stabilized_cost(rho, sigma, tol)
+        assert abs(res.gap) <= tol
+        tau = res.sym_block.matrix + res.asym_block.matrix
+        assert np.max(np.abs(partial_trace(tau, (3, 3), (0,)) - rho.matrix)) <= tol
+        assert np.max(np.abs(partial_trace(tau, (3, 3), (1,)) - sigma.matrix)) <= tol
 
 
 class TestDualValue:
