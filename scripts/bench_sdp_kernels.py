@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Check the coupling-SDP constraint map and time the step length per call.
 
-For d x d marginals (d = 2..8) and k = 1 or 2 PSD blocks, a coupling problem
-is built with ``qot.sdp.coupling_problem`` (the transport cost for k = 1, the
-stabilized split for k = 2).  Before any timing, the partial-trace map
+For d x d marginals (d = 2..8 by default, or the ``--dims`` given) and k = 1
+or 2 PSD blocks, a coupling problem is built with
+``qot.sdp.coupling_problem`` (the transport cost for k = 1, the stabilized
+split for k = 2).  Before any timing, the partial-trace map
 ``_CouplingOperator.apply_a`` is checked against 2 Re Tr[A_i X] summed over
 the blocks, with A_i read from the explicit list ``problem.constraints``.
-The step length ``_max_step`` (one LAPACK sygvx call) is then timed against
-the Cholesky, two triangular solves and eigvalsh it replaced, at each
-embedded block size 2 d^2, after checking that both give the same step.  The
-script exits non-zero if a check fails.
+The step length ``_max_step`` (one sygvx call through a cached LAPACK
+handle) is then timed at each embedded block size 2 d^2 against the same
+sygvx call through the ``scipy.linalg.eigh`` wrapper, and against the
+Cholesky, two triangular solves and eigvalsh that sygvx replaced.  The
+wrapper must give the same step bit for bit, the Cholesky route to a
+relative 1e-12.  The script exits non-zero if a check fails.
 
 BLAS is pinned to one thread, as in ``perfbench/run.py``, and the effective
 count is read back and recorded.  Run from the repository root:
@@ -69,13 +72,21 @@ def rel_err(got, want) -> float:
     return float(np.max(np.abs(np.asarray(got) - np.asarray(want))) / max(np.max(np.abs(want)), 1e-300))
 
 
+def step_from(lam: float) -> float:
+    return 1e30 if lam >= -1e-14 else -1.0 / lam
+
+
 def step_reference(x, dx) -> float:
     """The step length as computed before sygvx, for PD x."""
     lo = np.linalg.cholesky(x)
     w = scipy.linalg.solve_triangular(lo, dx, lower=True)
     w = scipy.linalg.solve_triangular(lo, w.T, lower=True)
-    lam = float(np.linalg.eigvalsh((w + w.T) / 2)[0])
-    return 1e30 if lam >= -1e-14 else -1.0 / lam
+    return step_from(float(np.linalg.eigvalsh((w + w.T) / 2)[0]))
+
+
+def step_wrapper(x, dx) -> float:
+    """The step length by sygvx through the scipy wrapper, for PD x."""
+    return step_from(float(scipy.linalg.eigh(dx, x, eigvals_only=True, subset_by_index=[0, 0])[0]))
 
 
 def spd(rng, n):
@@ -117,7 +128,10 @@ def step_row(d: int) -> dict:
     x = spd(rng, n)
     h = rng.normal(size=(n, n))
     dx = (h + h.T) / 2
-    err = abs(sdp._max_step(x, dx) - step_reference(x, dx)) / step_reference(x, dx)
+    step = sdp._max_step(x, dx)
+    if step != step_wrapper(x, dx):
+        raise SystemExit(f"d={d}: the direct sygvx call and the scipy wrapper give different steps")
+    err = abs(step - step_reference(x, dx)) / step_reference(x, dx)
     if err > STEP_RTOL:
         raise SystemExit(f"d={d}: step lengths differ by {err:.2e} relative")
     return {
@@ -125,7 +139,8 @@ def step_row(d: int) -> dict:
         "n": n,
         "us_per_call": {
             "cholesky_eigvalsh": per_call_us(lambda: step_reference(x, dx)),
-            "sygvx": per_call_us(lambda: sdp._max_step(x, dx)),
+            "sygvx_scipy_wrapper": per_call_us(lambda: step_wrapper(x, dx)),
+            "sygvx_direct": per_call_us(lambda: sdp._max_step(x, dx)),
         },
         "rel_err": err,
     }
@@ -134,12 +149,18 @@ def step_row(d: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", help="write the JSON record here instead of stdout")
+    parser.add_argument("--dims", type=int, nargs="+", default=list(DIMS), help="marginal dimensions d (>= 2)")
     args = parser.parse_args(argv)
+    if min(args.dims) < 2:
+        parser.error("every dimension must be at least 2")
 
-    checks = [map_check(d, k) for d in DIMS for k in BLOCKS]
-    steps = [step_row(d) for d in DIMS]
+    checks = [map_check(d, k) for d in args.dims for k in BLOCKS]
+    steps = [step_row(d) for d in args.dims]
     record = {
-        "what": "coupling-SDP apply_a checked against the constraint list; step length, sygvx against Cholesky",
+        "what": (
+            "coupling-SDP apply_a checked against the constraint list; step length by a direct sygvx call,"
+            " by sygvx through scipy.linalg.eigh, and by Cholesky"
+        ),
         "environment": blas.environment(),
         "apply_a_check": checks,
         "step_length": steps,

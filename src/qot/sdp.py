@@ -18,6 +18,14 @@ iteration, which keeps the final primal residual near machine precision.
 The solver is deterministic: identical problems and tolerances take
 identical iteration paths.
 
+Each iteration factors the Schur complement once and uses that factor for
+both the predictor and the corrector solve.  The hot loop calls LAPACK
+through handles fetched once: potrf and potrs for S^-1 and the Schur solves,
+sygvx for the step lengths.  Embedded blocks mostly have a few dozen rows,
+where scipy's wrappers cost more than the routines.  The calls pass what
+``cho_factor``, ``cho_solve`` and ``eigh`` passed, so every result is the
+same bit for bit, and non-finite input still raises ValueError.
+
 The problem is stated in coordinates scaled by the marginals, so that
 near-singular marginals keep every iterate well conditioned.  The solver
 reaches the constraints through one operator that applies them as partial
@@ -33,9 +41,10 @@ couplings on marginal supports instead (see the transport module).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .quantum import DimensionMismatchError, HermitianOperator, hermitian_basis
 
@@ -320,12 +329,30 @@ def _sym(x: np.ndarray) -> np.ndarray:
     return (x + x.T) / 2
 
 
+# LAPACK handles for the hot loop, fetched once: at the block sizes of most
+# solves, scipy's wrappers around these routines cost more than the routines.
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+_GVX = {
+    False: get_lapack_funcs(("sygvx", "sygvx_lwork"), dtype=np.float64),
+    True: get_lapack_funcs(("hegvx", "hegvx_lwork"), dtype=np.complex128),
+}
+
+
+def _require_finite(*arrays) -> None:
+    """The check the scipy wrappers made before calling LAPACK."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
     """Largest alpha with x + alpha*dx still PSD, for (near-)PD x.
 
     That is -1/lam for lam the smallest eigenvalue of the pencil (dx, x),
-    found by one LAPACK sygvx call.  When x is not numerically PD, lam is
-    taken on the first shifted copy x + shift*I that is PD.
+    found by one call of the cached LAPACK handle sygvx (hegvx for complex
+    pencils), the routine and arguments ``scipy.linalg.eigh`` would pass.
+    When x is not numerically PD, lam is taken on the first shifted copy
+    x + shift*I that is PD.
     """
     try:
         lam = _pencil_min(dx, x)
@@ -337,8 +364,27 @@ def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
 
 
 def _pencil_min(dx: np.ndarray, x: np.ndarray) -> float:
-    """Smallest eigenvalue of the pencil (dx, x); LinAlgError unless x is PD."""
-    return float(scipy.linalg.eigh(dx, x, eigvals_only=True, subset_by_index=[0, 0])[0])
+    """Smallest eigenvalue of the pencil (dx, x); LinAlgError unless x is PD.
+
+    Bit for bit ``scipy.linalg.eigh(dx, x, eigvals_only=True,
+    subset_by_index=[0, 0])[0]``, without the wrapper's argument handling.
+    """
+    _require_finite(dx, x)
+    cplx = np.iscomplexobj(dx) or np.iscomplexobj(x)
+    gvx, lwork = _GVX[cplx][0], _gvx_lwork(cplx, x.shape[0])
+    w, _, _, _, info = gvx(dx, x, uplo="L", jobz="N", range="I", il=1, iu=1, lwork=lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{gvx.__name__} failed with info {info}")
+    return float(w[0])
+
+
+@lru_cache(maxsize=None)
+def _gvx_lwork(cplx: bool, n: int) -> int:
+    """The workspace size LAPACK asks for, queried as ``scipy.linalg.eigh`` does."""
+    work, info = _GVX[cplx][1](n, uplo="L")
+    if info != 0:
+        raise ValueError(f"workspace query failed with info {info}")
+    return int(work.real)
 
 
 def _shifted_pencil_min(x: np.ndarray, dx: np.ndarray) -> float:
@@ -472,20 +518,41 @@ def _side_contraction(x7, sinv7, left, right) -> np.ndarray:
     return prod.reshape(pl, pr, pl, pr).transpose(2, 0, 1, 3).reshape(pl * pl, pr * pr)
 
 
-def _chol_solve_refined(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve with deterministic jitter fallback and one refinement step."""
+def _cholesky(mat: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor (upper triangle left as is); LinAlgError unless
+    ``mat`` is numerically PD."""
+    _require_finite(mat)
+    factor, info = _POTRF(mat, lower=True, clean=False)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpotrf failed with info {info}")
+    return factor
+
+
+def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    _require_finite(rhs)
+    sol, info = _POTRS(factor, rhs, lower=True)
+    if info != 0:
+        raise ValueError(f"dpotrs failed with info {info}")
+    return sol
+
+
+def _schur_factor(mat: np.ndarray) -> np.ndarray:
+    """Cholesky factor of the Schur complement, with deterministic jitter
+    when it is not numerically PD."""
     jitter = 0.0
     base = float(np.mean(np.diag(mat))) + 1.0
     for _ in range(12):
         try:
-            factor = scipy.linalg.cho_factor(mat + jitter * np.eye(mat.shape[0]), lower=True)
-            break
+            return _cholesky(mat + jitter * np.eye(mat.shape[0]))
         except np.linalg.LinAlgError:
             jitter = max(1e-14 * base, jitter * 100)
-    else:
-        raise np.linalg.LinAlgError("Schur complement not positive definite")
-    sol = scipy.linalg.cho_solve(factor, rhs)
-    sol += scipy.linalg.cho_solve(factor, rhs - mat @ sol)
+    raise np.linalg.LinAlgError("Schur complement not positive definite")
+
+
+def _chol_solve_refined(mat: np.ndarray, factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with ``factor = _schur_factor(mat)`` and one refinement step."""
+    sol = _cho_solve(factor, rhs)
+    sol += _cho_solve(factor, rhs - mat @ sol)
     return sol
 
 
@@ -538,9 +605,9 @@ def _solve_real(c_blocks, op, b, eps):
         rp = b - op.apply_a(xs)
         aty = op.apply_at(y)
         rds = [c - s - at for c, s, at in zip(c_blocks, ss, aty)]
-        mu = sum(np.tensordot(x, s) for x, s in zip(xs, ss)) / n_total
+        mu = sum(np.vdot(x, s) for x, s in zip(xs, ss)) / n_total
 
-        pobj = sum(np.tensordot(c, x) for c, x in zip(c_blocks, xs))
+        pobj = sum(np.vdot(c, x) for c, x in zip(c_blocks, xs))
         dobj = float(b @ y)
         gap = pobj - dobj
         pinf = float(np.max(np.abs(rp)))
@@ -572,11 +639,10 @@ def _solve_real(c_blocks, op, b, eps):
 
 
 def _ipm_step(op, b, xs, ss, y, rds, mu, n_total, restore):
-    sinvs = []
-    for s in ss:
-        factor = scipy.linalg.cho_factor(s, lower=True)
-        sinvs.append(scipy.linalg.cho_solve(factor, np.eye(s.shape[0])))
+    sinvs = [_cho_solve(_cholesky(s), np.eye(s.shape[0])) for s in ss]
     schur = op.schur(xs, sinvs)
+    # one factorization serves the predictor and the corrector
+    schur_factor = _schur_factor(schur)
 
     def direction(sigma_mu, corr_blocks):
         extras = [
@@ -584,7 +650,7 @@ def _ipm_step(op, b, xs, ss, y, rds, mu, n_total, restore):
             for x, rd, sinv, corr in zip(xs, rds, sinvs, corr_blocks)
         ]
         rhs = b + op.apply_a(extras)
-        dy = _chol_solve_refined(schur, rhs)
+        dy = _chol_solve_refined(schur, schur_factor, rhs)
         atdy = op.apply_at(dy)
         dss = [rd - at for rd, at in zip(rds, atdy)]
         dxs = [
@@ -598,7 +664,7 @@ def _ipm_step(op, b, xs, ss, y, rds, mu, n_total, restore):
     ap_aff = min(1.0, min(_max_step(x, dx) for x, dx in zip(xs, dxs_aff)))
     ad_aff = min(1.0, min(_max_step(s, ds) for s, ds in zip(ss, dss_aff)))
     mu_aff = sum(
-        np.tensordot(x + ap_aff * dx, s + ad_aff * ds)
+        np.vdot(x + ap_aff * dx, s + ad_aff * ds)
         for x, dx, s, ds in zip(xs, dxs_aff, ss, dss_aff)
     ) / n_total
     sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)

@@ -1,9 +1,15 @@
-"""Smoke tests: each command-line script under ``scripts/`` runs in-process."""
+"""Smoke tests: each command-line script under ``scripts/`` runs, in-process
+unless it pins BLAS threads (then in a subprocess, so the pin stays there)."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _script_main(name):
@@ -24,3 +30,20 @@ def test_search_new_witnesses_finds_no_qubit_witness(capsys):
     assert _script_main("search_new_witnesses")(["--dims", "2", "--seeds", "0", "--iterations", "20"]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows[1].split() == ["2", "0", "none", "-", "-"]
+
+
+def test_bench_sdp_kernels_checks_and_times_the_requested_dims(tmp_path):
+    out = tmp_path / "kernels.json"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_sdp_kernels.py"), "--dims", "2", "3", "--out", str(out)],
+        env=env,
+        check=True,
+        timeout=120,
+    )
+    record = json.loads(out.read_text())
+    assert record["environment"]["blas_threads"] == 1
+    assert [(row["d"], row["k"]) for row in record["apply_a_check"]] == [(2, 1), (2, 2), (3, 1), (3, 2)]
+    assert [row["d"] for row in record["step_length"]] == [2, 3]
+    for row in record["step_length"]:
+        assert set(row["us_per_call"]) == {"cholesky_eigvalsh", "sygvx_scipy_wrapper", "sygvx_direct"}

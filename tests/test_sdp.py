@@ -1,8 +1,10 @@
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.optimize
 
 from qot import sdp
@@ -545,3 +547,133 @@ class TestMaxStep:
         # two kernel sequences agree on it only to about 1e-16 / shift.
         assert got == pytest.approx(want, rel=1e-2 if kind == "singular" else 1e-12)
         assert (got == 1e30) == (kind == "unbounded")
+
+    @staticmethod
+    def _pencil(n, field, seed):
+        rng = np.random.default_rng(seed)
+
+        def draw():
+            g = rng.normal(size=(n, n))
+            return g if field == "real" else g + 1j * rng.normal(size=(n, n))
+
+        g, h = draw(), draw()
+        return g @ g.conj().T + 0.1 * np.eye(n), (h + h.conj().T) / 2
+
+    @pytest.mark.parametrize("n", [8, 32, 72])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_pencil_min_is_scipy_eigh_bit_for_bit(self, n, field):
+        for seed in range(3):
+            x, dx = self._pencil(n, field, 10 * n + seed)
+            want = scipy.linalg.eigh(dx, x, eigvals_only=True, subset_by_index=[0, 0])[0]
+            assert sdp._pencil_min(dx, x) == want
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_pencil_min_raises_linalg_error_on_singular_x(self, field):
+        x, dx = self._pencil(8, field, 0)
+        x[:, -1] = x[-1, :] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            sdp._pencil_min(dx, x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["x", "dx"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_non_finite_input_raises_value_error(self, bad, where, field):
+        x, dx = self._pencil(8, field, 1)
+        (x if where == "x" else dx)[2, 3] = bad
+        with pytest.raises(ValueError):
+            sdp._pencil_min(dx, x)
+        with pytest.raises(ValueError):
+            sdp._max_step(x, dx)
+
+    @pytest.mark.parametrize("n", [8, 32, 72])
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_cached_lwork_is_the_one_scipy_queries(self, n, cplx):
+        name, dtype = ("hegvx_lwork", np.complex128) if cplx else ("sygvx_lwork", np.float64)
+        (query,) = scipy.linalg.lapack.get_lapack_funcs((name,), dtype=dtype)
+        assert sdp._gvx_lwork(cplx, n) == scipy.linalg.lapack._compute_lwork(query, n, uplo="L")
+
+
+def _refined_solve_factoring_inside(mat, rhs):
+    """The Schur solve as it was before the factor was shared: scipy's
+    cho_factor with the same jitter loop, then cho_solve and one refinement."""
+    jitter = 0.0
+    base = float(np.mean(np.diag(mat))) + 1.0
+    for _ in range(12):
+        try:
+            factor = scipy.linalg.cho_factor(mat + jitter * np.eye(mat.shape[0]), lower=True)
+            break
+        except np.linalg.LinAlgError:
+            jitter = max(1e-14 * base, jitter * 100)
+    sol = scipy.linalg.cho_solve(factor, rhs)
+    sol += scipy.linalg.cho_solve(factor, rhs - mat @ sol)
+    return sol
+
+
+class TestSchurFactor:
+    @staticmethod
+    def _schur(ra, rb, k, seed=0):
+        """A Schur complement of a coupling problem at random embedded SPD
+        iterates, with a right-hand side."""
+        problem = _random_coupling_problem(ra, rb, k, seed)
+        pd = TestCouplingStructure._iterates(ra, rb, k, "embedded")
+        xs = [pd() for _ in range(k)]
+        sinvs = [np.linalg.inv(pd()) for _ in range(k)]
+        mat = sdp._CouplingOperator(problem).schur(xs, sinvs)
+        return mat, np.random.default_rng(seed).normal(size=mat.shape[0])
+
+    @pytest.mark.parametrize("ra, rb, k", [(2, 2, 1), (3, 3, 2), (4, 4, 1)])
+    def test_precomputed_factor_matches_factoring_inside(self, ra, rb, k):
+        mat, rhs = self._schur(ra, rb, k)
+        got = sdp._chol_solve_refined(mat, sdp._schur_factor(mat), rhs)
+        assert np.array_equal(got, _refined_solve_factoring_inside(mat, rhs))
+
+    def test_singular_schur_enters_the_jitter_loop(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(9, 6))
+        mat = g @ g.T  # rank 6 of 9: no Cholesky factor without jitter
+        rhs = rng.normal(size=9)
+        calls = []
+        cholesky = sdp._cholesky
+
+        def counting_cholesky(m):
+            calls.append(m)
+            return cholesky(m)
+
+        monkeypatch.setattr(sdp, "_cholesky", counting_cholesky)
+        factor = sdp._schur_factor(mat)
+        assert len(calls) > 1
+        assert np.array_equal(sdp._chol_solve_refined(mat, factor, rhs), _refined_solve_factoring_inside(mat, rhs))
+
+    def test_one_factorization_per_ipm_step(self, monkeypatch):
+        factors_per_step = []
+        schur_factor, ipm_step = sdp._schur_factor, sdp._ipm_step
+
+        def counting_factor(mat):
+            factors_per_step[-1] += 1
+            return schur_factor(mat)
+
+        def counting_step(*args):
+            factors_per_step.append(0)
+            return ipm_step(*args)
+
+        monkeypatch.setattr(sdp, "_schur_factor", counting_factor)
+        monkeypatch.setattr(sdp, "_ipm_step", counting_step)
+        sol = solve(_random_coupling_problem(2, 3, 2), tol=1e-8)
+        assert sol.status == STATUS_OPTIMAL
+        assert factors_per_step == [1] * (sol.iterations - 1)
+
+
+# Small-pairs benchmark ops whose certificates depend on rounding: the part of
+# X off the image of the real embedding grows for about eight iterations
+# before the solve recovers.  Any change in floating-point results shows first
+# as a changed iteration count here.
+@pytest.mark.parametrize("seed, index, iterations", [(5, 20, 23), (13, 107, 21), (44, 33, 23)])
+def test_rounding_sensitive_qubit_transport_keeps_its_path(monkeypatch, seed, index, iterations):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.workloads import cycle
+
+    op = next(o for o in cycle("small-pairs", seed, index) if o.label == "transport d=2")
+    rho, sigma = op.states
+    sol = solve(coupling_problem((proj_asym(2).matrix,), rho, sigma))
+    assert sol.status == STATUS_OPTIMAL
+    assert sol.iterations == iterations

@@ -149,6 +149,23 @@ class TestNearSingularMarginals:
         assert np.max(np.abs(partial_trace(tau, (3, 3), (0,)) - rho.matrix)) <= tol
         assert np.max(np.abs(partial_trace(tau, (3, 3), (1,)) - sigma.matrix)) <= tol
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=SolverFailure,
+        reason="ROADMAP item 1: the IPM stalls when both marginals carry an eigenvalue near zero",
+    )
+    @pytest.mark.parametrize("s", [0, 1, 2])
+    def test_transport_both_sides_near_singular(self, s):
+        tol = 1e-8
+        rho = near_singular(3, 1e-7, 100 + s)
+        sigma = near_singular(3, 1e-7, 200 + s)
+        res = transport_cost(rho, sigma, tol)
+        assert res.gap <= tol
+        assert res.dual_witness.feasibility_margin >= -tol
+        tau = res.coupling.matrix
+        assert np.max(np.abs(partial_trace(tau, (3, 3), (0,)) - rho.matrix)) <= tol
+        assert np.max(np.abs(partial_trace(tau, (3, 3), (1,)) - sigma.matrix)) <= tol
+
 
 class TestDualValue:
     def test_zero_witness_is_a_valid_lower_bound(self):
