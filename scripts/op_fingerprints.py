@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Print one digest per seed of every op's result on a perfbench workload.
+
+Cycles 0..N-1 of the workload are rebuilt with ``perfbench.workloads.cycle``
+and run in order through ``perfbench.ops``, untimed, with the same checks as
+``perfbench/run.py`` (the tensored cross-check in cycle 0 only).  For each
+seed one line gives the status counts and a digest of every op's label,
+status and ``ops.verify`` fingerprint, the hash of the numbers it returned.
+Two checkouts that print the same line returned the same numbers, bit for
+bit, on every op of those cycles.
+
+BLAS is pinned to one thread, as in ``perfbench/run.py``, since the thread
+count can change the rounding.  Run from the repository root:
+
+    python3 scripts/op_fingerprints.py --workload boundary --seeds 1 2 3 --cycles 15
+"""
+
+import argparse
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+from perfbench import blas  # noqa: E402  (must pin before numpy loads)
+
+blas.pin_one_thread()
+
+from perfbench import ops, workloads  # noqa: E402
+
+STATUSES = (ops.CERTIFIED, ops.FAILED, ops.ERROR)
+
+
+def run_seed(workload: str, seed: int, n_cycles: int, scratch: Path) -> list[tuple[str, str, str]]:
+    """(label, status, fingerprint) of every op of cycles 0..n_cycles-1."""
+    rows = []
+    for c in range(n_cycles):
+        t_values = {}
+        check_tensored = c == 0
+        for op in workloads.cycle(workload, seed, c):
+            args = ops.prepare(op, scratch)
+            result = exc = None
+            try:
+                result = ops.invoke(op, args)
+            except Exception as e:  # classified by ops.verify
+                exc = e
+            outcome = ops.verify(
+                op, args, result, exc, t_value=t_values.get(op.pair), tensored_reference=check_tensored
+            )
+            if op.kind == "tensored":
+                check_tensored = False
+            if op.kind == "transport" and exc is None:
+                t_values[op.pair] = result.value
+            rows.append((op.label, outcome.status, outcome.fingerprint))
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True, choices=list(workloads.WORKLOADS))
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--cycles", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.cycles < 1:
+        parser.error("--cycles must be at least 1")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in args.seeds:
+            rows = run_seed(args.workload, seed, args.cycles, Path(tmp))
+            counts = Counter(status for _, status, _ in rows)
+            summary = " ".join(f"{s}={counts[s]}" for s in STATUSES)
+            digest = ops.digest(rows)
+            print(f"{args.workload} seed={seed} cycles={args.cycles} {summary} digest={digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

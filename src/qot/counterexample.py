@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import sdp
 from .quantum import (
     DensityMatrix,
     HermitianOperator,
@@ -27,7 +28,15 @@ from .quantum import (
     proj_asym_reshuffled,
     proj_sym,
 )
-from .transport import DualWitness, _excess, _identity_extension, dual_value, stabilized_cost, transport_cost
+from .transport import (
+    DualWitness,
+    _excess,
+    _identity_extension,
+    _shifted_feasible,
+    dual_value,
+    stabilized_cost,
+    transport_cost,
+)
 
 __all__ = [
     "ChainCheckError",
@@ -124,8 +133,7 @@ def reference_witness() -> DualWitness:
 
 
 def _reference_repaired() -> tuple[DualWitness, float]:
-    shift = max(0.0, _excess(_REFERENCE_A, _REFERENCE_B, proj_asym(4).matrix))
-    pot_a = _REFERENCE_A - shift * np.eye(4)
+    pot_a, shift = _shifted_feasible(_REFERENCE_A, _REFERENCE_B, proj_asym(4).matrix)
     return DualWitness(HermitianOperator(pot_a), HermitianOperator(_REFERENCE_B)), shift
 
 
@@ -298,13 +306,10 @@ def search_witness(d: int, seed, iterations: int) -> DualWitness | None:
     symmetric excess clears 1e-6, None otherwise; for d = 2 monotonicity
     holds and None is the expected outcome.
     """
-    from . import sdp  # local import: only the search needs solver errors
-
     if d < 2:
         raise ValueError("search needs dimension >= 2")
     iterations = int(iterations)
-    psym = proj_sym(d).matrix
-    eye = np.eye(d)
+    psym, pasym = proj_sym(d).matrix, proj_asym(d).matrix
     rng = np.random.default_rng(seed)
 
     rounds = 0
@@ -333,11 +338,8 @@ def search_witness(d: int, seed, iterations: int) -> DualWitness | None:
             best = float(vals[-1])
         if witness is None or best <= 1e-6:
             continue
-        shift = max(0.0, -witness.feasibility_margin)
-        witness = DualWitness(
-            HermitianOperator(witness.potential_a.matrix - shift * eye),
-            witness.potential_b,
-        )
+        pot_a, _ = _shifted_feasible(witness.potential_a.matrix, witness.potential_b.matrix, pasym)
+        witness = DualWitness(HermitianOperator(pot_a), witness.potential_b)
         if symmetric_excess(witness) > 1e-6:
             return witness
     return None

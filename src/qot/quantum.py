@@ -122,11 +122,6 @@ class DensityMatrix(HermitianOperator):
         if abs(tr - 1.0) > DENSITY_TRACE_TOL:
             raise ValueError(f"density matrix trace is {tr!r}, expected 1")
 
-    @property
-    def operator(self) -> HermitianOperator:
-        """The underlying Hermitian operator, without the state invariants."""
-        return HermitianOperator(self.matrix)
-
 
 class PureState:
     """A unit vector in C^d.  Norm defects above 1e-8 are rejected."""

@@ -9,12 +9,15 @@ states, with the coupling on A1 A2 (x) B1 B2; ``stabilized_cost_via_tensoring``
 evaluates the equivalent maximally-mixed-qubit extension that way and serves
 as a cross-check independent of the two-block split.
 
-Couplings are always built on the supports of the marginals: any coupling of
-(rho, sigma) lives inside range(rho) (x) range(sigma), so compressing there
-is exact and leaves every solved SDP with a strictly feasible interior point
-(the product of the reduced marginals).  Results are lifted back to the full
-space afterwards; dual potentials get negative-identity padding off-support,
-verified by an explicit eigenvalue check.
+Both costs are solved by one route, ``_solve_on_supports``, on the supports
+of the marginals: any coupling of (rho, sigma) lives inside
+range(rho) (x) range(sigma), so compressing there is exact (facial
+reduction) and leaves every solved SDP with a strictly feasible interior
+point (the product of the reduced marginals).  The optimal blocks are lifted
+back to the full space by the same support map.  The dual potentials of
+``transport_cost`` are padded with -beta off the supports and shifted once
+into exact feasibility; that costs at most about 1/(4 beta) of dual value,
+which the reported gap includes (see ``_lift_potentials``).
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ MAX_TENSORED_DIM = 256
 # Marginal eigenvalues at or below this are treated as zero when building
 # coupling supports; states never carry eigenvalues below -1e-10.
 SUPPORT_CUT = 1e-10
+
+# Off-support padding of lifted dual potentials; costs about 1/(4 beta) of
+# dual value (see ``_lift_potentials``).
+_LIFT_BETA = 1e6
 
 
 @dataclass(frozen=True)
@@ -128,20 +135,9 @@ def transport_cost(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAUL
     feasibility-checked dual witness certifying the matching lower bound.
     """
     d = _require_same_dim(rho, sigma)
-    iso_a, red_a = _support(rho)
-    iso_b, red_b = _support(sigma)
-    cost = _compress_two_sided(proj_asym(d).matrix, iso_a, iso_b, d)
+    sol, (coupling,), pots, isos = _solve_on_supports(rho, sigma, (proj_asym(d).matrix,), tol)
+    full_a, full_b = _balance_traces(*_lift_potentials(*pots, *isos, d))
 
-    problem = sdp.coupling_problem((cost,), red_a, red_b)
-    sol = _solved(problem, tol)
-    (block,), pot_a, pot_b = sdp.coupling_solution(problem, sol)
-    if iso_a is None and iso_b is None:
-        full_a, full_b = pot_a, pot_b
-    else:
-        full_a, full_b = _lift_potentials(pot_a, pot_b, iso_a, iso_b, cost, d)
-    full_a, full_b = _balance_traces(full_a, full_b)
-
-    coupling = _lift_coupling(block, iso_a, iso_b, d)
     witness = DualWitness(HermitianOperator(full_a), HermitianOperator(full_b))
     value = float(sol.primal_value)
     return TransportResult(
@@ -177,19 +173,11 @@ def stabilized_cost(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAU
     rho with sigma.
     """
     d = _require_same_dim(rho, sigma)
-    iso_a, red_a = _support(rho)
-    iso_b, red_b = _support(sigma)
-    costs = (
-        _compress_two_sided(proj_sym(d).matrix, iso_a, iso_b, d),
-        _compress_two_sided(proj_asym(d).matrix, iso_a, iso_b, d),
-    )
-    problem = sdp.coupling_problem(costs, red_a, red_b)
-    sol = _solved(problem, tol)
-    (sym, asym), _, _ = sdp.coupling_solution(problem, sol)
+    sol, (sym, asym), _, _ = _solve_on_supports(rho, sigma, (proj_sym(d).matrix, proj_asym(d).matrix), tol)
     return StabilizedResult(
         value=float(sol.primal_value),
-        sym_block=HermitianOperator(_psd_clean(_lift_coupling(sym, iso_a, iso_b, d))),
-        asym_block=HermitianOperator(_psd_clean(_lift_coupling(asym, iso_a, iso_b, d))),
+        sym_block=HermitianOperator(_psd_clean(sym)),
+        asym_block=HermitianOperator(_psd_clean(asym)),
         gap=float(sol.gap),
     )
 
@@ -254,28 +242,12 @@ def _support(state: DensityMatrix):
     return iso, red / np.trace(red).real
 
 
-def _support_map(iso_a, iso_b, d: int) -> np.ndarray:
-    """Isometry from the reduced coupling space into C^d (x) C^d."""
-    return np.kron(
-        iso_a if iso_a is not None else np.eye(d),
-        iso_b if iso_b is not None else np.eye(d),
-    )
-
-
-def _compress_two_sided(op: np.ndarray, iso_a, iso_b, d: int) -> np.ndarray:
-    """Compress an operator on C^d (x) C^d with per-factor isometries."""
-    if iso_a is None and iso_b is None:
-        return op
-    w = _support_map(iso_a, iso_b, d)
-    out = w.conj().T @ op @ w
-    return (out + out.conj().T) / 2
-
-
-def _lift_coupling(block: np.ndarray, iso_a, iso_b, d: int) -> np.ndarray:
-    if iso_a is None and iso_b is None:
-        return block
-    w = _support_map(iso_a, iso_b, d)
-    out = w @ block @ w.conj().T
+def _conjugate(mat: np.ndarray, w, compress: bool) -> np.ndarray:
+    """W^* mat W (onto the supports) or W mat W^* (back to C^d (x) C^d),
+    symmetrized; ``mat`` itself when W is None (both states have full rank)."""
+    if w is None:
+        return mat
+    out = w.conj().T @ mat @ w if compress else w @ mat @ w.conj().T
     return (out + out.conj().T) / 2
 
 
@@ -287,7 +259,23 @@ def _psd_clean(mat: np.ndarray) -> np.ndarray:
     return (vecs * vals) @ vecs.conj().T
 
 
-def _solved(problem: sdp.CouplingProblem, tol: float) -> sdp.SdpSolution:
+def _solve_on_supports(rho: DensityMatrix, sigma: DensityMatrix, costs, tol: float):
+    """Solve the coupling SDP for ``costs`` (operators on C^d (x) C^d, one
+    PSD block each) on range(rho) (x) range(sigma), raising SolverFailure
+    unless it reaches ``tol``.
+
+    Returns ``(solution, blocks, (pot_a, pot_b), (iso_a, iso_b))``: the
+    blocks lifted back to C^d (x) C^d, the potentials on the supports, and
+    the support isometries (None for a full-rank state).  The support map
+    W = iso_a (x) iso_b is built once, and is None when both are.
+    """
+    d = rho.dim
+    iso_a, red_a = _support(rho)
+    iso_b, red_b = _support(sigma)
+    w = None
+    if iso_a is not None or iso_b is not None:
+        w = np.kron(iso_a if iso_a is not None else np.eye(d), iso_b if iso_b is not None else np.eye(d))
+    problem = sdp.coupling_problem(tuple(_conjugate(c, w, compress=True) for c in costs), red_a, red_b)
     sol = sdp.solve(problem, tol)
     if sol.status != sdp.STATUS_OPTIMAL:
         raise sdp.SolverFailure(
@@ -295,7 +283,8 @@ def _solved(problem: sdp.CouplingProblem, tol: float) -> sdp.SdpSolution:
             f"coupling SDP did not reach tolerance {tol:g}: status {sol.status}, "
             f"gap {sol.gap:.3e}, residual {sol.primal_infeasibility:.3e}",
         )
-    return sol
+    blocks, pot_a, pot_b = sdp.coupling_solution(problem, sol)
+    return sol, tuple(_conjugate(b, w, compress=False) for b in blocks), (pot_a, pot_b), (iso_a, iso_b)
 
 
 # ---------------------------------------------------------------------------
@@ -322,35 +311,43 @@ def _balance_traces(pot_a: np.ndarray, pot_b: np.ndarray):
     return pot_a - c * np.eye(d), pot_b + c * np.eye(d)
 
 
-def _lift_potentials(pot_a, pot_b, iso_a, iso_b, reduced_cost, d: int):
-    """Extend reduced dual potentials to the full space.
+def _shifted_feasible(pot_a: np.ndarray, pot_b: np.ndarray, cost: np.ndarray):
+    """``(pot_a - shift I, shift)`` with shift = max(0, excess against
+    ``cost``): the smallest downward shift of the first potential that makes
+    the pair dual feasible.  It costs exactly ``shift`` of dual value, since
+    states have unit trace."""
+    shift = max(0.0, _excess(pot_a, pot_b, cost))
+    return pot_a - shift * np.eye(pot_a.shape[0]), shift
 
-    Off-support directions get a large negative multiple of the identity;
-    the dual value is unchanged because the states carry no mass there.  A
-    final global shift of the first potential makes the full-space
-    feasibility margin exactly zero (for near-optimal reduced potentials the
-    dual supremum is approached, not attained, so some shift is inherent).
+
+def _lift_potentials(pot_a, pot_b, iso_a, iso_b, d: int):
+    """Extend potentials on the supports to C^d, then make them feasible;
+    potentials of two full-rank states are returned as they are.
+
+    Each potential is extended with -beta off its support (beta =
+    ``_LIFT_BETA``), which leaves the dual value unchanged up to the mass
+    below ``SUPPORT_CUT``.  The first one is then shifted once by the excess
+    of the lifted pair (``_shifted_feasible``), so the witness is feasible
+    and the reported gap honest however large that excess is.
+
+    The loss that shift causes is bounded.  The lifted extension E is block
+    diagonal over S = S_a (x) S_b and its complement: on S it is the reduced
+    extension, and on the complement it is at most (t - beta) I, with
+    t = max(0, lambda_max(pot_a), lambda_max(pot_b)).  P_asym couples S to
+    its complement only through an off-diagonal block C, and since P_asym is
+    a projector, C C^* = A - A^2 <= I/4 (A its S block), so ||C|| <= 1/2.
+    Hence the lifted excess is at most max(eps, 0) + 1/(4 (beta - t)), with
+    eps the excess of the reduced pair against the compressed P_asym: about
+    2.5e-7 of dual value at beta = 1e6.
     """
-    excess = _excess(pot_a, pot_b, reduced_cost)
-    if excess > 0:  # solver dual dust; restore exact reduced feasibility
-        pot_a = pot_a - excess * np.eye(pot_a.shape[0])
+    if iso_a is None and iso_b is None:
+        return pot_a, pot_b
 
-    def extend(pot, iso, beta):
+    def extend(pot, iso):
         if iso is None:
             return pot
-        lifted = iso @ pot @ iso.conj().T
-        off = np.eye(d) - iso @ iso.conj().T
-        return lifted - beta * off
+        return iso @ pot @ iso.conj().T - _LIFT_BETA * (np.eye(d) - iso @ iso.conj().T)
 
-    top = max(1.0, float(np.linalg.eigvalsh(pot_a)[-1]) + float(np.linalg.eigvalsh(pot_b)[-1]))
-    beta = 1e6 * top
-    pasym = proj_asym(d).matrix
-    for _ in range(12):
-        full_a = extend(pot_a, iso_a, beta)
-        full_b = extend(pot_b, iso_b, beta)
-        delta = _excess(full_a, full_b, pasym)
-        if delta <= 5e-7:
-            break
-        beta *= 4
-    full_a = full_a - max(delta, 0.0) * np.eye(d)
+    full_b = extend(pot_b, iso_b)
+    full_a, _ = _shifted_feasible(extend(pot_a, iso_a), full_b, proj_asym(d).matrix)
     return full_a, full_b

@@ -47,3 +47,12 @@ def test_bench_sdp_kernels_checks_and_times_the_requested_dims(tmp_path):
     assert [row["d"] for row in record["step_length"]] == [2, 3]
     for row in record["step_length"]:
         assert set(row["us_per_call"]) == {"cholesky_eigvalsh", "sygvx_scipy_wrapper", "sygvx_direct"}
+
+
+def test_op_fingerprints_prints_one_repeatable_line_per_seed():
+    script = str(SCRIPTS / "op_fingerprints.py")
+    cmd = [sys.executable, script, "--workload", "small-pairs", "--seeds", "1", "--cycles", "1"]
+    runs = [subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=120) for _ in range(2)]
+    assert runs[0].stdout == runs[1].stdout
+    (line,) = runs[0].stdout.splitlines()
+    assert line.startswith("small-pairs seed=1 cycles=1 certified=6 failed=0 error=0 digest=")

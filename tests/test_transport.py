@@ -167,6 +167,52 @@ class TestNearSingularMarginals:
         assert np.max(np.abs(partial_trace(tau, (3, 3), (1,)) - sigma.matrix)) <= tol
 
 
+def rank_deficient(d, rank, seed):
+    """G G^dagger normalized, G a complex Gaussian d x rank: exactly rank ``rank``."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    m = g @ g.conj().T
+    return DensityMatrix(m / np.trace(m).real)
+
+
+RANK_DEFICIENT_CASES = [(d, r) for d in (3, 4, 5) for r in range(1, d)]
+
+
+class TestLiftedWitness:
+    """The witness of a rank-deficient pair is padded with -beta off the
+    supports and shifted once into feasibility; the shift, and so the
+    reported gap, stays within tol + 1/(4 (beta - t)), and t < 1 here."""
+
+    TOL = transport.DEFAULT_TOL
+
+    def assert_within_lift_bound(self, res):
+        assert res.dual_witness.feasibility_margin >= -1e-8
+        assert res.gap <= 1 / (4 * (transport._LIFT_BETA - 1)) + self.TOL
+
+    @pytest.mark.parametrize("both_sides", [False, True], ids=["one-side", "both-sides"])
+    @pytest.mark.parametrize("d, rank", RANK_DEFICIENT_CASES)
+    def test_gap_within_lift_bound(self, d, rank, both_sides):
+        rho = rank_deficient(d, rank, 300 + 10 * d + rank)
+        if both_sides:
+            sigma = rank_deficient(d, rank, 400 + 10 * d + rank)
+        else:
+            sigma = random_density_matrix(d, 500 + d)
+        self.assert_within_lift_bound(transport_cost(rho, sigma, self.TOL))
+
+    def test_infeasible_reduced_potentials_are_shifted_once(self, monkeypatch):
+        """Reduced potentials infeasible by 1e-6 (the case the old pre-repair
+        handled) still give a feasible witness within the same gap bound."""
+        solution = transport.sdp.coupling_solution
+
+        def raised(problem, sol):
+            blocks, pot_a, pot_b = solution(problem, sol)
+            return blocks, pot_a + 1e-6 * np.eye(pot_a.shape[0]), pot_b
+
+        monkeypatch.setattr(transport.sdp, "coupling_solution", raised)
+        rho, sigma = rank_deficient(4, 2, 601), random_density_matrix(4, 602)
+        self.assert_within_lift_bound(transport_cost(rho, sigma, self.TOL))
+
+
 class TestDualValue:
     def test_zero_witness_is_a_valid_lower_bound(self):
         w = DualWitness(HermitianOperator(np.zeros((2, 2))), HermitianOperator(np.zeros((2, 2))))
@@ -228,10 +274,11 @@ class TestStabilizedCost:
             t = transport_cost(rho, sigma)
             assert ts.value <= t.value + 1e-7
 
-    def test_blocks_sum_to_a_coupling(self):
+    @pytest.mark.parametrize("rank", [3, 2], ids=["full-rank", "rank-deficient"])
+    def test_blocks_sum_to_a_coupling(self, rank):
         d = 3
-        rho = random_density_matrix(d, 110)
-        sigma = random_density_matrix(d, 111)
+        rho = random_density_matrix(d, 110) if rank == d else rank_deficient(d, rank, 112)
+        sigma = random_density_matrix(d, 111) if rank == d else rank_deficient(d, rank, 113)
         res = stabilized_cost(rho, sigma)
         total = res.sym_block.matrix + res.asym_block.matrix
         assert np.max(np.abs(partial_trace(total, (d, d), (0,)) - rho.matrix)) <= 1e-7
