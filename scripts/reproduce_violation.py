@@ -1,42 +1,35 @@
 #!/usr/bin/env python3
 """Reproduce the partial-trace monotonicity violation across dimensions.
 
-For each requested dimension this builds the witness pair (the published 4x4
-constants, padded upward when needed), extracts the violating state, solves
-the base and stabilized costs, and prints the certified inequality chain.
+Runs ``qot verify-counterexample`` once per requested dimension: it builds
+the witness pair (the published 4x4 constants, padded upward when needed),
+extracts the violating state, solves the base and stabilized costs, and
+prints the certified inequality chain.  Returns the first non-zero exit code
+of those runs, after running every dimension.
 """
 
 import argparse
 import sys
 
-from qot.counterexample import chain_values, violation_report
-from qot.serialize import violation_report_payload, write_report
+from qot import cli
+from qot.transport import DEFAULT_TOL
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dims", type=int, nargs="+", default=[4, 5, 6])
-    parser.add_argument("--tol", type=float, default=1e-8)
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
     parser.add_argument("--out-prefix", default=None, help="write violation_<d>.json per dimension")
     args = parser.parse_args(argv)
 
+    status = 0
     for d in args.dims:
-        report = violation_report(d, tol=args.tol)
-        chain = chain_values(report)
-        print(f"d = {d}")
-        print(f"  base cost          {report.t_value:.9f}")
-        print(f"  stabilized cost    {report.ts_value:.9f}")
-        print(f"  violation gap      {report.gap:.6e}")
-        print(f"  witness sym excess {report.sym_violation:.6e}")
-        print(
-            "  chain: {stabilized_cost:.9f} <= {sym_expectation:.9f} "
-            "< {dual_bound:.9f} <= {transport_cost:.9f}".format(**chain)
-        )
+        cmd = ["verify-counterexample", "--dim", str(d), "--tol", repr(args.tol)]
         if args.out_prefix:
-            path = f"{args.out_prefix}violation_{d}.json"
-            write_report(path, violation_report_payload(report, args.tol))
-            print(f"  report -> {path}")
-    return 0
+            cmd += ["--out", f"{args.out_prefix}violation_{d}.json"]
+        code = cli.main(cmd)
+        status = status or code
+    return status
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from .serialize import (
     write_report,
 )
 from .transport import (
+    DEFAULT_TOL,
     MAX_TENSORED_DIM,
     dual_value,
     stabilized_cost,
@@ -138,14 +139,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transport", help="base transport cost between two density-matrix files")
     p.add_argument("rho", help="density matrix file (JSON, kind 'density')")
     p.add_argument("sigma", help="density matrix file (JSON, kind 'density')")
-    p.add_argument("--tol", type=float, default=1e-8, help="solver tolerance (default 1e-8)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver tolerance (default %(default)g)")
     p.add_argument("--out", default=None, help="write a JSON report here")
     p.set_defaults(func=_cmd_transport)
 
     p = sub.add_parser("stabilized", help="stabilized transport cost between two files")
     p.add_argument("rho")
     p.add_argument("sigma")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument(
         "--cross-check",
         action="store_true",
@@ -159,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="reproduce the partial-trace monotonicity violation end to end",
     )
     p.add_argument("--dim", type=int, required=True, help="state dimension (4..6)")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify_counterexample)
 

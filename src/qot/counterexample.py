@@ -29,6 +29,7 @@ from .quantum import (
     proj_sym,
 )
 from .transport import (
+    DEFAULT_TOL,
     DualWitness,
     _excess,
     _identity_extension,
@@ -222,7 +223,7 @@ def extract_violating_state(witness: DualWitness) -> PureState:
     return state
 
 
-def violation_report(d: int, tol: float = 1e-8) -> ViolationReport:
+def violation_report(d: int, tol: float = DEFAULT_TOL) -> ViolationReport:
     """Build the witness for dimension d, extract the violating state pair,
     solve both costs, and verify every link of the inequality chain.
 

@@ -13,9 +13,10 @@ Every Hermitian block is embedded as a real symmetric block of twice the
 size, the real problem is solved by an infeasible-start Mehrotra
 predictor-corrector primal-dual interior-point method, and objective and
 constraint values are halved afterwards to undo the trace doubling of the
-embedding.  Iterates are nudged back onto the affine constraints each
-iteration, which keeps the final primal residual near machine precision.
-The solver is deterministic: identical problems and tolerances take
+embedding.  No step projects onto the affine constraints: the search
+direction solves A dX = b - A X, so a primal step of length alpha scales the
+primal residual by 1 - alpha, and a full step leaves only rounding.  The
+solver is deterministic: identical problems and tolerances take
 identical iteration paths.
 
 Each iteration factors the Schur complement once and uses that factor for
@@ -29,11 +30,10 @@ same bit for bit, and non-finite input still raises ValueError.
 The problem is stated in coordinates scaled by the marginals, so that
 near-singular marginals keep every iterate well conditioned.  The solver
 reaches the constraints through one operator that applies them as partial
-traces and Kronecker products in O(ra^2 rb^2), solves with the diagonal
-restorer Gram in closed form, and assembles the Schur complement from the
-Kronecker structure in O(ra^3 rb^3) time and O(ra^2 rb^2) extra memory (the
-constraint-structure trick of Fujisawa, Kojima and Nakata 1997).  No dense
-constraint stack is built.  Intended scale: marginals up to ra*rb of a few
+traces and Kronecker products in O(ra^2 rb^2), and assembles the Schur
+complement from the Kronecker structure in O(ra^3 rb^3) time and
+O(ra^2 rb^2) extra memory (the constraint-structure trick of Fujisawa,
+Kojima and Nakata 1997).  No dense constraint stack is built.  Intended scale: marginals up to ra*rb of a few
 hundred.  Singular marginals have no strictly feasible coupling; build
 couplings on marginal supports instead (see the transport module).
 """
@@ -140,16 +140,13 @@ class SdpSolution:
 
 
 def complex_to_real_embedding(h) -> np.ndarray:
-    """Embed a complex matrix H = A + iB as the real matrix [[A, -B], [B, A]].
+    """Embed a complex matrix H = A + iB as the real matrix [[A, -B], [B, A]];
+    a stack of matrices, on the last two axes, embeds matrix by matrix.
 
     For Hermitian H the image is symmetric, PSD iff H is PSD, traces double,
     and every eigenvalue appears with doubled multiplicity.
     """
-    return _embed(np.asarray(h, dtype=complex))
-
-
-def _embed(m: np.ndarray) -> np.ndarray:
-    """The embedding applied to the last two axes of a complex array."""
+    m = np.asarray(h, dtype=complex)
     n = m.shape[-1]
     out = np.empty(m.shape[:-2] + (2 * n, 2 * n))
     out[..., :n, :n] = out[..., n:, n:] = m.real
@@ -203,17 +200,18 @@ def solve(problem: CouplingProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     Returns status ``optimal`` when gap and max constraint residual are both
     below ``tol``, and ``max_iterations`` when progress stalls above it.
     """
-    c_blocks = [complex_to_real_embedding(c.matrix) for c in problem.objective]
-    # the rhs doubles with the traces of the embedding
-    return _solve_embedded(c_blocks, 2.0 * problem.rhs, _CouplingOperator(problem), tol)
+    return _solve_embedded(problem.objective, problem.rhs, _CouplingOperator(problem), tol)
 
 
-def _solve_embedded(c_blocks, b, op, tol: float) -> SdpSolution:
-    """The IPM on the real embedding: objective blocks ``c_blocks``,
-    right-hand side ``b`` and constraint operator ``op``, all doubled by the
-    embedding; the solution is reported on the complex side."""
+def _solve_embedded(objective, rhs, op, tol: float) -> SdpSolution:
+    """The IPM on the real embedding of the complex objective operators
+    ``objective`` and right-hand side ``rhs``; ``op`` applies the constraints
+    to embedded blocks.  The solution is reported on the complex side."""
     if not (1e-10 <= tol <= 1e-2):
         raise ValueError(f"tol must lie in [1e-10, 1e-2], got {tol}")
+    c_blocks = [complex_to_real_embedding(c.matrix) for c in objective]
+    # the rhs doubles with the traces of the embedding
+    b = 2.0 * rhs
 
     # Embedded quantities are twice the complex-side ones, so target 2*tol.
     y_blocks, y_dual, status, iterations = _solve_real(c_blocks, op, b, 2 * tol)
@@ -410,9 +408,7 @@ class _CouplingOperator:
     A-side row is Re Tr[F_i M_A] with M_A = Tr_B[(I (x) red_b) Z], and a
     B-side row is Re Tr[G_i M_B] with M_B = Tr_A[(red_a (x) I) Z].  A^T y is
     E((sum_i y_i F_i) (x) red_b + red_a (x) (sum_i y_i G_i)) for every block.
-    Both maps cost O(ra^2 rb^2).  The bases are orthonormal and every G_i is
-    orthogonal to red_b, so the restorer Gram is diagonal: 2k Tr[red_b^2]
-    on the A rows and 2k Tr[red_a^2] on the B rows.
+    Both maps cost O(ra^2 rb^2).
     """
 
     def __init__(self, problem: CouplingProblem):
@@ -427,8 +423,8 @@ class _CouplingOperator:
         self._rows_b = problem.basis_b.transpose(0, 2, 1).reshape(rb * rb - 1, rb * rb)
         # for the Schur complement: the flattened embedded bases and the
         # embedded marginal factors P = E(I (x) red_b) and Q = E(red_a (x) I)
-        self._emb_a = _embed(problem.basis_a).reshape(ra * ra, 4 * ra * ra)
-        self._emb_b = _embed(problem.basis_b).reshape(rb * rb - 1, 4 * rb * rb)
+        self._emb_a = complex_to_real_embedding(problem.basis_a).reshape(ra * ra, 4 * ra * ra)
+        self._emb_b = complex_to_real_embedding(problem.basis_b).reshape(rb * rb - 1, 4 * rb * rb)
         self._p = complex_to_real_embedding(np.kron(np.eye(ra), self._red_b))
         self._q = complex_to_real_embedding(np.kron(self._red_a, np.eye(rb)))
 
@@ -454,7 +450,7 @@ class _CouplingOperator:
         # pot_a (x) red_b + red_a (x) pot_b, broadcast on (a, b, a', b')
         h = pot_a * self._red_b[None, :, None, :] + self._red_a[:, None, :, None] * pot_b
         # one array for every block: callers only read A^T y
-        return [_embed(h.reshape(n, n))] * self._k
+        return [complex_to_real_embedding(h.reshape(n, n))] * self._k
 
     def schur(self, xs, sinvs) -> np.ndarray:
         """The Schur complement M[i, k] = sum_j Tr[A_ij X_j A_kj Sinv_j] of a
@@ -484,15 +480,6 @@ class _CouplingOperator:
         mat[ma:, :ma] = mat[:ma, ma:].T
         mat[ma:, ma:] = emb_b @ contraction(q, q, _B_SIDE, _B_SIDE) @ emb_b.T
         return _sym(mat)
-
-    def gram_solver(self):
-        """Solve with the closed-form diagonal Gram; its condition number is
-        at most max(ra, rb)."""
-        ma, mb = self._basis_a.shape[0], self._basis_b.shape[0]
-        purity_a = float(np.vdot(self._red_a, self._red_a).real)
-        purity_b = float(np.vdot(self._red_b, self._red_b).real)
-        diag = 2.0 * self._k * np.concatenate([np.full(ma, purity_b), np.full(mb, purity_a)])
-        return lambda r: r / diag
 
 
 # Axes of a block reshaped to (s, a, b, s', a', b'), s the real/imaginary
@@ -556,36 +543,12 @@ def _chol_solve_refined(mat: np.ndarray, factor: np.ndarray, rhs: np.ndarray) ->
     return sol
 
 
-def _make_restorer(op, b):
-    """Damped least-squares projection onto the affine constraints.
-
-    Keeps the primal residual at machine precision so late iterations never
-    fight an ill-conditioned Schur system over feasibility.
-    """
-    gram_solve = op.gram_solver()
-
-    def restore(xs):
-        for _ in range(3):
-            rp = b - op.apply_a(xs)
-            if float(np.max(np.abs(rp))) <= 1e-13 * (1.0 + float(np.max(np.abs(b)))):
-                break
-            corrs = op.apply_at(gram_solve(rp))
-            theta = min(1.0, 0.99 * min(_max_step(x, c) for x, c in zip(xs, corrs)))
-            if theta <= 1e-8:
-                break
-            xs = [_sym(x + theta * c) for x, c in zip(xs, corrs)]
-        return xs
-
-    return restore
-
-
 def _solve_real(c_blocks, op, b, eps):
     """Infeasible-start Mehrotra predictor-corrector with HKM search direction,
     to gap and residuals of at most ``eps``.
 
-    ``op`` is the problem's constraint operator: it applies A and A^T,
-    assembles the Schur complement and solves with the restorer's Gram
-    matrix.
+    ``op`` is the problem's constraint operator: it applies A and A^T and
+    assembles the Schur complement.  Each step ends with the Mehrotra update.
     """
     dims = [c.shape[0] for c in c_blocks]
     n_total = sum(dims)
@@ -595,7 +558,6 @@ def _solve_real(c_blocks, op, b, eps):
     xs = [scale_p * np.eye(n) for n in dims]
     ss = [scale_d * np.eye(n) for n in dims]
     y = np.zeros(len(b))
-    restore = _make_restorer(op, b)
 
     status = STATUS_MAX_ITERATIONS
     best_score = np.inf
@@ -629,7 +591,7 @@ def _solve_real(c_blocks, op, b, eps):
             break
 
         try:
-            xs, ss, y = _ipm_step(op, b, xs, ss, y, rds, mu, n_total, restore)
+            xs, ss, y = _ipm_step(op, b, xs, ss, y, rds, mu, n_total)
         except np.linalg.LinAlgError:
             # numerical breakdown at extreme conditioning; report the last
             # consistent iterate instead of crashing
@@ -638,7 +600,7 @@ def _solve_real(c_blocks, op, b, eps):
     return xs, y, status, it
 
 
-def _ipm_step(op, b, xs, ss, y, rds, mu, n_total, restore):
+def _ipm_step(op, b, xs, ss, y, rds, mu, n_total):
     sinvs = [_cho_solve(_cholesky(s), np.eye(s.shape[0])) for s in ss]
     schur = op.schur(xs, sinvs)
     # one factorization serves the predictor and the corrector
@@ -677,4 +639,4 @@ def _ipm_step(op, b, xs, ss, y, rds, mu, n_total, restore):
     xs = [_sym(x + ap * dx) for x, dx in zip(xs, dxs)]
     ss = [_sym(s + ad * ds) for s, ds in zip(ss, dss)]
     y = y + ad * dy
-    return restore(xs), ss, y
+    return xs, ss, y

@@ -153,8 +153,6 @@ def dual_value(rho: DensityMatrix, sigma: DensityMatrix, witness: DualWitness) -
     d = _require_same_dim(rho, sigma)
     if witness.dim != d:
         raise DimensionMismatchError(f"witness dim {witness.dim} does not match states ({d})")
-    if witness.feasibility_margin < -WITNESS_FEASIBILITY_TOL:
-        raise ValueError(f"witness is infeasible: margin {witness.feasibility_margin:.3e}")
     return float(
         np.trace(witness.potential_a.matrix @ rho.matrix).real
         + np.trace(witness.potential_b.matrix @ sigma.matrix).real

@@ -10,7 +10,7 @@ import pytest
 
 import qot
 from qot import quantum, transport
-from qot.cli import main
+from qot.cli import _build_parser, main
 from qot.quantum import random_density_matrix
 from qot.serialize import read_report, write_matrix
 
@@ -119,6 +119,13 @@ class TestVerifyCounterexampleCommand:
         monkeypatch.setattr(cli, "violation_report", broken)
         assert main(["verify-counterexample", "--dim", "4"]) == 3
         assert "chain failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["transport", "a", "b"], ["stabilized", "a", "b"], ["verify-counterexample", "--dim", "4"]]
+)
+def test_tol_defaults_to_the_library_default(argv):
+    assert _build_parser().parse_args(argv).tol == transport.DEFAULT_TOL
 
 
 class TestSolverFailureExitCode:

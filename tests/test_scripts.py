@@ -21,9 +21,25 @@ def _script_main(name):
 
 def test_reproduce_violation_prints_the_chain(capsys):
     assert _script_main("reproduce_violation")(["--dims", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "d = 4" in out
-    assert "  chain: " in out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["dimension:", "4"]
+    assert lines[-1].startswith("chain: stabilized ")
+
+
+def test_reproduce_violation_returns_the_first_failing_exit_code(monkeypatch, capsys):
+    from qot import cli
+    from qot.counterexample import ChainCheckError
+
+    def fails(dim, tol):
+        if dim == 5:
+            raise ChainCheckError("forced by test")
+        raise ValueError("forced by test")
+
+    monkeypatch.setattr(cli, "violation_report", fails)
+    reproduce = _script_main("reproduce_violation")
+    assert reproduce(["--dims", "5", "3"]) == cli.EXIT_CHAIN
+    assert reproduce(["--dims", "3", "5"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.count("forced by test") == 4
 
 
 def test_search_new_witnesses_finds_no_qubit_witness(capsys):
@@ -56,3 +72,12 @@ def test_op_fingerprints_prints_one_repeatable_line_per_seed():
     assert runs[0].stdout == runs[1].stdout
     (line,) = runs[0].stdout.splitlines()
     assert line.startswith("small-pairs seed=1 cycles=1 certified=6 failed=0 error=0 digest=")
+
+
+def test_op_fingerprints_boundary_cycle_keeps_its_status_counts():
+    """The rank-deficient and near-singular ops of one boundary cycle: 25
+    certify and 4 fail (ROADMAP item 1) at one BLAS thread."""
+    script = str(SCRIPTS / "op_fingerprints.py")
+    cmd = [sys.executable, script, "--workload", "boundary", "--seeds", "1", "--cycles", "1"]
+    run = subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=120)
+    assert " certified=25 failed=4 error=0 " in run.stdout

@@ -103,8 +103,8 @@ def schur_complement(a_blocks, xs, sinvs) -> np.ndarray:
 
 
 class DenseOperator:
-    """Constraint maps, Schur complement and restorer Gram through the dense
-    real stacks; the interface of ``sdp._CouplingOperator``."""
+    """Constraint maps and Schur complement through the dense real stacks;
+    the interface of ``sdp._CouplingOperator``."""
 
     def __init__(self, stacks):
         self.stacks = stacks
@@ -122,18 +122,11 @@ class DenseOperator:
     def schur(self, xs, sinvs) -> np.ndarray:
         return schur_complement(self.stacks, xs, sinvs)
 
-    def gram_solver(self):
-        m = self.stacks[0].shape[0]
-        gram = sum(a.reshape(m, -1) @ a.reshape(m, -1).T for a in self.stacks)
-        factor = scipy.linalg.cho_factor(gram, lower=True)
-        return lambda r: scipy.linalg.cho_solve(factor, r)
-
 
 def dense_solve(problem: SdpProblem, tol: float) -> sdp.SdpSolution:
     """The library's interior-point core on a hand-built problem."""
-    c_blocks = [complex_to_real_embedding(c.matrix) for c in problem.objective]
-    b = 2.0 * np.array([rhs for _, rhs in problem.constraints])
-    return sdp._solve_embedded(c_blocks, b, DenseOperator(constraint_stacks(problem)), tol)
+    rhs = np.array([value for _, value in problem.constraints])
+    return sdp._solve_embedded(problem.objective, rhs, DenseOperator(constraint_stacks(problem)), tol)
 
 
 def pin_problem(target):
@@ -183,6 +176,14 @@ class TestEmbedding:
         h = (g + g.conj().T) / 2
         emb = np.linalg.eigvalsh(complex_to_real_embedding(h))
         assert np.allclose(emb, np.repeat(np.linalg.eigvalsh(h), 2), atol=1e-12)
+
+    def test_stack_embeds_matrix_by_matrix(self):
+        rng = np.random.default_rng(8)
+        stack = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        out = complex_to_real_embedding(stack)
+        assert out.shape == (3, 4, 4)
+        for got, h in zip(out, stack, strict=True):
+            assert np.array_equal(got, complex_to_real_embedding(h))
 
 
 class TestSolveBasics:
@@ -388,19 +389,6 @@ class TestCouplingStructure:
         y = np.random.default_rng(k).normal(size=problem.n_constraints)
         for got, want in zip(structured.apply_at(y), dense.apply_at(y), strict=True):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("ra, rb, k", SHAPES)
-    def test_closed_form_gram_matches_dense(self, ra, rb, k):
-        problem = _random_coupling_problem(ra, rb, k)
-        stacks = constraint_stacks(problem)
-        m = problem.n_constraints
-        gram = sum(a.reshape(m, -1) @ a.reshape(m, -1).T for a in stacks)
-        solve_closed = sdp._CouplingOperator(problem).gram_solver()
-        inverse = np.column_stack([solve_closed(e) for e in np.eye(m)])
-        assert np.max(np.abs(inverse @ gram - np.eye(m))) <= 1e-13
-        r = np.random.default_rng(m).normal(size=m)
-        solve_dense = DenseOperator(stacks).gram_solver()
-        assert np.max(np.abs(solve_closed(r) - solve_dense(r))) <= 1e-12 * np.max(np.abs(solve_dense(r)))
 
     def test_couplings_never_build_the_stack(self, monkeypatch):
         """No library solve reads the explicit constraint list."""

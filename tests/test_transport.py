@@ -59,8 +59,8 @@ class TestTransportCost:
         sigma = random_density_matrix(d, 60 + d)
         res = transport_cost(rho, sigma)
         tau = res.coupling.matrix
-        assert np.max(np.abs(partial_trace(tau, (d, d), (0,)) - rho.matrix)) <= 1e-7
-        assert np.max(np.abs(partial_trace(tau, (d, d), (1,)) - sigma.matrix)) <= 1e-7
+        assert np.max(np.abs(partial_trace(tau, (d, d), (0,)) - rho.matrix)) <= transport.DEFAULT_TOL
+        assert np.max(np.abs(partial_trace(tau, (d, d), (1,)) - sigma.matrix)) <= transport.DEFAULT_TOL
         assert 0 <= res.value <= 1 + 1e-9
         assert res.gap <= 1e-8
 
@@ -281,8 +281,8 @@ class TestStabilizedCost:
         sigma = random_density_matrix(d, 111) if rank == d else rank_deficient(d, rank, 113)
         res = stabilized_cost(rho, sigma)
         total = res.sym_block.matrix + res.asym_block.matrix
-        assert np.max(np.abs(partial_trace(total, (d, d), (0,)) - rho.matrix)) <= 1e-7
-        assert np.max(np.abs(partial_trace(total, (d, d), (1,)) - sigma.matrix)) <= 1e-7
+        assert np.max(np.abs(partial_trace(total, (d, d), (0,)) - rho.matrix)) <= transport.DEFAULT_TOL
+        assert np.max(np.abs(partial_trace(total, (d, d), (1,)) - sigma.matrix)) <= transport.DEFAULT_TOL
         assert np.linalg.eigvalsh(res.sym_block.matrix)[0] >= -1e-9
         assert np.linalg.eigvalsh(res.asym_block.matrix)[0] >= -1e-9
 
