@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import sdp
 from .quantum import (
@@ -201,11 +200,14 @@ def embed_witness(base: DualWitness, k: int, alpha: float | None = None) -> Dual
         half = np.eye(base.dim) / 2
         mirror = np.block([[pot_a - half, half], [half, pot_b - half]])
         alpha = 2 * max(0.0, float(np.linalg.eigvalsh(mirror)[-1]))
-    pad = -float(alpha) * np.eye(k)
-    return DualWitness(
-        HermitianOperator(scipy.linalg.block_diag(pot_a, pad)),
-        HermitianOperator(scipy.linalg.block_diag(pot_b, pad)),
-    )
+    n, pad = base.dim, -float(alpha) * np.eye(k)
+
+    def padded(pot: np.ndarray) -> HermitianOperator:
+        out = np.zeros((n + k, n + k), dtype=complex)
+        out[:n, :n], out[n:, n:] = pot, pad
+        return HermitianOperator(out)
+
+    return DualWitness(padded(pot_a), padded(pot_b))
 
 
 def extract_violating_state(witness: DualWitness) -> PureState:

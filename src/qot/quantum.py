@@ -18,7 +18,8 @@ from functools import reduce
 from math import isqrt
 
 import numpy as np
-import scipy.linalg
+
+from . import _lapack
 
 __all__ = [
     "DimensionMismatchError",
@@ -301,9 +302,16 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
 
 
 def max_eig(h) -> tuple[float, PureState]:
-    """Largest eigenvalue of a Hermitian operator and a unit eigenvector."""
+    """Largest eigenvalue of a Hermitian operator and a unit eigenvector.
+
+    One zheevr call with the arguments and workspace ``scipy.linalg.eigh``
+    passes, so both are the ones ``eigh`` returns, bit for bit.
+    """
     m = h.matrix if isinstance(h, HermitianOperator) else HermitianOperator(h).matrix
-    vals, vecs = scipy.linalg.eigh(m)
+    lwork, lrwork, liwork = _lapack.workspace(_lapack.zheevr_lwork, m.shape[0], lower=1)
+    vals, vecs, _, _, info = _lapack.zheevr(m, compute_v=1, lower=1, lwork=lwork, lrwork=lrwork, liwork=liwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zheevr failed with info {info}")
     return float(vals[-1]), PureState(vecs[:, -1])
 
 

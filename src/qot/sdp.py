@@ -20,12 +20,19 @@ solver is deterministic: identical problems and tolerances take
 identical iteration paths.
 
 Each iteration factors the Schur complement once and uses that factor for
-both the predictor and the corrector solve.  The hot loop calls LAPACK
-through handles fetched once: potrf and potrs for S^-1 and the Schur solves,
-sygvx for the step lengths.  Embedded blocks mostly have a few dozen rows,
-where scipy's wrappers cost more than the routines.  The calls pass what
-``cho_factor``, ``cho_solve`` and ``eigh`` passed, so every result is the
-same bit for bit, and non-finite input still raises ValueError.
+both the predictor and the corrector solve.  Each S and each X is factored
+once per iteration too: the factor of S gives S^-1, and both factors serve
+the predictor's and the corrector's step lengths.  The hot loop calls LAPACK
+directly: potrf and potrs for S^-1 and the Schur solves, sygst and syevx on
+those factors for the step lengths (sygvx, which factors first, where no
+factor exists).  Embedded blocks mostly have a few dozen rows, where scipy's
+wrappers cost more than the routines.  The handles come from scipy's
+compiled LAPACK extension, loaded by the ``_lapack`` module without the
+``scipy.linalg`` package, whose import took most of a fresh process's
+start-up.  The calls pass what ``cho_factor``, ``cho_solve`` and ``eigh``
+passed, and sygst and syevx are the calls sygvx makes after its own potrf,
+so every result is the same bit for bit, and non-finite input still raises
+ValueError.
 
 The problem is stated in coordinates scaled by the marginals, so that
 near-singular marginals keep every iterate well conditioned.  The solver
@@ -44,8 +51,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
-
+from . import _lapack
 from .quantum import DimensionMismatchError, HermitianOperator, hermitian_basis
 
 __all__ = [
@@ -327,12 +333,10 @@ def _sym(x: np.ndarray) -> np.ndarray:
     return (x + x.T) / 2
 
 
-# LAPACK handles for the hot loop, fetched once: at the block sizes of most
-# solves, scipy's wrappers around these routines cost more than the routines.
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+# sygvx and its workspace query by field: hegvx serves complex pencils.
 _GVX = {
-    False: get_lapack_funcs(("sygvx", "sygvx_lwork"), dtype=np.float64),
-    True: get_lapack_funcs(("hegvx", "hegvx_lwork"), dtype=np.complex128),
+    False: (_lapack.dsygvx, _lapack.dsygvx_lwork),
+    True: (_lapack.zhegvx, _lapack.zhegvx_lwork),
 }
 
 
@@ -343,17 +347,19 @@ def _require_finite(*arrays) -> None:
             raise ValueError("array must not contain infs or NaNs")
 
 
-def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
+def _max_step(x: np.ndarray, dx: np.ndarray, factor: np.ndarray | None = None) -> float:
     """Largest alpha with x + alpha*dx still PSD, for (near-)PD x.
 
     That is -1/lam for lam the smallest eigenvalue of the pencil (dx, x),
     found by one call of the cached LAPACK handle sygvx (hegvx for complex
     pencils), the routine and arguments ``scipy.linalg.eigh`` would pass.
-    When x is not numerically PD, lam is taken on the first shifted copy
-    x + shift*I that is PD.
+    A caller holding ``factor``, the ``_cholesky`` factor of a real x, skips
+    the factorization inside sygvx and gets the same lam.  When x is not
+    numerically PD, lam is taken on the first shifted copy x + shift*I that
+    is PD.
     """
     try:
-        lam = _pencil_min(dx, x)
+        lam = _pencil_min(dx, x) if factor is None else _factored_pencil_min(dx, factor)
     except np.linalg.LinAlgError:
         lam = _shifted_pencil_min(x, dx)
     if lam >= -1e-14:
@@ -376,13 +382,29 @@ def _pencil_min(dx: np.ndarray, x: np.ndarray) -> float:
     return float(w[0])
 
 
+def _factored_pencil_min(dx: np.ndarray, factor: np.ndarray) -> float:
+    """``_pencil_min(dx, x)`` for real x with lower Cholesky factor ``factor``,
+    bit for bit.
+
+    sygvx factors x by potrf, reduces the pencil to a standard problem by
+    sygst, and takes the eigenvalue from syevx; these are its last two
+    calls, with its arguments and workspace.
+    """
+    _require_finite(dx)
+    c, info = _lapack.dsygst(dx, factor, itype=1, lower=1)
+    if info == 0:
+        lwork = _gvx_lwork(False, dx.shape[0])
+        w, _, _, _, info = _lapack.dsyevx(c, compute_v=0, range="I", lower=1, il=1, iu=1, lwork=lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsygst/dsyevx failed with info {info}")
+    return float(w[0])
+
+
 @lru_cache(maxsize=None)
 def _gvx_lwork(cplx: bool, n: int) -> int:
     """The workspace size LAPACK asks for, queried as ``scipy.linalg.eigh`` does."""
-    work, info = _GVX[cplx][1](n, uplo="L")
-    if info != 0:
-        raise ValueError(f"workspace query failed with info {info}")
-    return int(work.real)
+    (lwork,) = _lapack.workspace(_GVX[cplx][1], n, uplo="L")
+    return lwork
 
 
 def _shifted_pencil_min(x: np.ndarray, dx: np.ndarray) -> float:
@@ -509,15 +531,23 @@ def _cholesky(mat: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor (upper triangle left as is); LinAlgError unless
     ``mat`` is numerically PD."""
     _require_finite(mat)
-    factor, info = _POTRF(mat, lower=True, clean=False)
+    factor, info = _lapack.dpotrf(mat, lower=True, clean=False)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotrf failed with info {info}")
     return factor
 
 
+def _factor_or_none(mat: np.ndarray) -> np.ndarray | None:
+    """``_cholesky(mat)``, or None when ``mat`` is not numerically PD."""
+    try:
+        return _cholesky(mat)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     _require_finite(rhs)
-    sol, info = _POTRS(factor, rhs, lower=True)
+    sol, info = _lapack.dpotrs(factor, rhs, lower=True)
     if info != 0:
         raise ValueError(f"dpotrs failed with info {info}")
     return sol
@@ -601,15 +631,20 @@ def _solve_real(c_blocks, op, b, eps):
 
 
 def _ipm_step(op, b, xs, ss, y, rds, mu, n_total):
-    sinvs = [_cho_solve(_cholesky(s), np.eye(s.shape[0])) for s in ss]
+    # one Cholesky factor per block serves S^-1 and both step lengths on S,
+    # and one serves both step lengths on X (None: the shifted retry runs)
+    s_factors = [_cholesky(s) for s in ss]
+    sinvs = [_cho_solve(f, np.eye(f.shape[0])) for f in s_factors]
+    x_factors = [_factor_or_none(x) for x in xs]
     schur = op.schur(xs, sinvs)
     # one factorization serves the predictor and the corrector
     schur_factor = _schur_factor(schur)
+    xrds = [x @ rd @ sinv for x, rd, sinv in zip(xs, rds, sinvs)]
 
     def direction(sigma_mu, corr_blocks):
         extras = [
-            x @ rd @ sinv - sigma_mu * sinv + corr @ sinv
-            for x, rd, sinv, corr in zip(xs, rds, sinvs, corr_blocks)
+            xrd - sigma_mu * sinv + corr @ sinv
+            for xrd, sinv, corr in zip(xrds, sinvs, corr_blocks)
         ]
         rhs = b + op.apply_a(extras)
         dy = _chol_solve_refined(schur, schur_factor, rhs)
@@ -621,10 +656,13 @@ def _ipm_step(op, b, xs, ss, y, rds, mu, n_total):
         ]
         return dxs, dy, dss
 
+    def step_length(blocks, factors, directions):
+        return min(_max_step(m, dm, f) for m, dm, f in zip(blocks, directions, factors))
+
     zeros = [np.zeros_like(x) for x in xs]
     dxs_aff, _, dss_aff = direction(0.0, zeros)
-    ap_aff = min(1.0, min(_max_step(x, dx) for x, dx in zip(xs, dxs_aff)))
-    ad_aff = min(1.0, min(_max_step(s, ds) for s, ds in zip(ss, dss_aff)))
+    ap_aff = min(1.0, step_length(xs, x_factors, dxs_aff))
+    ad_aff = min(1.0, step_length(ss, s_factors, dss_aff))
     mu_aff = sum(
         np.vdot(x + ap_aff * dx, s + ad_aff * ds)
         for x, dx, s, ds in zip(xs, dxs_aff, ss, dss_aff)
@@ -634,8 +672,8 @@ def _ipm_step(op, b, xs, ss, y, rds, mu, n_total):
     corrs = [dx @ ds for dx, ds in zip(dxs_aff, dss_aff)]
     dxs, dy, dss = direction(sigma * mu, corrs)
 
-    ap = min(1.0, _STEP_FRACTION * min(_max_step(x, dx) for x, dx in zip(xs, dxs)))
-    ad = min(1.0, _STEP_FRACTION * min(_max_step(s, ds) for s, ds in zip(ss, dss)))
+    ap = min(1.0, _STEP_FRACTION * step_length(xs, x_factors, dxs))
+    ad = min(1.0, _STEP_FRACTION * step_length(ss, s_factors, dss))
     xs = [_sym(x + ap * dx) for x, dx in zip(xs, dxs)]
     ss = [_sym(s + ad * ds) for s, ds in zip(ss, dss)]
     y = y + ad * dy

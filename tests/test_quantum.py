@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -317,6 +318,17 @@ class TestMaxEig:
         h = HermitianOperator((g + g.conj().T) / 2)
         value, state = max_eig(h)
         assert np.linalg.norm(h.matrix @ state.amplitudes - value * state.amplitudes) <= 1e-10
+
+    @pytest.mark.parametrize("n", [4, 9, 16, 36, 64])
+    def test_is_scipy_eigh_bit_for_bit(self, n):
+        for seed in range(3):
+            rng = np.random.default_rng(100 * n + seed)
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            h = HermitianOperator((g + g.conj().T) / 2)
+            vals, vecs = scipy.linalg.eigh(h.matrix)
+            value, state = max_eig(h)
+            assert value == vals[-1]
+            assert np.array_equal(state.amplitudes, PureState(vecs[:, -1]).amplitudes)
 
 
 class TestHermitianBasis:

@@ -81,3 +81,15 @@ def test_op_fingerprints_boundary_cycle_keeps_its_status_counts():
     cmd = [sys.executable, script, "--workload", "boundary", "--seeds", "1", "--cycles", "1"]
     run = subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=120)
     assert " certified=25 failed=4 error=0 " in run.stdout
+
+
+def test_bench_e2e_times_the_import_row_in_a_pinned_child(tmp_path):
+    out = tmp_path / "e2e.json"
+    cmd = [sys.executable, str(SCRIPTS / "bench_e2e.py"), "--rows", "import", "--runs", "1", "--out", str(out)]
+    subprocess.run(cmd, capture_output=True, check=True, timeout=120)
+    record = json.loads(out.read_text())
+    assert record["environment"]["blas_threads"] == 1
+    (row,) = record["rows"]
+    assert row["name"] == "import" and row["command"] == ["python3", "-c", "import qot.cli"]
+    assert row["wall_s"]["samples"] == [row["wall_s"]["median"]] and row["wall_s"]["median"] > 0
+    assert row["max_rss_mb"]["median"] > 0

@@ -572,6 +572,38 @@ class TestMaxStep:
             sdp._pencil_min(dx, x)
         with pytest.raises(ValueError):
             sdp._max_step(x, dx)
+        if field == "real":
+            with pytest.raises(ValueError):
+                sdp._factored_pencil_min(dx, sdp._cholesky(x))
+
+    @pytest.mark.parametrize("n", [8, 18, 32, 72, 128])
+    def test_factored_pencil_min_is_pencil_min_bit_for_bit(self, n):
+        for seed in range(3):
+            x, dx = self._pencil(n, "real", 10 * n + seed)
+            factor = sdp._cholesky(x)
+            assert sdp._factored_pencil_min(dx, factor) == sdp._pencil_min(dx, x)
+            assert sdp._max_step(x, dx, factor) == sdp._max_step(x, dx)
+
+    def test_ipm_steps_take_every_step_length_on_a_shared_factor(self, monkeypatch):
+        """Four step lengths per block and step, none of which factors again."""
+        calls = {"factored": 0, "sygvx": 0, "steps": 0}
+        factored, pencil, ipm_step = sdp._factored_pencil_min, sdp._pencil_min, sdp._ipm_step
+
+        def count(key, fn):
+            def counted(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return counted
+
+        monkeypatch.setattr(sdp, "_factored_pencil_min", count("factored", factored))
+        monkeypatch.setattr(sdp, "_pencil_min", count("sygvx", pencil))
+        monkeypatch.setattr(sdp, "_ipm_step", count("steps", ipm_step))
+        k = 2
+        sol = solve(_random_coupling_problem(2, 3, k), tol=1e-8)
+        assert sol.status == STATUS_OPTIMAL
+        assert calls["steps"] > 0
+        assert calls == {"factored": 4 * k * calls["steps"], "sygvx": 0, "steps": calls["steps"]}
 
     @pytest.mark.parametrize("n", [8, 32, 72])
     @pytest.mark.parametrize("cplx", [False, True])
