@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Time qot end to end, one fresh process per run, and record the result.
 
-Each row is one command, run ``--runs`` times (7 by default) as a fresh
-interpreter with BLAS pinned to one thread.  A row records the wall time
+Each row is one command, run 7 times as a fresh interpreter with BLAS pinned to one thread.  A row records the wall time
 from spawn to exit (median and quartiles, and every sample) and each
 child's peak resident set size (``ru_maxrss``).  Today's rows are cold
 starts:
@@ -105,17 +104,13 @@ def environment(env) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rows", nargs="+", choices=sorted(ROWS), default=list(ROWS))
-    parser.add_argument("--runs", type=int, default=RUNS, help="fresh processes per row")
     parser.add_argument("--out", type=Path, help="write the record here as JSON")
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
 
     env = child_env()
     record = {"environment": environment(env), "rows": []}
-    for name in args.rows:
-        row = measure(name, ROWS[name], args.runs, env)
+    for name, cmd in ROWS.items():
+        row = measure(name, cmd, RUNS, env)
         record["rows"].append(row)
         wall, rss = row["wall_s"], row["max_rss_mb"]
         print(

@@ -7,12 +7,12 @@ or 2 PSD blocks, a coupling problem is built with
 split for k = 2).  Before any timing, the partial-trace map
 ``_CouplingOperator.apply_a`` is checked against 2 Re Tr[A_i X] summed over
 the blocks, with A_i read from the explicit list ``problem.constraints``.
-The step length ``_max_step`` (one sygvx call through a cached LAPACK
-handle) is then timed at each embedded block size 2 d^2 against the same
-sygvx call through the ``scipy.linalg.eigh`` wrapper, and against the
-Cholesky, two triangular solves and eigvalsh that sygvx replaced.  The
-wrapper must give the same step bit for bit, the Cholesky route to a
-relative 1e-12.  The script exits non-zero if a check fails.
+The step length as the solver takes it (a potrf factor, then ``_max_step``
+on it: sygst and syevx through cached LAPACK handles) is then timed at each
+embedded block size 2 d^2 against sygvx through the ``scipy.linalg.eigh``
+wrapper, and against the Cholesky, two triangular solves and eigvalsh that
+sygvx replaced.  The wrapper must give the same step bit for bit, the
+Cholesky route to a relative 1e-12.  The script exits non-zero if a check fails.
 
 BLAS is pinned to one thread, as in ``perfbench/run.py``, and the effective
 count is read back and recorded.  Run from the repository root:
@@ -89,6 +89,11 @@ def step_wrapper(x, dx) -> float:
     return step_from(float(scipy.linalg.eigh(dx, x, eigvals_only=True, subset_by_index=[0, 0])[0]))
 
 
+def step_direct(x, dx) -> float:
+    """The step length as the solver takes it, for PD x."""
+    return sdp._max_step(x, dx, sdp._factor_or_none(x))
+
+
 def spd(rng, n):
     g = rng.normal(size=(n, n))
     return g @ g.T / n + 0.1 * np.eye(n)
@@ -128,9 +133,9 @@ def step_row(d: int) -> dict:
     x = spd(rng, n)
     h = rng.normal(size=(n, n))
     dx = (h + h.T) / 2
-    step = sdp._max_step(x, dx)
+    step = step_direct(x, dx)
     if step != step_wrapper(x, dx):
-        raise SystemExit(f"d={d}: the direct sygvx call and the scipy wrapper give different steps")
+        raise SystemExit(f"d={d}: the direct calls and the scipy wrapper give different steps")
     err = abs(step - step_reference(x, dx)) / step_reference(x, dx)
     if err > STEP_RTOL:
         raise SystemExit(f"d={d}: step lengths differ by {err:.2e} relative")
@@ -140,7 +145,7 @@ def step_row(d: int) -> dict:
         "us_per_call": {
             "cholesky_eigvalsh": per_call_us(lambda: step_reference(x, dx)),
             "sygvx_scipy_wrapper": per_call_us(lambda: step_wrapper(x, dx)),
-            "sygvx_direct": per_call_us(lambda: sdp._max_step(x, dx)),
+            "factored_direct": per_call_us(lambda: step_direct(x, dx)),
         },
         "rel_err": err,
     }
@@ -158,8 +163,8 @@ def main(argv=None) -> int:
     steps = [step_row(d) for d in args.dims]
     record = {
         "what": (
-            "coupling-SDP apply_a checked against the constraint list; step length by a direct sygvx call,"
-            " by sygvx through scipy.linalg.eigh, and by Cholesky"
+            "coupling-SDP apply_a checked against the constraint list; step length by direct potrf, sygst"
+            " and syevx calls, by sygvx through scipy.linalg.eigh, and by Cholesky"
         ),
         "environment": blas.environment(),
         "apply_a_check": checks,

@@ -9,8 +9,8 @@ installed scipy package is loaded directly: ``importlib.util.find_spec``
 locates the package without importing it.  The handles are the very objects
 ``scipy.linalg.lapack.get_lapack_funcs`` returns, so every call gives the
 same result bit for bit.  Where no such file sits beside the package (an
-editable install, say), the extension is imported the usual way, through
-``scipy.linalg``.
+editable install, say), or the file does not load on its own, the extension
+is imported the usual way, through ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -35,30 +35,44 @@ def _extension_path() -> Path | None:
     return None
 
 
+def _load_file(path: Path):
+    """The extension module in ``path``; ImportError or OSError if it does
+    not load."""
+    spec = importlib.util.spec_from_file_location(_MODULE, path)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        # Loading registers the module without its package.  Unregistered,
+        # it leaves a later import of scipy.linalg to load and bind its own
+        # instance, which shares these routines.
+        sys.modules.pop(_MODULE, None)
+    return module
+
+
 def _load_flapack():
-    """scipy's ``_flapack`` module, loaded from its file where one is found."""
+    """scipy's ``_flapack`` module, loaded from its file where that works."""
     loaded = sys.modules.get(_MODULE)
     if loaded is not None:
         return loaded
     path = _extension_path()
-    if path is None:
-        from scipy.linalg import _flapack
+    if path is not None:
+        try:
+            return _load_file(path)
+        except (ImportError, OSError):
+            # The file may need set-up that scipy's own import does first,
+            # such as a library search path for its BLAS.
+            pass
+    from scipy.linalg import _flapack
 
-        return _flapack
-    spec = importlib.util.spec_from_file_location(_MODULE, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    # Loading registered the module without its package.  Unregistered, it
-    # leaves a later import of scipy.linalg to load and bind its own
-    # instance, which shares these routines.
-    sys.modules.pop(_MODULE, None)
-    return module
+    return _flapack
 
 
 _flapack = _load_flapack()
 
-dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
+dpotrf, dpotrs, zpotrf = _flapack.dpotrf, _flapack.dpotrs, _flapack.zpotrf
 dsygst, dsyevx = _flapack.dsygst, _flapack.dsyevx
+zhegst, zheevx = _flapack.zhegst, _flapack.zheevx
 dsygvx, dsygvx_lwork = _flapack.dsygvx, _flapack.dsygvx_lwork
 zhegvx, zhegvx_lwork = _flapack.zhegvx, _flapack.zhegvx_lwork
 zheevr, zheevr_lwork = _flapack.zheevr, _flapack.zheevr_lwork

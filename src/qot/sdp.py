@@ -24,9 +24,9 @@ both the predictor and the corrector solve.  Each S and each X is factored
 once per iteration too: the factor of S gives S^-1, and both factors serve
 the predictor's and the corrector's step lengths.  The hot loop calls LAPACK
 directly: potrf and potrs for S^-1 and the Schur solves, sygst and syevx on
-those factors for the step lengths (sygvx, which factors first, where no
-factor exists).  Embedded blocks mostly have a few dozen rows, where scipy's
-wrappers cost more than the routines.  The handles come from scipy's
+those factors for the step lengths (sygvx on a shifted copy of an X that is
+not numerically PD and so has no factor).  Embedded blocks mostly have a
+few dozen rows, where scipy's wrappers cost more than the routines.  The handles come from scipy's
 compiled LAPACK extension, loaded by the ``_lapack`` module without the
 ``scipy.linalg`` package, whose import took most of a fresh process's
 start-up.  The calls pass what ``cho_factor``, ``cho_solve`` and ``eigh``
@@ -338,6 +338,11 @@ _GVX = {
     False: (_lapack.dsygvx, _lapack.dsygvx_lwork),
     True: (_lapack.zhegvx, _lapack.zhegvx_lwork),
 }
+# The two calls sygvx (hegvx) makes after factoring, by field.
+_GST_EVX = {
+    False: (_lapack.dsygst, _lapack.dsyevx),
+    True: (_lapack.zhegst, _lapack.zheevx),
+}
 
 
 def _require_finite(*arrays) -> None:
@@ -347,20 +352,22 @@ def _require_finite(*arrays) -> None:
             raise ValueError("array must not contain infs or NaNs")
 
 
-def _max_step(x: np.ndarray, dx: np.ndarray, factor: np.ndarray | None = None) -> float:
-    """Largest alpha with x + alpha*dx still PSD, for (near-)PD x.
+def _max_step(x: np.ndarray, dx: np.ndarray, factor: np.ndarray | None) -> float:
+    """Largest alpha with x + alpha*dx still PSD, for (near-)PD x with
+    ``factor = _factor_or_none(x)``.
 
     That is -1/lam for lam the smallest eigenvalue of the pencil (dx, x),
-    found by one call of the cached LAPACK handle sygvx (hegvx for complex
-    pencils), the routine and arguments ``scipy.linalg.eigh`` would pass.
-    A caller holding ``factor``, the ``_cholesky`` factor of a real x, skips
-    the factorization inside sygvx and gets the same lam.  When x is not
-    numerically PD, lam is taken on the first shifted copy x + shift*I that
-    is PD.
+    taken on the factor by ``_factored_pencil_min``, bit for bit what
+    ``scipy.linalg.eigh`` returns.  When x is not numerically PD (no factor,
+    or a pencil the factored path rejects), lam is taken on the first
+    shifted copy x + shift*I that is PD.
     """
-    try:
-        lam = _pencil_min(dx, x) if factor is None else _factored_pencil_min(dx, factor)
-    except np.linalg.LinAlgError:
+    if factor is not None:
+        try:
+            lam = _factored_pencil_min(dx, factor)
+        except np.linalg.LinAlgError:
+            factor = None
+    if factor is None:
         lam = _shifted_pencil_min(x, dx)
     if lam >= -1e-14:
         return 1e30
@@ -383,20 +390,23 @@ def _pencil_min(dx: np.ndarray, x: np.ndarray) -> float:
 
 
 def _factored_pencil_min(dx: np.ndarray, factor: np.ndarray) -> float:
-    """``_pencil_min(dx, x)`` for real x with lower Cholesky factor ``factor``,
+    """``_pencil_min(dx, x)`` for x with lower Cholesky factor ``factor``,
     bit for bit.
 
     sygvx factors x by potrf, reduces the pencil to a standard problem by
     sygst, and takes the eigenvalue from syevx; these are its last two
-    calls, with its arguments and workspace.
+    calls, with its arguments and workspace (hegvx, hegst and heevx for
+    complex pencils).
     """
     _require_finite(dx)
-    c, info = _lapack.dsygst(dx, factor, itype=1, lower=1)
+    cplx = np.iscomplexobj(dx) or np.iscomplexobj(factor)
+    gst, evx = _GST_EVX[cplx]
+    c, info = gst(dx, factor, itype=1, lower=1)
     if info == 0:
-        lwork = _gvx_lwork(False, dx.shape[0])
-        w, _, _, _, info = _lapack.dsyevx(c, compute_v=0, range="I", lower=1, il=1, iu=1, lwork=lwork)
+        lwork = _gvx_lwork(cplx, dx.shape[0])
+        w, _, _, _, info = evx(c, compute_v=0, range="I", lower=1, il=1, iu=1, lwork=lwork)
     if info != 0:
-        raise np.linalg.LinAlgError(f"dsygst/dsyevx failed with info {info}")
+        raise np.linalg.LinAlgError(f"{gst.__name__}/{evx.__name__} failed with info {info}")
     return float(w[0])
 
 
@@ -531,7 +541,8 @@ def _cholesky(mat: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor (upper triangle left as is); LinAlgError unless
     ``mat`` is numerically PD."""
     _require_finite(mat)
-    factor, info = _lapack.dpotrf(mat, lower=True, clean=False)
+    potrf = _lapack.zpotrf if np.iscomplexobj(mat) else _lapack.dpotrf
+    factor, info = potrf(mat, lower=True, clean=False)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotrf failed with info {info}")
     return factor
@@ -632,7 +643,8 @@ def _solve_real(c_blocks, op, b, eps):
 
 def _ipm_step(op, b, xs, ss, y, rds, mu, n_total):
     # one Cholesky factor per block serves S^-1 and both step lengths on S,
-    # and one serves both step lengths on X (None: the shifted retry runs)
+    # and one serves both step lengths on X (None: that X is not numerically
+    # PD, and its step lengths take the shifted retry)
     s_factors = [_cholesky(s) for s in ss]
     sinvs = [_cho_solve(f, np.eye(f.shape[0])) for f in s_factors]
     x_factors = [_factor_or_none(x) for x in xs]

@@ -1,12 +1,14 @@
 """qot's LAPACK bindings: loaded without the scipy.linalg package, and the
 same routines, bit for bit, as scipy.linalg hands out."""
 
+import importlib.machinery
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.linalg
 import scipy.linalg.lapack
 
@@ -78,27 +80,53 @@ def test_handles_are_the_ones_get_lapack_funcs_returns():
             assert getattr(_lapack, handle.typecode + name) is handle
 
 
-def _results(flapack):
-    """A few outputs of the bound routines, to compare two loads of the module."""
-    rng = np.random.default_rng(7)
-    g = rng.normal(size=(9, 9))
-    x = g @ g.T + np.eye(9)
-    h = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    h = (h + h.conj().T) / 2
-    factor, _ = flapack.dpotrf(x, lower=1, clean=0)
-    (lwork,) = _lapack.workspace(flapack.dsygvx_lwork, 9, uplo="L")
-    w, *_ = flapack.dsygvx(x.T @ x, x, uplo="L", jobz="N", range="I", il=1, iu=1, lwork=lwork)
-    lw, lrw, liw = _lapack.workspace(flapack.zheevr_lwork, 9, lower=1)
-    vals, vecs, *_ = flapack.zheevr(h, compute_v=1, lower=1, lwork=lw, lrwork=lrw, liwork=liw)
-    return [factor, w, vals, vecs]
+# Runs in a fresh interpreter, with the extension loaded from its file or,
+# when argv[1] is "fallback", through scipy.linalg because no file is found:
+# the two loads must give the same bits.
+_LOAD_AND_SOLVE = """
+import hashlib, importlib.machinery, sys
+fallback = sys.argv[1] == "fallback"
+if fallback:
+    # a lookup that matches no extension file; imports keep their own suffixes
+    importlib.machinery.EXTENSION_SUFFIXES = []
+from qot import _lapack, max_eig, random_density_matrix, transport_cost
+assert (_lapack._extension_path() is None) == fallback
+assert ("scipy.linalg" in sys.modules) == fallback
+rho, sigma = random_density_matrix(3, 3), random_density_matrix(3, 4)
+result = transport_cost(rho, sigma)
+value, state = max_eig(rho.matrix - sigma.matrix)
+digest = hashlib.sha256()
+for a in (result.dual_witness.potential_a.matrix, result.dual_witness.potential_b.matrix, state.amplitudes):
+    digest.update(a.tobytes())
+print(float(result.value).hex(), float(value).hex(), digest.hexdigest())
+"""
 
 
-def test_fallback_import_gives_the_same_results(monkeypatch):
+def _load_and_solve(route):
+    run = subprocess.run(
+        [sys.executable, "-c", _LOAD_AND_SOLVE, route],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_fallback_import_gives_the_same_results():
     """Without an extension file beside the package the module is imported
-    through scipy.linalg; its routines return the same bits."""
+    through scipy.linalg; a fresh process solving that way gets the same bits."""
+    assert _load_and_solve("fallback") == _load_and_solve("file")
+
+
+def test_a_file_that_does_not_load_falls_back_to_the_package_import(monkeypatch, tmp_path):
+    broken = tmp_path / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    broken.write_bytes(b"not a shared object")
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-    monkeypatch.setattr(_lapack, "_extension_path", lambda: None)
-    fallback = _lapack._load_flapack()
-    assert fallback is scipy.linalg._flapack
-    for got, want in zip(_results(fallback), _results(_lapack)):
-        assert np.array_equal(got, want)
+    with pytest.raises(ImportError):
+        _lapack._load_file(broken)
+    assert "scipy.linalg._flapack" not in sys.modules
+    monkeypatch.setattr(_lapack, "_extension_path", lambda: broken)
+    assert _lapack._load_flapack() is scipy.linalg._flapack

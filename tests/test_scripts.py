@@ -12,11 +12,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
 
-def _script_main(name):
+def _script_module(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.main
+    return module
+
+
+def _script_main(name):
+    return _script_module(name).main
 
 
 def test_reproduce_violation_prints_the_chain(capsys):
@@ -62,7 +66,7 @@ def test_bench_sdp_kernels_checks_and_times_the_requested_dims(tmp_path):
     assert [(row["d"], row["k"]) for row in record["apply_a_check"]] == [(2, 1), (2, 2), (3, 1), (3, 2)]
     assert [row["d"] for row in record["step_length"]] == [2, 3]
     for row in record["step_length"]:
-        assert set(row["us_per_call"]) == {"cholesky_eigvalsh", "sygvx_scipy_wrapper", "sygvx_direct"}
+        assert set(row["us_per_call"]) == {"cholesky_eigvalsh", "sygvx_scipy_wrapper", "factored_direct"}
 
 
 def test_op_fingerprints_prints_one_repeatable_line_per_seed():
@@ -83,13 +87,11 @@ def test_op_fingerprints_boundary_cycle_keeps_its_status_counts():
     assert " certified=25 failed=4 error=0 " in run.stdout
 
 
-def test_bench_e2e_times_the_import_row_in_a_pinned_child(tmp_path):
-    out = tmp_path / "e2e.json"
-    cmd = [sys.executable, str(SCRIPTS / "bench_e2e.py"), "--rows", "import", "--runs", "1", "--out", str(out)]
-    subprocess.run(cmd, capture_output=True, check=True, timeout=120)
-    record = json.loads(out.read_text())
-    assert record["environment"]["blas_threads"] == 1
-    (row,) = record["rows"]
+def test_bench_e2e_times_the_import_row_in_a_pinned_child():
+    bench = _script_module("bench_e2e")
+    env = bench.child_env()
+    assert bench.environment(env)["blas_threads"] == 1
+    row = bench.measure("import", bench.ROWS["import"], 1, env)
     assert row["name"] == "import" and row["command"] == ["python3", "-c", "import qot.cli"]
     assert row["wall_s"]["samples"] == [row["wall_s"]["median"]] and row["wall_s"]["median"] > 0
     assert row["max_rss_mb"]["median"] > 0

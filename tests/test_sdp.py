@@ -530,7 +530,7 @@ class TestMaxStep:
         if kind == "unbounded":
             dx = dx @ dx.conj().T
         want = _max_step_reference(x, dx)
-        got = sdp._max_step(x, dx)
+        got = sdp._max_step(x, dx, sdp._factor_or_none(x))
         # The shifted pencil has a pivot of order sqrt(shift) ~ 1e-7, so any
         # two kernel sequences agree on it only to about 1e-16 / shift.
         assert got == pytest.approx(want, rel=1e-2 if kind == "singular" else 1e-12)
@@ -571,18 +571,35 @@ class TestMaxStep:
         with pytest.raises(ValueError):
             sdp._pencil_min(dx, x)
         with pytest.raises(ValueError):
-            sdp._max_step(x, dx)
-        if field == "real":
-            with pytest.raises(ValueError):
-                sdp._factored_pencil_min(dx, sdp._cholesky(x))
+            sdp._max_step(x, dx, sdp._factor_or_none(x))
+        with pytest.raises(ValueError):
+            sdp._factored_pencil_min(dx, sdp._cholesky(x))
 
     @pytest.mark.parametrize("n", [8, 18, 32, 72, 128])
-    def test_factored_pencil_min_is_pencil_min_bit_for_bit(self, n):
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_factored_pencil_min_is_pencil_min_bit_for_bit(self, n, field):
         for seed in range(3):
-            x, dx = self._pencil(n, "real", 10 * n + seed)
+            x, dx = self._pencil(n, field, 10 * n + seed)
             factor = sdp._cholesky(x)
-            assert sdp._factored_pencil_min(dx, factor) == sdp._pencil_min(dx, x)
-            assert sdp._max_step(x, dx, factor) == sdp._max_step(x, dx)
+            lam = sdp._pencil_min(dx, x)
+            assert sdp._factored_pencil_min(dx, factor) == lam
+            assert sdp._max_step(x, dx, factor) == -1.0 / lam
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_x_without_a_factor_goes_straight_to_the_shifted_pencil(self, monkeypatch, field):
+        """No sygvx on x itself: its potrf already failed in _factor_or_none."""
+        x, dx = self._pencil(8, field, 0)
+        x[:, -1] = x[-1, :] = 0.0
+        assert sdp._factor_or_none(x) is None
+        pencil, seen = sdp._pencil_min, []
+
+        def recorded(dx, x):
+            seen.append(x)
+            return pencil(dx, x)
+
+        monkeypatch.setattr(sdp, "_pencil_min", recorded)
+        sdp._max_step(x, dx, None)
+        assert len(seen) == 1 and not np.array_equal(seen[0], x)
 
     def test_ipm_steps_take_every_step_length_on_a_shared_factor(self, monkeypatch):
         """Four step lengths per block and step, none of which factors again."""
