@@ -7,12 +7,13 @@ or 2 PSD blocks, a coupling problem is built with
 split for k = 2).  Before any timing, the partial-trace map
 ``_CouplingOperator.apply_a`` is checked against 2 Re Tr[A_i X] summed over
 the blocks, with A_i read from the explicit list ``problem.constraints``.
-The step length as the solver takes it (a potrf factor, then ``_max_step``
-on it: sygst and syevx through cached LAPACK handles) is then timed at each
-embedded block size 2 d^2 against sygvx through the ``scipy.linalg.eigh``
-wrapper, and against the Cholesky, two triangular solves and eigvalsh that
-sygvx replaced.  The wrapper must give the same step bit for bit, the
-Cholesky route to a relative 1e-12.  The script exits non-zero if a check fails.
+The step length as the solver takes it (a potrf factor by ``_step_factor``,
+then ``_max_step`` on it: sygst and syevx through cached LAPACK handles) is
+then timed at each embedded block size 2 d^2 against sygvx through the
+``scipy.linalg.eigh`` wrapper, and against the Cholesky, two triangular
+solves and eigvalsh the solver took before it called LAPACK directly.  The
+wrapper must give the same step bit for bit, the Cholesky route to a
+relative 1e-12.  The script exits non-zero if a check fails.
 
 BLAS is pinned to one thread, as in ``perfbench/run.py``, and the effective
 count is read back and recorded.  Run from the repository root:
@@ -77,7 +78,7 @@ def step_from(lam: float) -> float:
 
 
 def step_reference(x, dx) -> float:
-    """The step length as computed before sygvx, for PD x."""
+    """The step length by Cholesky, triangular solves and eigvalsh, for PD x."""
     lo = np.linalg.cholesky(x)
     w = scipy.linalg.solve_triangular(lo, dx, lower=True)
     w = scipy.linalg.solve_triangular(lo, w.T, lower=True)
@@ -91,7 +92,7 @@ def step_wrapper(x, dx) -> float:
 
 def step_direct(x, dx) -> float:
     """The step length as the solver takes it, for PD x."""
-    return sdp._max_step(x, dx, sdp._factor_or_none(x))
+    return sdp._max_step(dx, sdp._step_factor(x))
 
 
 def spd(rng, n):

@@ -70,11 +70,8 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 
-dpotrf, dpotrs, zpotrf = _flapack.dpotrf, _flapack.dpotrs, _flapack.zpotrf
-dsygst, dsyevx = _flapack.dsygst, _flapack.dsyevx
-zhegst, zheevx = _flapack.zhegst, _flapack.zheevx
-dsygvx, dsygvx_lwork = _flapack.dsygvx, _flapack.dsygvx_lwork
-zhegvx, zhegvx_lwork = _flapack.zhegvx, _flapack.zhegvx_lwork
+dpotrf, dpotrs, dsygst = _flapack.dpotrf, _flapack.dpotrs, _flapack.dsygst
+dsyevx, dsyevx_lwork = _flapack.dsyevx, _flapack.dsyevx_lwork
 zheevr, zheevr_lwork = _flapack.zheevr, _flapack.zheevr_lwork
 
 

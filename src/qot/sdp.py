@@ -22,15 +22,16 @@ identical iteration paths.
 Each iteration factors the Schur complement once and uses that factor for
 both the predictor and the corrector solve.  Each S and each X is factored
 once per iteration too: the factor of S gives S^-1, and both factors serve
-the predictor's and the corrector's step lengths.  The hot loop calls LAPACK
-directly: potrf and potrs for S^-1 and the Schur solves, sygst and syevx on
-those factors for the step lengths (sygvx on a shifted copy of an X that is
-not numerically PD and so has no factor).  Embedded blocks mostly have a
-few dozen rows, where scipy's wrappers cost more than the routines.  The handles come from scipy's
-compiled LAPACK extension, loaded by the ``_lapack`` module without the
-``scipy.linalg`` package, whose import took most of a fresh process's
-start-up.  The calls pass what ``cho_factor``, ``cho_solve`` and ``eigh``
-passed, and sygst and syevx are the calls sygvx makes after its own potrf,
+the predictor's and the corrector's step lengths.  An X that is not
+numerically PD is factored shifted, as X + shift*I.  The hot loop calls
+LAPACK directly: potrf and potrs for the factors, S^-1 and the Schur solves,
+then sygst and syevx on the factors for the step lengths.  Embedded blocks
+mostly have a few dozen rows, where scipy's wrappers cost more than the
+routines.  The handles come from scipy's compiled LAPACK extension, loaded
+by the ``_lapack`` module without the ``scipy.linalg`` package, whose import
+took most of a fresh process's start-up.  The calls pass what
+``cho_factor``, ``cho_solve`` and ``eigh`` passed, and sygst and syevx are
+the calls scipy's generalized eigensolver driver makes after its own potrf,
 so every result is the same bit for bit, and non-finite input still raises
 ValueError.
 
@@ -40,9 +41,10 @@ reaches the constraints through one operator that applies them as partial
 traces and Kronecker products in O(ra^2 rb^2), and assembles the Schur
 complement from the Kronecker structure in O(ra^3 rb^3) time and
 O(ra^2 rb^2) extra memory (the constraint-structure trick of Fujisawa,
-Kojima and Nakata 1997).  No dense constraint stack is built.  Intended scale: marginals up to ra*rb of a few
-hundred.  Singular marginals have no strictly feasible coupling; build
-couplings on marginal supports instead (see the transport module).
+Kojima and Nakata 1997).  No dense constraint stack is built.  Intended
+scale: marginals up to ra*rb of a few hundred.  Singular marginals have no
+strictly feasible coupling; build couplings on marginal supports instead
+(see the transport module).
 """
 
 from __future__ import annotations
@@ -333,18 +335,6 @@ def _sym(x: np.ndarray) -> np.ndarray:
     return (x + x.T) / 2
 
 
-# sygvx and its workspace query by field: hegvx serves complex pencils.
-_GVX = {
-    False: (_lapack.dsygvx, _lapack.dsygvx_lwork),
-    True: (_lapack.zhegvx, _lapack.zhegvx_lwork),
-}
-# The two calls sygvx (hegvx) makes after factoring, by field.
-_GST_EVX = {
-    False: (_lapack.dsygst, _lapack.dsyevx),
-    True: (_lapack.zhegst, _lapack.zheevx),
-}
-
-
 def _require_finite(*arrays) -> None:
     """The check the scipy wrappers made before calling LAPACK."""
     for a in arrays:
@@ -352,79 +342,58 @@ def _require_finite(*arrays) -> None:
             raise ValueError("array must not contain infs or NaNs")
 
 
-def _max_step(x: np.ndarray, dx: np.ndarray, factor: np.ndarray | None) -> float:
+def _max_step(dx: np.ndarray, factor: np.ndarray) -> float:
     """Largest alpha with x + alpha*dx still PSD, for (near-)PD x with
-    ``factor = _factor_or_none(x)``.
-
-    That is -1/lam for lam the smallest eigenvalue of the pencil (dx, x),
-    taken on the factor by ``_factored_pencil_min``, bit for bit what
-    ``scipy.linalg.eigh`` returns.  When x is not numerically PD (no factor,
-    or a pencil the factored path rejects), lam is taken on the first
-    shifted copy x + shift*I that is PD.
-    """
-    if factor is not None:
-        try:
-            lam = _factored_pencil_min(dx, factor)
-        except np.linalg.LinAlgError:
-            factor = None
-    if factor is None:
-        lam = _shifted_pencil_min(x, dx)
-    if lam >= -1e-14:
-        return 1e30
-    return -1.0 / lam
+    ``factor = _step_factor(x)``: -1/lam for lam the smallest eigenvalue of
+    the pencil (dx, x), and 1e30 when lam is not negative."""
+    lam = _pencil_min(dx, factor)
+    return 1e30 if lam >= -1e-14 else -1.0 / lam
 
 
-def _pencil_min(dx: np.ndarray, x: np.ndarray) -> float:
-    """Smallest eigenvalue of the pencil (dx, x); LinAlgError unless x is PD.
+def _pencil_min(dx: np.ndarray, factor: np.ndarray) -> float:
+    """Smallest eigenvalue of the pencil (dx, x) for x with lower Cholesky
+    factor ``factor``.
 
     Bit for bit ``scipy.linalg.eigh(dx, x, eigvals_only=True,
-    subset_by_index=[0, 0])[0]``, without the wrapper's argument handling.
-    """
-    _require_finite(dx, x)
-    cplx = np.iscomplexobj(dx) or np.iscomplexobj(x)
-    gvx, lwork = _GVX[cplx][0], _gvx_lwork(cplx, x.shape[0])
-    w, _, _, _, info = gvx(dx, x, uplo="L", jobz="N", range="I", il=1, iu=1, lwork=lwork)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"{gvx.__name__} failed with info {info}")
-    return float(w[0])
-
-
-def _factored_pencil_min(dx: np.ndarray, factor: np.ndarray) -> float:
-    """``_pencil_min(dx, x)`` for x with lower Cholesky factor ``factor``,
-    bit for bit.
-
-    sygvx factors x by potrf, reduces the pencil to a standard problem by
-    sygst, and takes the eigenvalue from syevx; these are its last two
-    calls, with its arguments and workspace (hegvx, hegst and heevx for
-    complex pencils).
+    subset_by_index=[0, 0])[0]``.  That runs sygvx, which factors x by
+    potrf, reduces the pencil to a standard problem by sygst and takes the
+    eigenvalue from syevx; these are its last two calls, with its arguments
+    and workspace.
     """
     _require_finite(dx)
-    cplx = np.iscomplexobj(dx) or np.iscomplexobj(factor)
-    gst, evx = _GST_EVX[cplx]
-    c, info = gst(dx, factor, itype=1, lower=1)
+    c, info = _lapack.dsygst(dx, factor, itype=1, lower=1)
     if info == 0:
-        lwork = _gvx_lwork(cplx, dx.shape[0])
-        w, _, _, _, info = evx(c, compute_v=0, range="I", lower=1, il=1, iu=1, lwork=lwork)
+        lwork = _evx_lwork(dx.shape[0])
+        w, _, _, _, info = _lapack.dsyevx(c, compute_v=0, range="I", lower=1, il=1, iu=1, lwork=lwork)
     if info != 0:
-        raise np.linalg.LinAlgError(f"{gst.__name__}/{evx.__name__} failed with info {info}")
+        raise np.linalg.LinAlgError(f"dsygst/dsyevx failed with info {info}")
     return float(w[0])
 
 
 @lru_cache(maxsize=None)
-def _gvx_lwork(cplx: bool, n: int) -> int:
-    """The workspace size LAPACK asks for, queried as ``scipy.linalg.eigh`` does."""
-    (lwork,) = _lapack.workspace(_GVX[cplx][1], n, uplo="L")
+def _evx_lwork(n: int) -> int:
+    """The workspace size syevx asks for; for n >= 2 it is the size
+    ``scipy.linalg.eigh`` queries for sygvx, which hands it on to syevx."""
+    (lwork,) = _lapack.workspace(_lapack.dsyevx_lwork, n, lower=1)
     return lwork
 
 
-def _shifted_pencil_min(x: np.ndarray, dx: np.ndarray) -> float:
-    """Smallest eigenvalue of the pencil (dx, x + shift*I) for x grazing the
-    cone boundary, retrying on progressively shifted copies."""
+def _step_factor(x: np.ndarray) -> np.ndarray:
+    """``_cholesky(x)``, or, for x grazing the cone boundary and so not
+    numerically PD, that of the first shifted copy x + shift*I that is PD.
+
+    The shift starts at twice |lambda_min(x)| plus a rounding floor and grows
+    tenfold per try, at most 8 tries; LinAlgError after that.
+    """
+    try:
+        return _cholesky(x)
+    except np.linalg.LinAlgError:
+        pass
     n = x.shape[0]
-    shift = 2.0 * abs(float(np.linalg.eigvalsh(x)[0])) + 1e-16 * (1.0 + abs(float(np.trace(x).real)) / n)
+    shift = 2.0 * abs(float(np.linalg.eigvalsh(x)[0])) + 1e-16 * (1.0 + abs(float(np.trace(x))) / n)
     for _ in range(8):
         try:
-            return _pencil_min(dx, x + shift * np.eye(n))
+            return _cholesky(x + shift * np.eye(n))
         except np.linalg.LinAlgError:
             shift *= 10
     raise np.linalg.LinAlgError("step-length matrix is not positive definite after shifting")
@@ -541,19 +510,10 @@ def _cholesky(mat: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor (upper triangle left as is); LinAlgError unless
     ``mat`` is numerically PD."""
     _require_finite(mat)
-    potrf = _lapack.zpotrf if np.iscomplexobj(mat) else _lapack.dpotrf
-    factor, info = potrf(mat, lower=True, clean=False)
+    factor, info = _lapack.dpotrf(mat, lower=True, clean=False)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotrf failed with info {info}")
     return factor
-
-
-def _factor_or_none(mat: np.ndarray) -> np.ndarray | None:
-    """``_cholesky(mat)``, or None when ``mat`` is not numerically PD."""
-    try:
-        return _cholesky(mat)
-    except np.linalg.LinAlgError:
-        return None
 
 
 def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -643,11 +603,10 @@ def _solve_real(c_blocks, op, b, eps):
 
 def _ipm_step(op, b, xs, ss, y, rds, mu, n_total):
     # one Cholesky factor per block serves S^-1 and both step lengths on S,
-    # and one serves both step lengths on X (None: that X is not numerically
-    # PD, and its step lengths take the shifted retry)
+    # and one serves both step lengths on X
     s_factors = [_cholesky(s) for s in ss]
     sinvs = [_cho_solve(f, np.eye(f.shape[0])) for f in s_factors]
-    x_factors = [_factor_or_none(x) for x in xs]
+    x_factors = [_step_factor(x) for x in xs]
     schur = op.schur(xs, sinvs)
     # one factorization serves the predictor and the corrector
     schur_factor = _schur_factor(schur)
@@ -668,13 +627,13 @@ def _ipm_step(op, b, xs, ss, y, rds, mu, n_total):
         ]
         return dxs, dy, dss
 
-    def step_length(blocks, factors, directions):
-        return min(_max_step(m, dm, f) for m, dm, f in zip(blocks, directions, factors))
+    def step_length(factors, directions):
+        return min(_max_step(dm, f) for dm, f in zip(directions, factors))
 
     zeros = [np.zeros_like(x) for x in xs]
     dxs_aff, _, dss_aff = direction(0.0, zeros)
-    ap_aff = min(1.0, step_length(xs, x_factors, dxs_aff))
-    ad_aff = min(1.0, step_length(ss, s_factors, dss_aff))
+    ap_aff = min(1.0, step_length(x_factors, dxs_aff))
+    ad_aff = min(1.0, step_length(s_factors, dss_aff))
     mu_aff = sum(
         np.vdot(x + ap_aff * dx, s + ad_aff * ds)
         for x, dx, s, ds in zip(xs, dxs_aff, ss, dss_aff)
@@ -684,8 +643,8 @@ def _ipm_step(op, b, xs, ss, y, rds, mu, n_total):
     corrs = [dx @ ds for dx, ds in zip(dxs_aff, dss_aff)]
     dxs, dy, dss = direction(sigma * mu, corrs)
 
-    ap = min(1.0, _STEP_FRACTION * step_length(xs, x_factors, dxs))
-    ad = min(1.0, _STEP_FRACTION * step_length(ss, s_factors, dss))
+    ap = min(1.0, _STEP_FRACTION * step_length(x_factors, dxs))
+    ad = min(1.0, _STEP_FRACTION * step_length(s_factors, dss))
     xs = [_sym(x + ap * dx) for x, dx in zip(xs, dxs)]
     ss = [_sym(s + ad * ds) for s, ds in zip(ss, dss)]
     y = y + ad * dy

@@ -3,6 +3,7 @@ same routines, bit for bit, as scipy.linalg hands out."""
 
 import importlib.machinery
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,15 +70,34 @@ def test_extension_is_found_beside_the_scipy_package():
     assert path.name.startswith("_flapack.")
 
 
+def _bound_names():
+    """The LAPACK routines ``_lapack`` binds, as module attribute names."""
+    return sorted(name for name, value in vars(_lapack).items() if type(value) is type(_lapack.dpotrf))
+
+
 def test_handles_are_the_ones_get_lapack_funcs_returns():
     pairs = [
-        (("potrf", "potrs", "sygst", "syevx", "sygvx", "sygvx_lwork"), np.float64),
-        (("hegvx", "hegvx_lwork", "heevr", "heevr_lwork"), np.complex128),
+        (("potrf", "potrs", "sygst", "syevx", "syevx_lwork"), np.float64),
+        (("heevr", "heevr_lwork"), np.complex128),
     ]
+    bound = []
     for names, dtype in pairs:
         handles = scipy.linalg.lapack.get_lapack_funcs(names, dtype=dtype)
         for name, handle in zip(names, handles):
             assert getattr(_lapack, handle.typecode + name) is handle
+            bound.append(handle.typecode + name)
+    assert _bound_names() == sorted(bound)
+
+
+def test_every_bound_routine_is_called_and_only_zheevr_is_complex():
+    """A binding no code reaches is dead weight: each one is named as
+    ``_lapack.<name>`` somewhere in the package."""
+    source = "".join(path.read_text() for path in (ROOT / "src" / "qot").glob("*.py"))
+    names = _bound_names()
+    assert names, "no LAPACK routine found among the module's attributes"
+    for name in names:
+        assert re.search(rf"\b_lapack\.{name}\b", source), f"{name} is bound but never called"
+    assert [name for name in names if name[0] in "cz"] == ["zheevr", "zheevr_lwork"]
 
 
 # Runs in a fresh interpreter, with the extension loaded from its file or,

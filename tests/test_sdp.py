@@ -474,14 +474,19 @@ class TestCouplingStructure:
         assert abs(s1.dual_value - s2.dual_value) <= 2 * tol
 
 
+def _first_shift(x):
+    """The first shift the step length tries on x that is not numerically PD."""
+    n = x.shape[0]
+    return 2.0 * abs(float(np.linalg.eigvalsh(x)[0])) + 1e-16 * (1.0 + abs(float(np.trace(x))) / n)
+
+
 def _max_step_reference(x, dx):
     """The step length by Cholesky, two triangular solves and eigvalsh, with
     the same shifted retry when x is not numerically PD."""
     try:
         lo = np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
-        n = x.shape[0]
-        shift = 2.0 * abs(float(np.linalg.eigvalsh(x)[0])) + 1e-16 * (1.0 + abs(float(np.trace(x).real)) / n)
+        n, shift = x.shape[0], _first_shift(x)
         for _ in range(8):
             try:
                 lo = np.linalg.cholesky(x + shift * np.eye(n))
@@ -489,122 +494,140 @@ def _max_step_reference(x, dx):
             except np.linalg.LinAlgError:
                 shift *= 10
     w = scipy.linalg.solve_triangular(lo, dx, lower=True)
-    w = scipy.linalg.solve_triangular(lo, w.conj().T, lower=True)
-    lam = float(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
+    w = scipy.linalg.solve_triangular(lo, w.T, lower=True)
+    lam = float(np.linalg.eigvalsh((w + w.T) / 2)[0])
     return 1e30 if lam >= -1e-14 else -1.0 / lam
 
 
 class TestMaxStep:
+    # Every solver iterate is real, and so is the step-length kernel.  The
+    # field axis keeps these test IDs stable for a complex iteration, which
+    # would add "complex" here together with its LAPACK bindings.
+    FIELDS = ["real"]
+
     @pytest.mark.parametrize("n", [8, 32, 72])
-    @pytest.mark.parametrize(
-        "kind, field",
-        [(kind, field) for field in ("real", "complex") for kind in ("pd", "singular", "unbounded")],
-        ids=["pd", "singular", "unbounded", "pd-complex", "singular-complex", "unbounded-complex"],
-    )
-    def test_matches_cholesky_formula(self, n, kind, field):
-        """Real symmetric and complex Hermitian pencils; LAPACK picks the
-        complex driver for the latter."""
+    @pytest.mark.parametrize("kind", ["pd", "singular", "grazing", "unbounded"])
+    def test_matches_cholesky_formula(self, n, kind):
         rng = np.random.default_rng(n)
-
-        def draw():
-            g = rng.normal(size=(n, n))
-            return g if field == "real" else g + 1j * rng.normal(size=(n, n))
-
-        g = draw()
-        x = g @ g.conj().T + 0.1 * np.eye(n)
-        h = draw()
-        dx = (h + h.conj().T) / 2
+        g = rng.normal(size=(n, n))
+        x = g @ g.T + 0.1 * np.eye(n)
+        h = rng.normal(size=(n, n))
+        dx = (h + h.T) / 2
         if kind == "singular":
-            if field == "real":
-                # an exactly zero pivot: no Cholesky factor, so the shifted fallback runs
-                x[:, -1] = x[-1, :] = 0.0
-            else:
-                # an eigenvalue of -1e-10, grazing the cone: no Cholesky factor,
-                # and a shift of 2e-10, far above rounding
-                w, v = np.linalg.eigh(x)
-                w[0] = -1e-10
-                x = (v * w) @ v.conj().T
-                x = (x + x.conj().T) / 2
+            # an exactly zero pivot: no Cholesky factor, so x is factored shifted
+            x[:, -1] = x[-1, :] = 0.0
+        if kind == "grazing":
+            # no Cholesky factor, and a shift of 2e-10, far above rounding
+            x = self._graze(x)
+        if kind in ("singular", "grazing"):
             with pytest.raises(np.linalg.LinAlgError):
                 scipy.linalg.eigh(dx, x, eigvals_only=True, subset_by_index=[0, 0])
         if kind == "unbounded":
-            dx = dx @ dx.conj().T
+            dx = dx @ dx.T
         want = _max_step_reference(x, dx)
-        got = sdp._max_step(x, dx, sdp._factor_or_none(x))
+        got = sdp._max_step(dx, sdp._step_factor(x))
         # The shifted pencil has a pivot of order sqrt(shift) ~ 1e-7, so any
         # two kernel sequences agree on it only to about 1e-16 / shift.
-        assert got == pytest.approx(want, rel=1e-2 if kind == "singular" else 1e-12)
+        assert got == pytest.approx(want, rel=1e-2 if kind in ("singular", "grazing") else 1e-12)
         assert (got == 1e30) == (kind == "unbounded")
 
     @staticmethod
-    def _pencil(n, field, seed):
+    def _pencil(n, seed):
         rng = np.random.default_rng(seed)
+        g, h = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+        return g @ g.T + 0.1 * np.eye(n), (h + h.T) / 2
 
-        def draw():
-            g = rng.normal(size=(n, n))
-            return g if field == "real" else g + 1j * rng.normal(size=(n, n))
-
-        g, h = draw(), draw()
-        return g @ g.conj().T + 0.1 * np.eye(n), (h + h.conj().T) / 2
-
-    @pytest.mark.parametrize("n", [8, 32, 72])
-    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [8, 18, 32, 72, 128])
+    @pytest.mark.parametrize("field", FIELDS)
     def test_pencil_min_is_scipy_eigh_bit_for_bit(self, n, field):
         for seed in range(3):
-            x, dx = self._pencil(n, field, 10 * n + seed)
+            x, dx = self._pencil(n, 10 * n + seed)
             want = scipy.linalg.eigh(dx, x, eigvals_only=True, subset_by_index=[0, 0])[0]
-            assert sdp._pencil_min(dx, x) == want
+            factor = sdp._cholesky(x)
+            assert sdp._pencil_min(dx, factor) == want
+            assert sdp._max_step(dx, factor) == -1.0 / want
 
-    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [8, 18, 32, 72, 128])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_factored_pencil_min_is_pencil_min_bit_for_bit(self, n, field):
+        """x that is numerically PD is factored unshifted: its step factor is
+        its own Cholesky factor, so the step length is the pencil minimum on
+        x itself."""
+        for seed in range(3):
+            x, dx = self._pencil(n, 10 * n + seed)
+            factor = sdp._step_factor(x)
+            assert np.array_equal(factor, sdp._cholesky(x))
+            assert sdp._max_step(dx, factor) == -1.0 / sdp._pencil_min(dx, sdp._cholesky(x))
+
+    @staticmethod
+    def _graze(x):
+        """x with its smallest eigenvalue moved to -1e-10, just outside the cone."""
+        w, v = np.linalg.eigh(x)
+        w[0] = -1e-10
+        x = (v * w) @ v.T
+        return (x + x.T) / 2
+
+    @pytest.mark.parametrize("n", [8, 18, 32, 72, 128])
+    @pytest.mark.parametrize("kind", ["zero_pivot", "grazing"])
+    def test_shifted_step_is_scipy_eigh_on_the_first_shift_bit_for_bit(self, kind, n):
+        """x that is not numerically PD has no factor of its own, so its step
+        length is taken on x + shift*I, bit for bit what scipy.linalg.eigh
+        gives there."""
+        for seed in range(5):
+            x, dx = self._pencil(n, 10 * n + seed)
+            if kind == "zero_pivot":
+                x[:, -1] = x[-1, :] = 0.0
+            else:
+                x = self._graze(x)
+            with pytest.raises(np.linalg.LinAlgError):
+                sdp._cholesky(x)
+            shifted = x + _first_shift(x) * np.eye(n)
+            want = scipy.linalg.eigh(dx, shifted, eigvals_only=True, subset_by_index=[0, 0])[0]
+            assert sdp._max_step(dx, sdp._step_factor(x)) == -1.0 / want
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_x_without_a_factor_goes_straight_to_the_shifted_pencil(self, monkeypatch, field):
+        """x with a zero pivot is tried once as it is, then factored at the
+        first shift, where it is PD."""
+        x, dx = self._pencil(8, 0)
+        x[:, -1] = x[-1, :] = 0.0
+        cholesky, seen = sdp._cholesky, []
+
+        def recorded(mat):
+            seen.append(mat)
+            return cholesky(mat)
+
+        monkeypatch.setattr(sdp, "_cholesky", recorded)
+        factor = sdp._step_factor(x)
+        shifted = x + _first_shift(x) * np.eye(8)
+        assert len(seen) == 2 and seen[0] is x and np.array_equal(seen[1], shifted)
+        assert np.array_equal(factor, cholesky(shifted))
+        assert sdp._max_step(dx, factor) == -1.0 / sdp._pencil_min(dx, factor)
+
+    @pytest.mark.parametrize("field", FIELDS)
     def test_pencil_min_raises_linalg_error_on_singular_x(self, field):
-        x, dx = self._pencil(8, field, 0)
+        """As scipy.linalg.eigh does: singular x has no Cholesky factor."""
+        x, dx = self._pencil(8, 0)
         x[:, -1] = x[-1, :] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
-            sdp._pencil_min(dx, x)
+            sdp._pencil_min(dx, sdp._cholesky(x))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["x", "dx"])
-    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("field", FIELDS)
     def test_non_finite_input_raises_value_error(self, bad, where, field):
-        x, dx = self._pencil(8, field, 1)
+        x, dx = self._pencil(8, 1)
         (x if where == "x" else dx)[2, 3] = bad
         with pytest.raises(ValueError):
-            sdp._pencil_min(dx, x)
+            sdp._pencil_min(dx, sdp._cholesky(x))
         with pytest.raises(ValueError):
-            sdp._max_step(x, dx, sdp._factor_or_none(x))
-        with pytest.raises(ValueError):
-            sdp._factored_pencil_min(dx, sdp._cholesky(x))
-
-    @pytest.mark.parametrize("n", [8, 18, 32, 72, 128])
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_factored_pencil_min_is_pencil_min_bit_for_bit(self, n, field):
-        for seed in range(3):
-            x, dx = self._pencil(n, field, 10 * n + seed)
-            factor = sdp._cholesky(x)
-            lam = sdp._pencil_min(dx, x)
-            assert sdp._factored_pencil_min(dx, factor) == lam
-            assert sdp._max_step(x, dx, factor) == -1.0 / lam
-
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_x_without_a_factor_goes_straight_to_the_shifted_pencil(self, monkeypatch, field):
-        """No sygvx on x itself: its potrf already failed in _factor_or_none."""
-        x, dx = self._pencil(8, field, 0)
-        x[:, -1] = x[-1, :] = 0.0
-        assert sdp._factor_or_none(x) is None
-        pencil, seen = sdp._pencil_min, []
-
-        def recorded(dx, x):
-            seen.append(x)
-            return pencil(dx, x)
-
-        monkeypatch.setattr(sdp, "_pencil_min", recorded)
-        sdp._max_step(x, dx, None)
-        assert len(seen) == 1 and not np.array_equal(seen[0], x)
+            sdp._max_step(dx, sdp._step_factor(x))
 
     def test_ipm_steps_take_every_step_length_on_a_shared_factor(self, monkeypatch):
-        """Four step lengths per block and step, none of which factors again."""
-        calls = {"factored": 0, "sygvx": 0, "steps": 0}
-        factored, pencil, ipm_step = sdp._factored_pencil_min, sdp._pencil_min, sdp._ipm_step
+        """One factor per X block and step, and four step lengths per block
+        and step, none of which factors again."""
+        calls = {"pencil": 0, "factor": 0, "steps": 0}
+        pencil, step_factor, ipm_step = sdp._pencil_min, sdp._step_factor, sdp._ipm_step
 
         def count(key, fn):
             def counted(*args):
@@ -613,21 +636,22 @@ class TestMaxStep:
 
             return counted
 
-        monkeypatch.setattr(sdp, "_factored_pencil_min", count("factored", factored))
-        monkeypatch.setattr(sdp, "_pencil_min", count("sygvx", pencil))
+        monkeypatch.setattr(sdp, "_pencil_min", count("pencil", pencil))
+        monkeypatch.setattr(sdp, "_step_factor", count("factor", step_factor))
         monkeypatch.setattr(sdp, "_ipm_step", count("steps", ipm_step))
         k = 2
         sol = solve(_random_coupling_problem(2, 3, k), tol=1e-8)
         assert sol.status == STATUS_OPTIMAL
-        assert calls["steps"] > 0
-        assert calls == {"factored": 4 * k * calls["steps"], "sygvx": 0, "steps": calls["steps"]}
+        steps = calls["steps"]
+        assert steps > 0
+        assert calls == {"pencil": 4 * k * steps, "factor": k * steps, "steps": steps}
 
     @pytest.mark.parametrize("n", [8, 32, 72])
-    @pytest.mark.parametrize("cplx", [False, True])
-    def test_cached_lwork_is_the_one_scipy_queries(self, n, cplx):
-        name, dtype = ("hegvx_lwork", np.complex128) if cplx else ("sygvx_lwork", np.float64)
-        (query,) = scipy.linalg.lapack.get_lapack_funcs((name,), dtype=dtype)
-        assert sdp._gvx_lwork(cplx, n) == scipy.linalg.lapack._compute_lwork(query, n, uplo="L")
+    def test_cached_lwork_is_the_one_scipy_queries(self, n):
+        """syevx asks for the workspace that scipy.linalg.eigh queries for
+        sygvx, which hands it on to syevx."""
+        (query,) = scipy.linalg.lapack.get_lapack_funcs(("sygvx_lwork",), dtype=np.float64)
+        assert sdp._evx_lwork(n) == scipy.linalg.lapack._compute_lwork(query, n, uplo="L")
 
 
 def _refined_solve_factoring_inside(mat, rhs):
