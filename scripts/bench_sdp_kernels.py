@@ -5,7 +5,8 @@ For d x d marginals (d = 2..8 by default, or the ``--dims`` given) and k = 1
 or 2 PSD blocks, a coupling problem is built with
 ``qot.sdp.coupling_problem`` (the transport cost for k = 1, the stabilized
 split for k = 2).  Before any timing, the partial-trace map
-``_CouplingOperator.apply_a`` is checked against 2 Re Tr[A_i X] summed over
+``_CouplingOperator.apply_a``, given the (k, 2n, 2n) stack of embedded
+blocks as the solver gives it, is checked against 2 Re Tr[A_i X] summed over
 the blocks, with A_i read from the explicit list ``problem.constraints``.
 The step length as the solver takes it (a potrf factor by ``_step_factor``,
 then ``_max_step`` on it: sygst and syevx through cached LAPACK handles) is
@@ -121,7 +122,7 @@ def map_check(d: int, k: int) -> dict:
         sum(2.0 * np.trace(a.matrix @ x).real for a, x in zip(coeffs, blocks))
         for coeffs, _ in problem.constraints
     ]
-    got = sdp._CouplingOperator(problem).apply_a([complex_to_real_embedding(x) for x in blocks])
+    got = sdp._CouplingOperator(problem).apply_a(complex_to_real_embedding(blocks))
     err = rel_err(got, want)
     if err > MAP_RTOL:
         raise SystemExit(f"d={d} k={k}: apply_a differs from the constraint list by {err:.2e} relative")

@@ -330,7 +330,7 @@ def search_witness(d: int, seed, iterations: int) -> DualWitness | None:
                 rho = DensityMatrix(partial_trace(dm, (d, d), keep=(0,)))
                 sigma = DensityMatrix(partial_trace(dm, (d, d), keep=(1,)))
                 candidate = transport_cost(rho, sigma).dual_witness
-            except (sdp.SolverFailure, ValueError):
+            except sdp.SolverFailure:
                 break
             lhs = _identity_extension(candidate.potential_a.matrix, candidate.potential_b.matrix)
             vals, vecs = np.linalg.eigh(lhs - psym)

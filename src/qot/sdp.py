@@ -13,27 +13,26 @@ Every Hermitian block is embedded as a real symmetric block of twice the
 size, the real problem is solved by an infeasible-start Mehrotra
 predictor-corrector primal-dual interior-point method, and objective and
 constraint values are halved afterwards to undo the trace doubling of the
-embedding.  No step projects onto the affine constraints: the search
-direction solves A dX = b - A X, so a primal step of length alpha scales the
-primal residual by 1 - alpha, and a full step leaves only rounding.  The
-solver is deterministic: identical problems and tolerances take
-identical iteration paths.
+embedding.  The k blocks travel as one (k, 2n, 2n) stack: X, S, S^-1, the
+dual residuals and the directions are stacks, and A^T y, the same for every
+block, is one 2n x 2n matrix that broadcasts over them.  Only the LAPACK
+calls loop over the blocks.  No step projects onto the affine constraints:
+the search direction solves A dX = b - A X, so a primal step of length alpha
+scales the primal residual by 1 - alpha, and a full step leaves only
+rounding.  The solver is deterministic: identical problems and tolerances
+take identical iteration paths.
 
-Each iteration factors the Schur complement once and uses that factor for
-both the predictor and the corrector solve.  Each S and each X is factored
-once per iteration too: the factor of S gives S^-1, and both factors serve
-the predictor's and the corrector's step lengths.  An X that is not
-numerically PD is factored shifted, as X + shift*I.  The hot loop calls
-LAPACK directly: potrf and potrs for the factors, S^-1 and the Schur solves,
-then sygst and syevx on the factors for the step lengths.  Embedded blocks
-mostly have a few dozen rows, where scipy's wrappers cost more than the
-routines.  The handles come from scipy's compiled LAPACK extension, loaded
-by the ``_lapack`` module without the ``scipy.linalg`` package, whose import
-took most of a fresh process's start-up.  The calls pass what
-``cho_factor``, ``cho_solve`` and ``eigh`` passed, and sygst and syevx are
-the calls scipy's generalized eigensolver driver makes after its own potrf,
-so every result is the same bit for bit, and non-finite input still raises
-ValueError.
+Each iteration factors the Schur complement once, for both the predictor and
+the corrector solve, and each S and each X block once: the factor of S gives
+S^-1, and both serve the predictor's and the corrector's step lengths.  An X
+that is not numerically PD is factored shifted, as X + shift*I.  The hot
+loop calls LAPACK directly (potrf and potrs for the factors, S^-1 and the
+Schur solves, sygst and syevx for the step lengths) through the handles of
+the ``_lapack`` module, since at a few dozen rows scipy's wrappers cost more
+than the routines.  The calls pass what ``cho_factor`` and ``cho_solve``
+passed, and sygst and syevx are the calls the sygvx of ``eigh`` makes after
+its potrf, so every result is the same bit for bit, and non-finite input
+still raises ValueError.
 
 The problem is stated in coordinates scaled by the marginals, so that
 near-singular marginals keep every iterate well conditioned.  The solver
@@ -67,10 +66,14 @@ __all__ = [
     "feasibility_margin",
     "STATUS_OPTIMAL",
     "STATUS_MAX_ITERATIONS",
+    "STATUS_UNCERTIFIED",
 ]
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITERATIONS = "max_iterations"
+# a ``SolverFailure`` status only: the solve reached its tolerance, but the
+# dual potentials read off it do not certify the value
+STATUS_UNCERTIFIED = "uncertified"
 
 DEFAULT_TOL = 1e-8
 _MAX_ITER = 100
@@ -164,11 +167,11 @@ def complex_to_real_embedding(h) -> np.ndarray:
 
 
 def _complex_from_embedding(y: np.ndarray) -> np.ndarray:
-    """Recover a complex matrix from a real 2d x 2d one, averaging over the
-    embedding symmetry (PSD is preserved for symmetric PSD input)."""
-    n = y.shape[0] // 2
-    y11, y12 = y[:n, :n], y[:n, n:]
-    y21, y22 = y[n:, :n], y[n:, n:]
+    """Recover complex matrices from real 2d x 2d ones on the last two axes,
+    averaging over the embedding symmetry (symmetric PSD input stays PSD)."""
+    n = y.shape[-1] // 2
+    y11, y12 = y[..., :n, :n], y[..., :n, n:]
+    y21, y22 = y[..., n:, :n], y[..., n:, n:]
     return (y11 + y22) / 2 + 0.5j * (y21 - y12)
 
 
@@ -190,9 +193,7 @@ def feasibility_margin(blocks, problem: CouplingProblem) -> tuple[float, float]:
     value = sum(np.trace(c.matrix @ x) for c, x in zip(problem.objective, mats)).real
     residual = 0.0
     for coeffs, rhs in problem.constraints:
-        lhs = sum(
-            np.trace(a.matrix @ x).real for a, x in zip(coeffs, mats) if a is not None
-        )
+        lhs = sum(np.trace(a.matrix @ x).real for a, x in zip(coeffs, mats) if a is not None)
         residual = max(residual, abs(lhs - rhs))
     for x in mats:
         residual = max(residual, float(np.max(np.abs(x - x.conj().T))))
@@ -214,20 +215,21 @@ def solve(problem: CouplingProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
 def _solve_embedded(objective, rhs, op, tol: float) -> SdpSolution:
     """The IPM on the real embedding of the complex objective operators
     ``objective`` and right-hand side ``rhs``; ``op`` applies the constraints
-    to embedded blocks.  The solution is reported on the complex side."""
+    to a (k, 2n, 2n) stack of embedded blocks.  The solution is reported on
+    the complex side."""
     if not (1e-10 <= tol <= 1e-2):
         raise ValueError(f"tol must lie in [1e-10, 1e-2], got {tol}")
-    c_blocks = [complex_to_real_embedding(c.matrix) for c in objective]
+    c = complex_to_real_embedding([h.matrix for h in objective])
     # the rhs doubles with the traces of the embedding
     b = 2.0 * rhs
 
     # Embedded quantities are twice the complex-side ones, so target 2*tol.
-    y_blocks, y_dual, status, iterations = _solve_real(c_blocks, op, b, 2 * tol)
+    xs, y_dual, status, iterations = _solve_real(c, op, b, 2 * tol)
 
-    primal = tuple(_complex_from_embedding(yb) for yb in y_blocks)
+    primal = _complex_from_embedding(xs)
     # Tr[A X] as the elementwise sum of E(A)^T * E(X), halved: O(m n^2), no matmul.
-    embedded = [complex_to_real_embedding(x) for x in primal]
-    primal_value = sum(float(np.vdot(c, x)) for c, x in zip(c_blocks, embedded)) / 2.0
+    embedded = complex_to_real_embedding(primal)
+    primal_value = _inner(c, embedded) / 2.0
     dual_value = float(y_dual @ b) / 2.0
     infeas = float(np.max(np.abs(op.apply_a(embedded) - b))) / 2.0
 
@@ -235,7 +237,7 @@ def _solve_embedded(objective, rhs, op, tol: float) -> SdpSolution:
     if status == STATUS_OPTIMAL and (gap > tol or infeas > tol):
         status = STATUS_MAX_ITERATIONS
     return SdpSolution(
-        primal_blocks=primal,
+        primal_blocks=tuple(primal),
         dual_vector=y_dual.copy(),
         primal_value=float(primal_value),
         dual_value=dual_value,
@@ -332,14 +334,19 @@ def _orthogonal_basis(red: np.ndarray) -> np.ndarray:
 
 
 def _sym(x: np.ndarray) -> np.ndarray:
-    return (x + x.T) / 2
+    return (x + np.swapaxes(x, -1, -2)) / 2
 
 
-def _require_finite(*arrays) -> None:
+def _inner(xs: np.ndarray, ss: np.ndarray):
+    """sum_j <X_j, S_j> over two stacks, one dot per block: a single dot
+    over the whole stack would sum in another order."""
+    return sum(np.vdot(x, s) for x, s in zip(xs, ss))
+
+
+def _require_finite(a: np.ndarray) -> None:
     """The check the scipy wrappers made before calling LAPACK."""
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise ValueError("array must not contain infs or NaNs")
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
 
 
 def _max_step(dx: np.ndarray, factor: np.ndarray) -> float:
@@ -408,14 +415,14 @@ class _CouplingOperator:
     split: Tr[E(H) X] = Re Tr[H Z] for any complex H and any real X.  So an
     A-side row is Re Tr[F_i M_A] with M_A = Tr_B[(I (x) red_b) Z], and a
     B-side row is Re Tr[G_i M_B] with M_B = Tr_A[(red_a (x) I) Z].  A^T y is
-    E((sum_i y_i F_i) (x) red_b + red_a (x) (sum_i y_i G_i)) for every block.
-    Both maps cost O(ra^2 rb^2).
+    E((sum_i y_i F_i) (x) red_b + red_a (x) (sum_i y_i G_i)), the same for
+    every block: one (2n, 2n) matrix, which broadcasts over the (k, 2n, 2n)
+    block stack.  Both maps cost O(ra^2 rb^2).
     """
 
     def __init__(self, problem: CouplingProblem):
         ra, rb = problem.root_a.shape[0], problem.root_b.shape[0]
         self._dims = (ra, rb)
-        self._k = len(problem.objective)
         self._red_a, self._red_b = problem.red_a, problem.red_b
         self._basis_a = problem.basis_a.reshape(ra * ra, ra * ra)
         self._basis_b = problem.basis_b.reshape(rb * rb - 1, rb * rb)
@@ -429,8 +436,8 @@ class _CouplingOperator:
         self._p = complex_to_real_embedding(np.kron(np.eye(ra), self._red_b))
         self._q = complex_to_real_embedding(np.kron(self._red_a, np.eye(rb)))
 
-    def apply_a(self, xs) -> np.ndarray:
-        (ra, rb), x = self._dims, sum(xs[1:], xs[0])
+    def apply_a(self, xs: np.ndarray) -> np.ndarray:
+        (ra, rb), x = self._dims, xs.sum(axis=0)
         n, ma = ra * rb, ra * ra
         z = np.empty((n, n), dtype=complex)
         np.add(x[:n, :n], x[n:, n:], out=z.real)
@@ -443,19 +450,19 @@ class _CouplingOperator:
         out[ma:] = (self._rows_b @ m_b).real
         return out
 
-    def apply_at(self, y) -> list[np.ndarray]:
+    def apply_at(self, y) -> np.ndarray:
         (ra, rb), ma = self._dims, self._basis_a.shape[0]
         n = ra * rb
         pot_a = (y[:ma] @ self._basis_a).reshape(ra, 1, ra, 1)
         pot_b = (y[ma:] @ self._basis_b).reshape(1, rb, 1, rb)
         # pot_a (x) red_b + red_a (x) pot_b, broadcast on (a, b, a', b')
         h = pot_a * self._red_b[None, :, None, :] + self._red_a[:, None, :, None] * pot_b
-        # one array for every block: callers only read A^T y
-        return [complex_to_real_embedding(h.reshape(n, n))] * self._k
+        return complex_to_real_embedding(h.reshape(n, n))
 
-    def schur(self, xs, sinvs) -> np.ndarray:
+    def schur(self, xs: np.ndarray, sinvs: np.ndarray) -> np.ndarray:
         """The Schur complement M[i, k] = sum_j Tr[A_ij X_j A_kj Sinv_j] of a
-        ``coupling_problem``, assembled from the Kronecker structure.
+        ``coupling_problem``, assembled from the Kronecker structure, for
+        the (k, 2n, 2n) stacks ``xs`` and ``sinvs``.
 
         A-side rows are E(F_i (x) red_b) = (E(F_i) (x) I_rb) P and B-side rows
         E(red_a (x) G_i) = Q (I_ra (x) E(G_i)), with P = E(I (x) red_b) and
@@ -466,20 +473,15 @@ class _CouplingOperator:
         is O(ra^3 rb^3) time and O(ra^2 rb^2) memory per PSD block instead of
         O(m n^3) from a dense constraint stack.
         """
-        (ra, rb), emb_a, emb_b, p, q = self._dims, self._emb_a, self._emb_b, self._p, self._q
-        shape = (len(xs), 2, ra, rb, 2, ra, rb)
-        sinv7 = np.stack(sinvs).reshape(shape)
-
-        def contraction(left_factor, right_factor, left, right):
-            x7 = np.stack([left_factor @ x @ right_factor for x in xs]).reshape(shape)
-            return _side_contraction(x7, sinv7, left, right)
-
+        dims, emb_a, emb_b, p, q = self._dims, self._emb_a, self._emb_b, self._p, self._q
+        # P X P and P X Q share P X: numpy forms P X Q as (P X) Q too
+        px = p @ xs
         ma = emb_a.shape[0]
         mat = np.empty((ma + emb_b.shape[0],) * 2)
-        mat[:ma, :ma] = emb_a @ contraction(p, p, _A_SIDE, _A_SIDE) @ emb_a.T
-        mat[:ma, ma:] = emb_a @ contraction(p, q, _A_SIDE, _B_SIDE) @ emb_b.T
+        mat[:ma, :ma] = emb_a @ _side_contraction(px @ p, sinvs, dims, _A_SIDE, _A_SIDE) @ emb_a.T
+        mat[:ma, ma:] = emb_a @ _side_contraction(px @ q, sinvs, dims, _A_SIDE, _B_SIDE) @ emb_b.T
         mat[ma:, :ma] = mat[:ma, ma:].T
-        mat[ma:, ma:] = emb_b @ contraction(q, q, _B_SIDE, _B_SIDE) @ emb_b.T
+        mat[ma:, ma:] = emb_b @ _side_contraction(q @ xs @ q, sinvs, dims, _B_SIDE, _B_SIDE) @ emb_b.T
         return _sym(mat)
 
 
@@ -490,14 +492,16 @@ _A_SIDE = ((0, 1), 2)
 _B_SIDE = ((0, 2), 1)
 
 
-def _side_contraction(x7, sinv7, left, right) -> np.ndarray:
+def _side_contraction(xs, sinvs, dims, left, right) -> np.ndarray:
     """Z with sum_j Tr[L_i X_j R_k Sinv_j] = <F_i (x) G_k, Z> for L_i = F_i
     on the ``left`` side and R_k = G_k on the ``right`` side.
 
-    ``x7`` and ``sinv7`` stack the k blocks on axis 0, so
+    Each block of the stacks ``xs`` and ``sinvs`` is read on the axes
+    (s, a, b, s', a', b') of ``dims`` = (ra, rb), so
     Z[u1 u2, v3 v4] = sum_{j, t, t'} X_j[u2 t, v3 t'] Sinv_j[v4 t', u1 t]
     is one matmul over the block index and the two identity factors.
     """
+    x7, sinv7 = (m.reshape(m.shape[0], 2, *dims, 2, *dims) for m in (xs, sinvs))
     (l_op, l_id), (r_op, r_id) = left, right
     xm = x7.transpose(*(1 + i for i in l_op), *(4 + i for i in r_op), 0, 1 + l_id, 4 + r_id)
     sm = sinv7.transpose(*(4 + i for i in l_op), *(1 + i for i in r_op), 0, 4 + l_id, 1 + r_id)
@@ -544,20 +548,22 @@ def _chol_solve_refined(mat: np.ndarray, factor: np.ndarray, rhs: np.ndarray) ->
     return sol
 
 
-def _solve_real(c_blocks, op, b, eps):
+def _solve_real(c, op, b, eps):
     """Infeasible-start Mehrotra predictor-corrector with HKM search direction,
     to gap and residuals of at most ``eps``.
 
-    ``op`` is the problem's constraint operator: it applies A and A^T and
-    assembles the Schur complement.  Each step ends with the Mehrotra update.
+    ``c`` stacks the k embedded objective blocks, (k, n, n), and X, S, the
+    dual residuals and the directions are stacks of that shape.  ``op`` is
+    the problem's constraint operator: it applies A and A^T and assembles
+    the Schur complement.  Each step ends with the Mehrotra update.
     """
-    dims = [c.shape[0] for c in c_blocks]
-    n_total = sum(dims)
+    n_total = c.shape[0] * c.shape[1]
 
     scale_p = max(1.0, float(np.max(np.abs(b))))
-    scale_d = max(1.0, *(float(np.linalg.norm(c, 2)) for c in c_blocks))
-    xs = [scale_p * np.eye(n) for n in dims]
-    ss = [scale_d * np.eye(n) for n in dims]
+    scale_d = max(1.0, float(np.max(np.linalg.norm(c, 2, axis=(1, 2)))))
+    eye = np.broadcast_to(np.eye(c.shape[1]), c.shape)
+    xs = scale_p * eye
+    ss = scale_d * eye
     y = np.zeros(len(b))
 
     status = STATUS_MAX_ITERATIONS
@@ -566,15 +572,14 @@ def _solve_real(c_blocks, op, b, eps):
     it = 0
     for it in range(1, _MAX_ITER + 1):
         rp = b - op.apply_a(xs)
-        aty = op.apply_at(y)
-        rds = [c - s - at for c, s, at in zip(c_blocks, ss, aty)]
-        mu = sum(np.vdot(x, s) for x, s in zip(xs, ss)) / n_total
+        rds = c - ss - op.apply_at(y)
+        mu = _inner(xs, ss) / n_total
 
-        pobj = sum(np.vdot(c, x) for c, x in zip(c_blocks, xs))
+        pobj = _inner(c, xs)
         dobj = float(b @ y)
         gap = pobj - dobj
         pinf = float(np.max(np.abs(rp)))
-        dinf = max(float(np.max(np.abs(r))) for r in rds)
+        dinf = float(np.max(np.abs(rds)))
 
         if mu * n_total <= eps and abs(gap) <= eps and pinf <= eps and dinf <= eps * scale_d:
             status = STATUS_OPTIMAL
@@ -605,47 +610,37 @@ def _ipm_step(op, b, xs, ss, y, rds, mu, n_total):
     # one Cholesky factor per block serves S^-1 and both step lengths on S,
     # and one serves both step lengths on X
     s_factors = [_cholesky(s) for s in ss]
-    sinvs = [_cho_solve(f, np.eye(f.shape[0])) for f in s_factors]
+    eye = np.eye(xs.shape[-1])
+    # potrs returns each S^-1 in Fortran order, and the stack keeps that
+    # layout: it decides the gemm path, and so the bits, of every product
+    sinvs = np.array([_cho_solve(f, eye).T for f in s_factors]).swapaxes(1, 2)
     x_factors = [_step_factor(x) for x in xs]
     schur = op.schur(xs, sinvs)
     # one factorization serves the predictor and the corrector
     schur_factor = _schur_factor(schur)
-    xrds = [x @ rd @ sinv for x, rd, sinv in zip(xs, rds, sinvs)]
+    xrds = xs @ rds @ sinvs
 
-    def direction(sigma_mu, corr_blocks):
-        extras = [
-            xrd - sigma_mu * sinv + corr @ sinv
-            for xrd, sinv, corr in zip(xrds, sinvs, corr_blocks)
-        ]
-        rhs = b + op.apply_a(extras)
+    def direction(sigma_mu, corr):
+        rhs = b + op.apply_a(xrds - sigma_mu * sinvs + corr @ sinvs)
         dy = _chol_solve_refined(schur, schur_factor, rhs)
-        atdy = op.apply_at(dy)
-        dss = [rd - at for rd, at in zip(rds, atdy)]
-        dxs = [
-            _sym(sigma_mu * sinv - x - (x @ ds + corr) @ sinv)
-            for x, ds, sinv, corr in zip(xs, dss, sinvs, corr_blocks)
-        ]
+        dss = rds - op.apply_at(dy)
+        dxs = _sym(sigma_mu * sinvs - xs - (xs @ dss + corr) @ sinvs)
         return dxs, dy, dss
 
     def step_length(factors, directions):
         return min(_max_step(dm, f) for dm, f in zip(directions, factors))
 
-    zeros = [np.zeros_like(x) for x in xs]
-    dxs_aff, _, dss_aff = direction(0.0, zeros)
+    dxs_aff, _, dss_aff = direction(0.0, np.zeros_like(xs))
     ap_aff = min(1.0, step_length(x_factors, dxs_aff))
     ad_aff = min(1.0, step_length(s_factors, dss_aff))
-    mu_aff = sum(
-        np.vdot(x + ap_aff * dx, s + ad_aff * ds)
-        for x, dx, s, ds in zip(xs, dxs_aff, ss, dss_aff)
-    ) / n_total
+    mu_aff = _inner(xs + ap_aff * dxs_aff, ss + ad_aff * dss_aff) / n_total
     sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)
 
-    corrs = [dx @ ds for dx, ds in zip(dxs_aff, dss_aff)]
-    dxs, dy, dss = direction(sigma * mu, corrs)
+    dxs, dy, dss = direction(sigma * mu, dxs_aff @ dss_aff)
 
     ap = min(1.0, _STEP_FRACTION * step_length(x_factors, dxs))
     ad = min(1.0, _STEP_FRACTION * step_length(s_factors, dss))
-    xs = [_sym(x + ap * dx) for x, dx in zip(xs, dxs)]
-    ss = [_sym(s + ad * ds) for s, ds in zip(ss, dss)]
+    xs = _sym(xs + ap * dxs)
+    ss = _sym(ss + ad * dss)
     y = y + ad * dy
     return xs, ss, y

@@ -133,12 +133,17 @@ def transport_cost(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAUL
 
     Returns the optimal value together with an optimizing coupling and a
     feasibility-checked dual witness certifying the matching lower bound.
+    Raises SolverFailure if the solve stops short of ``tol``, with status
+    ``uncertified`` if it reaches ``tol`` but its witness is infeasible.
     """
     d = _require_same_dim(rho, sigma)
     sol, (coupling,), pots, isos = _solve_on_supports(rho, sigma, (proj_asym(d).matrix,), tol)
     full_a, full_b = _balance_traces(*_lift_potentials(*pots, *isos, d))
-
-    witness = DualWitness(HermitianOperator(full_a), HermitianOperator(full_b))
+    pot_a, pot_b = HermitianOperator(full_a), HermitianOperator(full_b)
+    try:
+        witness = DualWitness(pot_a, pot_b)
+    except ValueError as exc:
+        raise sdp.SolverFailure(sdp.STATUS_UNCERTIFIED, f"solve reached tolerance {tol:g}, but its {exc}") from exc
     value = float(sol.primal_value)
     return TransportResult(
         value=value,

@@ -10,9 +10,10 @@ import pytest
 
 import qot
 from qot import quantum, transport
-from qot.cli import _build_parser, main
+from qot.cli import EXIT_SOLVER, _build_parser, main
 from qot.quantum import random_density_matrix
 from qot.serialize import read_report, write_matrix
+from test_transport import UNCERTIFIED_IDS, uncertified_pairs
 
 
 @pytest.fixture
@@ -140,6 +141,14 @@ class TestSolverFailureExitCode:
         path = tmp_path / "rho.json"
         write_matrix(path, np.eye(2) / 2, "density")
         assert main(["transport", str(path), str(path)]) == 2
+        assert "solver failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index", range(4), ids=UNCERTIFIED_IDS)
+    def test_uncertified_witness_exits_as_a_solver_failure(self, index, capsys, tmp_path):
+        paths = [tmp_path / "rho.json", tmp_path / "sigma.json"]
+        for path, state in zip(paths, uncertified_pairs()[index], strict=True):
+            write_matrix(path, state.matrix, "density")
+        assert main(["transport", *map(str, paths)]) == EXIT_SOLVER
         assert "solver failure" in capsys.readouterr().err
 
 

@@ -12,7 +12,7 @@ from qot.quantum import (
     random_pure_state,
     random_unitary,
 )
-from qot.sdp import SolverFailure
+from qot.sdp import STATUS_UNCERTIFIED, SolverFailure
 from qot.transport import (
     DualWitness,
     dual_value,
@@ -115,6 +115,17 @@ def near_singular(d, eps, seed):
     return DensityMatrix((u * vals) @ u.conj().T)
 
 
+def uncertified_pairs():
+    """Full-rank qubit pairs with an eigenvalue of 1e-9 on both sides: their
+    solves reach tol, but the potentials read off them are infeasible by
+    1.6e-3 to 5.4e-2, so they certify nothing."""
+    pairs = [(near_singular(2, 1e-9, 100 + s), near_singular(2, 1e-9, 200 + s)) for s in range(3)]
+    return pairs + [(DensityMatrix(np.diag([1 - 1e-9, 1e-9])), DensityMatrix(np.diag([1e-9, 1 - 1e-9])))]
+
+
+UNCERTIFIED_IDS = ["near-singular-0", "near-singular-1", "near-singular-2", "diagonal"]
+
+
 class TestNearSingularMarginals:
     """Eigenvalues between SUPPORT_CUT and 1e-6 are kept, so these solves run
     next to the cone boundary; they must still return certified answers."""
@@ -132,6 +143,13 @@ class TestNearSingularMarginals:
         assert np.max(np.abs(partial_trace(tau, (d, d), (0,)) - rho.matrix)) <= tol
         assert np.max(np.abs(partial_trace(tau, (d, d), (1,)) - sigma.matrix)) <= tol
         assert stabilized_cost(rho, sigma, tol).value <= res.value + 2 * tol
+
+    @pytest.mark.parametrize("index", range(4), ids=UNCERTIFIED_IDS)
+    def test_infeasible_witness_is_a_typed_failure(self, index):
+        rho, sigma = uncertified_pairs()[index]
+        with pytest.raises(SolverFailure, match="witness is infeasible") as info:
+            transport_cost(rho, sigma)
+        assert info.value.status == STATUS_UNCERTIFIED
 
     @pytest.mark.xfail(
         strict=True,
