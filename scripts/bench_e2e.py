@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Time qot end to end, one fresh process per run, and record the result.
 
-Each row is one command, run 7 times as a fresh interpreter with BLAS pinned to one thread.  A row records the wall time
-from spawn to exit (median and quartiles, and every sample) and each
-child's peak resident set size (``ru_maxrss``).  Today's rows are cold
-starts:
+Each row is one command, run 7 times as a fresh interpreter with BLAS
+pinned to one thread.  A row records the wall time from spawn to exit
+(median and quartiles, and every sample) and each child's peak resident set
+size (``ru_maxrss``).  The rows:
 
 - ``import``: ``python -c "import qot.cli"``;
 - ``selftest-quick``: ``qot selftest --quick``;
-- ``verify-counterexample-4``: ``qot verify-counterexample --dim 4``.
+- ``verify-counterexample-4``: ``qot verify-counterexample --dim 4``;
+- ``transport_cost-8`` and ``transport_cost-12``: one ``transport_cost`` of
+  two random full-rank states at d = 8 and 12, import included;
+- ``stabilized_cost-8``: one ``stabilized_cost`` of the same kind at d = 8.
 
 The environment record (``os.cpu_count()``, interpreter and library
 versions, every loaded OpenBLAS and its thread count) is read back through
@@ -35,10 +38,21 @@ sys.path.insert(0, str(ROOT))
 from perfbench import blas  # noqa: E402  (loads no numpy)
 
 QOT = [sys.executable, "-m", "qot"]
+
+
+def cost_command(cost: str, d: int) -> list[str]:
+    """One ``cost`` of two random full-rank d x d states, seeds 1 and 2."""
+    code = f"from qot import {cost}, random_density_matrix as r; {cost}(r({d}, 1), r({d}, 2))"
+    return [sys.executable, "-c", code]
+
+
 ROWS = {
     "import": [sys.executable, "-c", "import qot.cli"],
     "selftest-quick": QOT + ["selftest", "--quick"],
     "verify-counterexample-4": QOT + ["verify-counterexample", "--dim", "4"],
+    "transport_cost-8": cost_command("transport_cost", 8),
+    "transport_cost-12": cost_command("transport_cost", 12),
+    "stabilized_cost-8": cost_command("stabilized_cost", 8),
 }
 RUNS = 7
 READ_BACK = (

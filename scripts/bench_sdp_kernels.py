@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Check the coupling-SDP constraint map and time the step length per call.
+"""Check the coupling-SDP constraint map and Schur complement, and time the
+Schur complement and the step length per call.
 
 For d x d marginals (d = 2..8 by default, or the ``--dims`` given) and k = 1
 or 2 PSD blocks, a coupling problem is built with
@@ -8,7 +9,11 @@ split for k = 2).  Before any timing, the partial-trace map
 ``_CouplingOperator.apply_a``, given the (k, 2n, 2n) stack of embedded
 blocks as the solver gives it, is checked against 2 Re Tr[A_i X] summed over
 the blocks, with A_i read from the explicit list ``problem.constraints``.
-The step length as the solver takes it (a potrf factor by ``_step_factor``,
+The Schur complement ``_CouplingOperator.schur``, assembled on complex
+n x n blocks from a real X stack (random SPD, off the image of the
+embedding) and the complex blocks T_j of S^-1, is checked against
+sum_j Tr[E(A_i) X_j E(A_l) E(T_j)] from the same list to a relative 1e-12,
+and timed per call.  The step length as the solver takes it (a potrf factor by ``_step_factor``,
 then ``_max_step`` on it: sygst and syevx through cached LAPACK handles) is
 then timed at each embedded block size 2 d^2 against sygvx through the
 ``scipy.linalg.eigh`` wrapper, and against the Cholesky, two triangular
@@ -46,6 +51,7 @@ BLOCKS = (1, 2)
 REPEATS = 7
 MIN_REPEAT_S = 0.02
 MAP_RTOL = 1e-13
+SCHUR_RTOL = 1e-12
 STEP_RTOL = 1e-12
 
 
@@ -129,6 +135,38 @@ def map_check(d: int, k: int) -> dict:
     return {"d": d, "k": k, "block_dim": n, "m": problem.n_constraints, "apply_a_rel_err": err}
 
 
+def schur_check(d: int, k: int) -> dict:
+    """``schur`` against the embedded constraints of the explicit list, for
+    real X blocks off the image of the embedding and complex blocks of S^-1."""
+    rng = np.random.default_rng(200 * d + k)
+    problem = coupling(d, k)
+    n, m = d * d, problem.n_constraints
+    xs = np.array([spd(rng, 2 * n) for _ in range(k)])
+    tinvs = []
+    for _ in range(k):
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        tinvs.append(np.linalg.inv(g @ g.conj().T / n + 0.1 * np.eye(n)))
+    tinvs = np.array(tinvs)
+    want = np.zeros((m, m))
+    for j in range(k):
+        rows = complex_to_real_embedding([coeffs[j].matrix for coeffs, _ in problem.constraints])
+        right = xs[j] @ rows @ complex_to_real_embedding(tinvs[j])
+        # Tr[E(A_i) R_l] = <E(A_i), R_l^T> entrywise
+        want += rows.reshape(m, -1) @ right.transpose(0, 2, 1).reshape(m, -1).T
+    op = sdp._CouplingOperator(problem)
+    err = rel_err(op.schur(xs, tinvs), want)
+    if err > SCHUR_RTOL:
+        raise SystemExit(f"d={d} k={k}: schur differs from the constraint list by {err:.2e} relative")
+    return {
+        "d": d,
+        "k": k,
+        "block_dim": n,
+        "m": m,
+        "schur_rel_err": err,
+        "us_per_call": per_call_us(lambda: op.schur(xs, tinvs)),
+    }
+
+
 def step_row(d: int) -> dict:
     rng = np.random.default_rng(d)
     n = 2 * d * d
@@ -162,14 +200,17 @@ def main(argv=None) -> int:
         parser.error("every dimension must be at least 2")
 
     checks = [map_check(d, k) for d in args.dims for k in BLOCKS]
+    schurs = [schur_check(d, k) for d in args.dims for k in BLOCKS]
     steps = [step_row(d) for d in args.dims]
     record = {
         "what": (
-            "coupling-SDP apply_a checked against the constraint list; step length by direct potrf, sygst"
-            " and syevx calls, by sygvx through scipy.linalg.eigh, and by Cholesky"
+            "coupling-SDP apply_a and the complex-block Schur complement checked against the constraint"
+            " list, the Schur complement timed; step length by direct potrf, sygst and syevx calls, by"
+            " sygvx through scipy.linalg.eigh, and by Cholesky"
         ),
         "environment": blas.environment(),
         "apply_a_check": checks,
+        "schur_check": schurs,
         "step_length": steps,
     }
     text = json.dumps(record, indent=1)

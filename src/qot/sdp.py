@@ -10,46 +10,54 @@ cost, whose sum has fixed partial traces ``red_a`` (ra x ra) and ``red_b``
                 X_j >= 0                  (PSD, j = 1..k)
 
 Every Hermitian block is embedded as a real symmetric block of twice the
-size, the real problem is solved by an infeasible-start Mehrotra
-predictor-corrector primal-dual interior-point method, and objective and
-constraint values are halved afterwards to undo the trace doubling of the
-embedding.  The k blocks travel as one (k, 2n, 2n) stack: X, S, S^-1, the
-dual residuals and the directions are stacks, and A^T y, the same for every
-block, is one 2n x 2n matrix that broadcasts over them.  Only the LAPACK
-calls loop over the blocks.  No step projects onto the affine constraints:
-the search direction solves A dX = b - A X, so a primal step of length alpha
-scales the primal residual by 1 - alpha, and a full step leaves only
-rounding.  The solver is deterministic: identical problems and tolerances
-take identical iteration paths.
+size, E(A + iB) = [[A, -B], [B, A]], the real problem is solved by an
+infeasible-start Mehrotra predictor-corrector primal-dual interior-point
+method, and objective and constraint values are halved afterwards to undo
+the trace doubling of the embedding.  The k blocks travel as one
+(k, 2n, 2n) stack: X, S, S^-1, the dual residuals and the directions are
+stacks, and A^T y, the same for every block, is one 2n x 2n matrix that
+broadcasts over them.  Only the LAPACK calls loop over the blocks.  No step
+projects onto the affine constraints: the search direction solves
+A dX = b - A X, so a primal step of length alpha scales the primal residual
+by 1 - alpha, and a full step leaves only rounding.  The solver is
+deterministic: identical problems and tolerances take identical iteration
+paths.
 
-Each iteration factors the Schur complement once, for both the predictor and
-the corrector solve, and each S and each X block once: the factor of S gives
-S^-1, and both serve the predictor's and the corrector's step lengths.  An X
-that is not numerically PD is factored shifted, as X + shift*I.  The hot
-loop calls LAPACK directly (potrf and potrs for the factors, S^-1 and the
-Schur solves, sygst and syevx for the step lengths) through the handles of
-the ``_lapack`` module, since at a few dozen rows scipy's wrappers cost more
-than the routines.  The calls pass what ``cho_factor`` and ``cho_solve``
-passed, and sygst and syevx are the calls the sygvx of ``eigh`` makes after
-its potrf, so every result is the same bit for bit, and non-finite input
-still raises ValueError.
+The dual side runs at half the embedded size.  S, the dual residual and dS
+are sums of embeddings, scaled and symmetrized entry by entry, so they stay
+on the image of E exactly, and each S block is read as its complex n x n
+matrix.  X drifts off the image by rounding and stays real.  Each iteration
+factors the Schur complement once, for both the predictor and the corrector
+solve, and each S and each X block once: the complex factor of S gives its
+inverse T (and S^-1 = E(T) for the products with X), and both factors serve
+the predictor's and the corrector's step lengths.  An X that is not
+numerically PD is factored shifted, as X + shift*I.  The hot loop calls
+LAPACK directly through the handles of the ``_lapack`` module, since at a
+few dozen rows scipy's wrappers cost more than the routines: potrf and potrs
+for the factors, T and the Schur solves; sygst and syevx for the step
+lengths on X, hegst and heevx for those on S.  The calls pass what
+``cho_factor`` and ``cho_solve`` passed, and gst and evx are the calls the
+gvx of ``eigh`` makes after its potrf, so each result is the one scipy's
+wrappers give bit for bit, and non-finite input still raises ValueError.
 
 The problem is stated in coordinates scaled by the marginals, so that
 near-singular marginals keep every iterate well conditioned.  The solver
 reaches the constraints through one operator that applies them as partial
 traces and Kronecker products in O(ra^2 rb^2), and assembles the Schur
-complement from the Kronecker structure in O(ra^3 rb^3) time and
-O(ra^2 rb^2) extra memory (the constraint-structure trick of Fujisawa,
-Kojima and Nakata 1997).  No dense constraint stack is built.  Intended
-scale: marginals up to ra*rb of a few hundred.  Singular marginals have no
-strictly feasible coupling; build couplings on marginal supports instead
-(see the transport module).
+complement on complex n x n blocks from the Kronecker structure in
+O(ra^3 rb^3) time and O(ra^2 rb^2) extra memory (the constraint-structure
+trick of Fujisawa, Kojima and Nakata 1997).  No dense constraint stack is
+built.  Intended scale: marginals up to ra*rb of a few hundred.  Singular
+marginals have no strictly feasible coupling; build couplings on marginal
+supports instead (see the transport module).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from . import _lapack
@@ -158,21 +166,13 @@ def complex_to_real_embedding(h) -> np.ndarray:
     and every eigenvalue appears with doubled multiplicity.
     """
     m = np.asarray(h, dtype=complex)
-    n = m.shape[-1]
+    n, re, im = m.shape[-1], m.real, m.imag
     out = np.empty(m.shape[:-2] + (2 * n, 2 * n))
-    out[..., :n, :n] = out[..., n:, n:] = m.real
-    out[..., n:, :n] = m.imag
-    out[..., :n, n:] = -m.imag
+    out[..., :n, :n] = re
+    out[..., n:, n:] = re
+    out[..., n:, :n] = im
+    np.negative(im, out=out[..., :n, n:])
     return out
-
-
-def _complex_from_embedding(y: np.ndarray) -> np.ndarray:
-    """Recover complex matrices from real 2d x 2d ones on the last two axes,
-    averaging over the embedding symmetry (symmetric PSD input stays PSD)."""
-    n = y.shape[-1] // 2
-    y11, y12 = y[..., :n, :n], y[..., :n, n:]
-    y21, y22 = y[..., n:, :n], y[..., n:, n:]
-    return (y11 + y22) / 2 + 0.5j * (y21 - y12)
 
 
 def feasibility_margin(blocks, problem: CouplingProblem) -> tuple[float, float]:
@@ -226,7 +226,8 @@ def _solve_embedded(objective, rhs, op, tol: float) -> SdpSolution:
     # Embedded quantities are twice the complex-side ones, so target 2*tol.
     xs, y_dual, status, iterations = _solve_real(c, op, b, 2 * tol)
 
-    primal = _complex_from_embedding(xs)
+    # X drifts off the image of the embedding: average its two readings
+    primal = _compression(xs) / 2
     # Tr[A X] as the elementwise sum of E(A)^T * E(X), halved: O(m n^2), no matmul.
     embedded = complex_to_real_embedding(primal)
     primal_value = _inner(c, embedded) / 2.0
@@ -330,7 +331,7 @@ def _orthogonal_basis(red: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Real symmetric core
+# Interior-point core: real X blocks, complex S blocks
 
 
 def _sym(x: np.ndarray) -> np.ndarray:
@@ -349,39 +350,62 @@ def _require_finite(a: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
+class _Routines(NamedTuple):
+    """The LAPACK routines of one field: potrf and potrs, and the two calls
+    sygvx (hegvx) makes after its potrf, with the workspace query of the
+    second."""
+
+    potrf: Callable
+    potrs: Callable
+    gst: Callable
+    evx: Callable
+    evx_lwork: Callable
+
+
+# by dtype kind: real for the X blocks and the Schur complement, complex for
+# the S blocks
+_ROUTINES = {
+    "f": _Routines(_lapack.dpotrf, _lapack.dpotrs, _lapack.dsygst, _lapack.dsyevx, _lapack.dsyevx_lwork),
+    "c": _Routines(_lapack.zpotrf, _lapack.zpotrs, _lapack.zhegst, _lapack.zheevx, _lapack.zheevx_lwork),
+}
+
+
 def _max_step(dx: np.ndarray, factor: np.ndarray) -> float:
-    """Largest alpha with x + alpha*dx still PSD, for (near-)PD x with
-    ``factor = _step_factor(x)``: -1/lam for lam the smallest eigenvalue of
+    """Largest alpha with x + alpha*dx still PSD, for (near-)PD x with lower
+    Cholesky factor ``factor`` (``_step_factor(x)`` for an X block, the
+    complex factor for an S block): -1/lam for lam the smallest eigenvalue of
     the pencil (dx, x), and 1e30 when lam is not negative."""
     lam = _pencil_min(dx, factor)
     return 1e30 if lam >= -1e-14 else -1.0 / lam
 
 
 def _pencil_min(dx: np.ndarray, factor: np.ndarray) -> float:
-    """Smallest eigenvalue of the pencil (dx, x) for x with lower Cholesky
-    factor ``factor``.
+    """Smallest eigenvalue of the pencil (dx, x) for real symmetric or
+    complex Hermitian x with lower Cholesky factor ``factor``.
 
     Bit for bit ``scipy.linalg.eigh(dx, x, eigvals_only=True,
-    subset_by_index=[0, 0])[0]``.  That runs sygvx, which factors x by
-    potrf, reduces the pencil to a standard problem by sygst and takes the
-    eigenvalue from syevx; these are its last two calls, with its arguments
-    and workspace.
+    subset_by_index=[0, 0])[0]``.  That runs sygvx (hegvx), which factors x
+    by potrf, reduces the pencil to a standard problem by sygst (hegst) and
+    takes the eigenvalue from syevx (heevx); these are its last two calls,
+    with its arguments and workspace.
     """
     _require_finite(dx)
-    c, info = _lapack.dsygst(dx, factor, itype=1, lower=1)
+    routines = _ROUTINES[factor.dtype.kind]
+    c, info = routines.gst(dx, factor, itype=1, lower=1)
     if info == 0:
-        lwork = _evx_lwork(dx.shape[0])
-        w, _, _, _, info = _lapack.dsyevx(c, compute_v=0, range="I", lower=1, il=1, iu=1, lwork=lwork)
+        lwork = _evx_lwork(dx.shape[0], factor.dtype)
+        w, _, _, _, info = routines.evx(c, compute_v=0, range="I", lower=1, il=1, iu=1, lwork=lwork)
     if info != 0:
-        raise np.linalg.LinAlgError(f"dsygst/dsyevx failed with info {info}")
+        raise np.linalg.LinAlgError(f"sygst/syevx (hegst/heevx) failed with info {info}")
     return float(w[0])
 
 
 @lru_cache(maxsize=None)
-def _evx_lwork(n: int) -> int:
-    """The workspace size syevx asks for; for n >= 2 it is the size
-    ``scipy.linalg.eigh`` queries for sygvx, which hands it on to syevx."""
-    (lwork,) = _lapack.workspace(_lapack.dsyevx_lwork, n, lower=1)
+def _evx_lwork(n: int, field) -> int:
+    """The workspace size syevx (heevx for a complex ``field``, a dtype or
+    type) asks for; for n >= 2 it is the size ``scipy.linalg.eigh`` queries
+    for sygvx (hegvx), which hands it on."""
+    (lwork,) = _lapack.workspace(_ROUTINES[np.dtype(field).kind].evx_lwork, n, lower=1)
     return lwork
 
 
@@ -397,7 +421,7 @@ def _step_factor(x: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         pass
     n = x.shape[0]
-    shift = 2.0 * abs(float(np.linalg.eigvalsh(x)[0])) + 1e-16 * (1.0 + abs(float(np.trace(x))) / n)
+    shift = 2.0 * abs(float(np.linalg.eigvalsh(x)[0])) + 1e-16 * (1.0 + abs(float(np.trace(x).real)) / n)
     for _ in range(8):
         try:
             return _cholesky(x + shift * np.eye(n))
@@ -411,13 +435,15 @@ class _CouplingOperator:
     structure, without the dense stack.
 
     Every block enters the constraints through their sum X, and X through
-    the complex matrix Z = (X11 + X22) + i(X21 - X12) of its 2 x 2 block
-    split: Tr[E(H) X] = Re Tr[H Z] for any complex H and any real X.  So an
-    A-side row is Re Tr[F_i M_A] with M_A = Tr_B[(I (x) red_b) Z], and a
-    B-side row is Re Tr[G_i M_B] with M_B = Tr_A[(red_a (x) I) Z].  A^T y is
+    its compression Z = (X11 + X22) + i(X21 - X12): Tr[E(H) X] = Re Tr[H Z]
+    for any complex H and any real X.  So an A-side row is Re Tr[F_i M_A]
+    with M_A = Tr_B[(I (x) red_b) Z], and a B-side row is Re Tr[G_i M_B]
+    with M_B = Tr_A[(red_a (x) I) Z].  A^T y is
     E((sum_i y_i F_i) (x) red_b + red_a (x) (sum_i y_i G_i)), the same for
     every block: one (2n, 2n) matrix, which broadcasts over the (k, 2n, 2n)
-    block stack.  Both maps cost O(ra^2 rb^2).
+    block stack.  Both maps cost O(ra^2 rb^2).  The Schur complement takes
+    the real X stack and the complex n x n blocks of S^-1, and is assembled
+    on complex blocks.
     """
 
     def __init__(self, problem: CouplingProblem):
@@ -429,19 +455,10 @@ class _CouplingOperator:
         # Tr[F M] = <F^T, M> entrywise, for the flattened bases
         self._rows_a = problem.basis_a.transpose(0, 2, 1).reshape(ra * ra, ra * ra)
         self._rows_b = problem.basis_b.transpose(0, 2, 1).reshape(rb * rb - 1, rb * rb)
-        # for the Schur complement: the flattened embedded bases and the
-        # embedded marginal factors P = E(I (x) red_b) and Q = E(red_a (x) I)
-        self._emb_a = complex_to_real_embedding(problem.basis_a).reshape(ra * ra, 4 * ra * ra)
-        self._emb_b = complex_to_real_embedding(problem.basis_b).reshape(rb * rb - 1, 4 * rb * rb)
-        self._p = complex_to_real_embedding(np.kron(np.eye(ra), self._red_b))
-        self._q = complex_to_real_embedding(np.kron(self._red_a, np.eye(rb)))
 
     def apply_a(self, xs: np.ndarray) -> np.ndarray:
-        (ra, rb), x = self._dims, xs.sum(axis=0)
-        n, ma = ra * rb, ra * ra
-        z = np.empty((n, n), dtype=complex)
-        np.add(x[:n, :n], x[n:, n:], out=z.real)
-        np.subtract(x[n:, :n], x[:n, n:], out=z.imag)
+        (ra, rb), z = self._dims, _compression(xs.sum(axis=0))
+        ma = ra * ra
         z4 = z.reshape(ra, rb, ra, rb)
         m_a = z4.transpose(0, 2, 1, 3).reshape(ma, rb * rb) @ self._red_b.T.reshape(-1)
         m_b = z4.transpose(1, 3, 0, 2).reshape(rb * rb, ma) @ self._red_a.T.reshape(-1)
@@ -459,85 +476,120 @@ class _CouplingOperator:
         h = pot_a * self._red_b[None, :, None, :] + self._red_a[:, None, :, None] * pot_b
         return complex_to_real_embedding(h.reshape(n, n))
 
-    def schur(self, xs: np.ndarray, sinvs: np.ndarray) -> np.ndarray:
-        """The Schur complement M[i, k] = sum_j Tr[A_ij X_j A_kj Sinv_j] of a
-        ``coupling_problem``, assembled from the Kronecker structure, for
-        the (k, 2n, 2n) stacks ``xs`` and ``sinvs``.
+    def schur(self, xs: np.ndarray, tinvs: np.ndarray) -> np.ndarray:
+        """The Schur complement M[i, k] = sum_j Tr[E(H_i) X_j E(H_k) E(T_j)]
+        of a ``coupling_problem``, for the real (k, 2n, 2n) stack ``xs`` and
+        the complex (k, n, n) stack ``tinvs`` of the blocks T_j of S^-1,
+        assembled from the Kronecker structure.
 
-        A-side rows are E(F_i (x) red_b) = (E(F_i) (x) I_rb) P and B-side rows
-        E(red_a (x) G_i) = Q (I_ra (x) E(G_i)), with P = E(I (x) red_b) and
-        Q = E(red_a (x) I) commuting with the other factor.  So the blocks M_AA,
-        M_AB and M_BB are Tr[L_i X~ R_k Sinv] with X~ = P X P, P X Q and Q X Q,
-        where L and R act on one side only: each is then F Z G^T, with F and G
-        the flattened embedded bases and Z one contraction of X~ and Sinv.  That
-        is O(ra^3 rb^3) time and O(ra^2 rb^2) memory per PSD block instead of
-        O(m n^3) from a dense constraint stack.
+        E(H_k) E(T_j) = E(H_k T_j), and the compression of X E(G) is Z G, so
+        M[i, k] = sum_j Re Tr[H_i Z_j H_k T_j] for any real X_j, on the image
+        of the embedding or not.  A-side rows are H_i = (F_i (x) I_rb) P and
+        B-side rows H_i = (I_ra (x) G_i) Q, with P = I (x) red_b and
+        Q = red_a (x) I commuting with the other factor.  So the blocks M_AA,
+        M_AB and M_BB are Re Tr[L_i Z~ R_k T~] with (Z~, T~) = (P Z, P T),
+        (P Z, Q T) and (Q Z, Q T), where L and R act on one side only: each
+        is then the real part of F W G^T, with F and G the flattened bases
+        and W one contraction of Z~ and T~.  That is O(ra^3 rb^3) time and
+        O(ra^2 rb^2) memory per PSD block instead of O(m n^3) from a dense
+        constraint stack.
         """
-        dims, emb_a, emb_b, p, q = self._dims, self._emb_a, self._emb_b, self._p, self._q
-        # P X P and P X Q share P X: numpy forms P X Q as (P X) Q too
-        px = p @ xs
-        ma = emb_a.shape[0]
-        mat = np.empty((ma + emb_b.shape[0],) * 2)
-        mat[:ma, :ma] = emb_a @ _side_contraction(px @ p, sinvs, dims, _A_SIDE, _A_SIDE) @ emb_a.T
-        mat[:ma, ma:] = emb_a @ _side_contraction(px @ q, sinvs, dims, _A_SIDE, _B_SIDE) @ emb_b.T
+        (ra, rb), basis_a, basis_b = self._dims, self._basis_a, self._basis_b
+        k, n = tinvs.shape[0], ra * rb
+        zt = np.concatenate((_compression(xs), tinvs))
+        # P and Q act on one row axis each: red_b on b, red_a on a
+        pm = (self._red_b @ zt.reshape(2 * k, ra, rb, n)).reshape(2 * k, n, n)
+        qm = (self._red_a @ zt.reshape(2 * k, ra, rb * n)).reshape(2 * k, n, n)
+        pz, pt, qz, qt = pm[:k], pm[k:], qm[:k], qm[k:]
+        ma = basis_a.shape[0]
+        mat = np.empty((ma + basis_b.shape[0],) * 2)
+        mat[:ma, :ma] = (basis_a @ _side_contraction(pz, pt, self._dims, _A_SIDE, _A_SIDE) @ basis_a.T).real
+        mat[:ma, ma:] = (basis_a @ _side_contraction(pz, qt, self._dims, _A_SIDE, _B_SIDE) @ basis_b.T).real
         mat[ma:, :ma] = mat[:ma, ma:].T
-        mat[ma:, ma:] = emb_b @ _side_contraction(q @ xs @ q, sinvs, dims, _B_SIDE, _B_SIDE) @ emb_b.T
+        mat[ma:, ma:] = (basis_b @ _side_contraction(qz, qt, self._dims, _B_SIDE, _B_SIDE) @ basis_b.T).real
         return _sym(mat)
 
 
-# Axes of a block reshaped to (s, a, b, s', a', b'), s the real/imaginary
-# index of the embedding: the row axes an operator E(F) (x) I_rb acts on, with
-# the row axis it leaves alone, and likewise for I_ra (x) E(G).
-_A_SIDE = ((0, 1), 2)
-_B_SIDE = ((0, 2), 1)
+def _compression(xs: np.ndarray) -> np.ndarray:
+    """Z = (X11 + X22) + i(X21 - X12) of real 2n x 2n matrices X on the last
+    two axes, so that Tr[E(H) X] = Re Tr[H Z] for every complex H."""
+    n = xs.shape[-1] // 2
+    z = np.empty(xs.shape[:-2] + (n, n), dtype=complex)
+    np.add(xs[..., :n, :n], xs[..., n:, n:], out=z.real)
+    np.subtract(xs[..., n:, :n], xs[..., :n, n:], out=z.imag)
+    return z
 
 
-def _side_contraction(xs, sinvs, dims, left, right) -> np.ndarray:
-    """Z with sum_j Tr[L_i X_j R_k Sinv_j] = <F_i (x) G_k, Z> for L_i = F_i
-    on the ``left`` side and R_k = G_k on the ``right`` side.
+def _complex_of_image(ms: np.ndarray) -> np.ndarray:
+    """The complex n x n matrices H with E(H) = M, for real 2n x 2n matrices
+    M on the image of the embedding, on the last two axes: read off exactly,
+    with no averaging."""
+    n = ms.shape[-1] // 2
+    h = np.empty(ms.shape[:-2] + (n, n), dtype=complex)
+    h.real = ms[..., :n, :n]
+    h.imag = ms[..., n:, :n]
+    return h
 
-    Each block of the stacks ``xs`` and ``sinvs`` is read on the axes
-    (s, a, b, s', a', b') of ``dims`` = (ra, rb), so
-    Z[u1 u2, v3 v4] = sum_{j, t, t'} X_j[u2 t, v3 t'] Sinv_j[v4 t', u1 t]
+
+# Axes of a block reshaped to (a, b, a', b'): the row axis an operator
+# F (x) I_rb acts on, with the row axis it leaves alone, and likewise for
+# I_ra (x) G.
+_A_SIDE = (0, 1)
+_B_SIDE = (1, 0)
+
+
+def _side_contraction(zs, tinvs, dims, left, right) -> np.ndarray:
+    """W with sum_j Tr[L_i Z_j R_k T_j] = <F_i (x) G_k, W> for L_i = F_i on
+    the ``left`` side and R_k = G_k on the ``right`` side.
+
+    Each block of the complex stacks ``zs`` and ``tinvs`` is read on the
+    axes (a, b, a', b') of ``dims`` = (ra, rb), so
+    W[u1 u2, v3 v4] = sum_{j, t, t'} Z_j[u2 t, v3 t'] T_j[v4 t', u1 t]
     is one matmul over the block index and the two identity factors.
     """
-    x7, sinv7 = (m.reshape(m.shape[0], 2, *dims, 2, *dims) for m in (xs, sinvs))
+    shape = (zs.shape[0], *dims, *dims)
+    z5, t5 = zs.reshape(shape), tinvs.reshape(shape)
     (l_op, l_id), (r_op, r_id) = left, right
-    xm = x7.transpose(*(1 + i for i in l_op), *(4 + i for i in r_op), 0, 1 + l_id, 4 + r_id)
-    sm = sinv7.transpose(*(4 + i for i in l_op), *(1 + i for i in r_op), 0, 4 + l_id, 1 + r_id)
-    pl, pr = xm.shape[0] * xm.shape[1], xm.shape[2] * xm.shape[3]
-    prod = xm.reshape(pl * pr, -1) @ sm.reshape(pl * pr, -1).T
+    zm = z5.transpose(1 + l_op, 3 + r_op, 0, 1 + l_id, 3 + r_id)
+    tm = t5.transpose(3 + l_op, 1 + r_op, 0, 3 + l_id, 1 + r_id)
+    pl, pr = zm.shape[0], zm.shape[1]
+    prod = zm.reshape(pl * pr, -1) @ tm.reshape(pl * pr, -1).T
     return prod.reshape(pl, pr, pl, pr).transpose(2, 0, 1, 3).reshape(pl * pl, pr * pr)
 
 
 def _cholesky(mat: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor (upper triangle left as is); LinAlgError unless
-    ``mat`` is numerically PD."""
+    """Lower Cholesky factor (upper triangle left as is) of a real symmetric
+    or complex Hermitian matrix; LinAlgError unless ``mat`` is numerically
+    PD."""
     _require_finite(mat)
-    factor, info = _lapack.dpotrf(mat, lower=True, clean=False)
+    factor, info = _ROUTINES[mat.dtype.kind].potrf(mat, lower=True, clean=False)
     if info != 0:
-        raise np.linalg.LinAlgError(f"dpotrf failed with info {info}")
+        raise np.linalg.LinAlgError(f"potrf failed with info {info}")
     return factor
 
 
 def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     _require_finite(rhs)
-    sol, info = _lapack.dpotrs(factor, rhs, lower=True)
+    sol, info = _ROUTINES[factor.dtype.kind].potrs(factor, rhs, lower=True)
     if info != 0:
-        raise ValueError(f"dpotrs failed with info {info}")
+        raise ValueError(f"potrs failed with info {info}")
     return sol
 
 
 def _schur_factor(mat: np.ndarray) -> np.ndarray:
     """Cholesky factor of the Schur complement, with deterministic jitter
-    when it is not numerically PD."""
-    jitter = 0.0
-    base = float(np.mean(np.diag(mat))) + 1.0
-    for _ in range(12):
+    when it is not numerically PD: 1e-14 (mean diagonal + 1), growing
+    hundredfold per try, at most 11 tries after the unjittered one."""
+    try:
+        return _cholesky(mat)
+    except np.linalg.LinAlgError:
+        pass
+    jitter = 1e-14 * (float(np.mean(np.diag(mat))) + 1.0)
+    for _ in range(11):
         try:
             return _cholesky(mat + jitter * np.eye(mat.shape[0]))
         except np.linalg.LinAlgError:
-            jitter = max(1e-14 * base, jitter * 100)
+            jitter *= 100
     raise np.linalg.LinAlgError("Schur complement not positive definite")
 
 
@@ -607,15 +659,16 @@ def _solve_real(c, op, b, eps):
 
 
 def _ipm_step(op, b, xs, ss, y, rds, mu, n_total):
-    # one Cholesky factor per block serves S^-1 and both step lengths on S,
-    # and one serves both step lengths on X
-    s_factors = [_cholesky(s) for s in ss]
-    eye = np.eye(xs.shape[-1])
-    # potrs returns each S^-1 in Fortran order, and the stack keeps that
-    # layout: it decides the gemm path, and so the bits, of every product
-    sinvs = np.array([_cho_solve(f, eye).T for f in s_factors]).swapaxes(1, 2)
+    # S and its directions are sums of embeddings, so they stay on the image
+    # exactly and each S block is read as its complex n x n matrix: one
+    # complex factor per block serves S^-1 = E(T) and both step lengths on
+    # S, and one real factor serves both step lengths on X
+    s_factors = [_cholesky(s) for s in _complex_of_image(ss)]
+    eye = np.eye(ss.shape[-1] // 2, dtype=complex)
+    tinvs = np.array([_cho_solve(f, eye) for f in s_factors])
+    sinvs = complex_to_real_embedding(tinvs)
     x_factors = [_step_factor(x) for x in xs]
-    schur = op.schur(xs, sinvs)
+    schur = op.schur(xs, tinvs)
     # one factorization serves the predictor and the corrector
     schur_factor = _schur_factor(schur)
     xrds = xs @ rds @ sinvs
@@ -632,14 +685,14 @@ def _ipm_step(op, b, xs, ss, y, rds, mu, n_total):
 
     dxs_aff, _, dss_aff = direction(0.0, np.zeros_like(xs))
     ap_aff = min(1.0, step_length(x_factors, dxs_aff))
-    ad_aff = min(1.0, step_length(s_factors, dss_aff))
+    ad_aff = min(1.0, step_length(s_factors, _complex_of_image(dss_aff)))
     mu_aff = _inner(xs + ap_aff * dxs_aff, ss + ad_aff * dss_aff) / n_total
     sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)
 
     dxs, dy, dss = direction(sigma * mu, dxs_aff @ dss_aff)
 
     ap = min(1.0, _STEP_FRACTION * step_length(x_factors, dxs))
-    ad = min(1.0, _STEP_FRACTION * step_length(s_factors, dss))
+    ad = min(1.0, _STEP_FRACTION * step_length(s_factors, _complex_of_image(dss)))
     xs = _sym(xs + ap * dxs)
     ss = _sym(ss + ad * dss)
     y = y + ad * dy

@@ -78,7 +78,7 @@ def _bound_names():
 def test_handles_are_the_ones_get_lapack_funcs_returns():
     pairs = [
         (("potrf", "potrs", "sygst", "syevx", "syevx_lwork"), np.float64),
-        (("heevr", "heevr_lwork"), np.complex128),
+        (("potrf", "potrs", "hegst", "heevx", "heevx_lwork", "heevr", "heevr_lwork"), np.complex128),
     ]
     bound = []
     for names, dtype in pairs:
@@ -89,15 +89,24 @@ def test_handles_are_the_ones_get_lapack_funcs_returns():
     assert _bound_names() == sorted(bound)
 
 
-def test_every_bound_routine_is_called_and_only_zheevr_is_complex():
+def test_every_bound_routine_is_called_and_each_complex_one_is_a_known_kernel():
     """A binding no code reaches is dead weight: each one is named as
-    ``_lapack.<name>`` somewhere in the package."""
+    ``_lapack.<name>`` somewhere in the package.  The complex ones serve the
+    S blocks of the solver and the Hermitian eigensolver of ``quantum``."""
     source = "".join(path.read_text() for path in (ROOT / "src" / "qot").glob("*.py"))
     names = _bound_names()
     assert names, "no LAPACK routine found among the module's attributes"
     for name in names:
         assert re.search(rf"\b_lapack\.{name}\b", source), f"{name} is bound but never called"
-    assert [name for name in names if name[0] in "cz"] == ["zheevr", "zheevr_lwork"]
+    assert [name for name in names if name[0] in "cz"] == [
+        "zheevr",
+        "zheevr_lwork",
+        "zheevx",
+        "zheevx_lwork",
+        "zhegst",
+        "zpotrf",
+        "zpotrs",
+    ]
 
 
 # Runs in a fresh interpreter, with the extension loaded from its file or,

@@ -64,6 +64,9 @@ def test_bench_sdp_kernels_checks_and_times_the_requested_dims(tmp_path):
     record = json.loads(out.read_text())
     assert record["environment"]["blas_threads"] == 1
     assert [(row["d"], row["k"]) for row in record["apply_a_check"]] == [(2, 1), (2, 2), (3, 1), (3, 2)]
+    assert [(row["d"], row["k"]) for row in record["schur_check"]] == [(2, 1), (2, 2), (3, 1), (3, 2)]
+    for row in record["schur_check"]:
+        assert row["schur_rel_err"] <= 1e-12 and row["us_per_call"] > 0
     assert [row["d"] for row in record["step_length"]] == [2, 3]
     for row in record["step_length"]:
         assert set(row["us_per_call"]) == {"cholesky_eigvalsh", "sygvx_scipy_wrapper", "factored_direct"}
@@ -95,3 +98,12 @@ def test_bench_e2e_times_the_import_row_in_a_pinned_child():
     assert row["name"] == "import" and row["command"] == ["python3", "-c", "import qot.cli"]
     assert row["wall_s"]["samples"] == [row["wall_s"]["median"]] and row["wall_s"]["median"] > 0
     assert row["max_rss_mb"]["median"] > 0
+
+
+def test_bench_e2e_cost_rows_solve_in_a_pinned_child():
+    """The cost rows run one solve each; a qubit solve checks the command."""
+    bench = _script_module("bench_e2e")
+    assert {"transport_cost-8", "transport_cost-12", "stabilized_cost-8"} <= set(bench.ROWS)
+    for cost in ("transport_cost", "stabilized_cost"):
+        row = bench.measure(cost, bench.cost_command(cost, 2), 1, bench.child_env())
+        assert row["wall_s"]["median"] > 0

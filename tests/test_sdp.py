@@ -104,7 +104,8 @@ def schur_complement(a_blocks, xs, sinvs) -> np.ndarray:
 
 class DenseOperator:
     """Constraint maps and Schur complement through the dense real stacks,
-    on (k, 2n, 2n) block stacks; the interface of ``sdp._CouplingOperator``."""
+    on (k, 2n, 2n) block stacks; the interface of ``sdp._CouplingOperator``,
+    whose Schur complement takes S^-1 as its complex (k, n, n) blocks."""
 
     def __init__(self, stacks):
         self.stacks = stacks
@@ -119,8 +120,8 @@ class DenseOperator:
     def apply_at(self, y) -> np.ndarray:
         return np.array([np.tensordot(y, a, axes=(0, 0)) for a in self.stacks])
 
-    def schur(self, xs, sinvs) -> np.ndarray:
-        return schur_complement(self.stacks, xs, sinvs)
+    def schur(self, xs, tinvs) -> np.ndarray:
+        return schur_complement(self.stacks, xs, complex_to_real_embedding(tinvs))
 
 
 def dense_solve(problem: SdpProblem, tol: float) -> sdp.SdpSolution:
@@ -184,7 +185,18 @@ class TestEmbedding:
         assert out.shape == (3, 4, 4)
         for got, h in zip(out, stack, strict=True):
             assert np.array_equal(got, complex_to_real_embedding(h))
-        assert np.array_equal(sdp._complex_from_embedding(out), stack)
+        assert np.array_equal(sdp._compression(out) / 2, stack)
+        assert np.array_equal(sdp._complex_of_image(out), stack)
+
+    def test_compression_pairs_embedded_operators_with_any_real_matrix(self):
+        """Tr[E(H) X] = Re Tr[H Z] for X off the image too, block by block."""
+        rng = np.random.default_rng(9)
+        hs = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+        xs = rng.normal(size=(2, 6, 6))
+        zs = sdp._compression(xs)
+        assert zs.shape == (2, 3, 3)
+        for h, x, z in zip(hs, xs, zs, strict=True):
+            assert np.trace(complex_to_real_embedding(h) @ x) == pytest.approx(np.trace(h @ z).real, rel=1e-13)
 
 
 class TestSolveBasics:
@@ -346,14 +358,16 @@ class TestCouplingStructure:
     @staticmethod
     def _iterates(ra, rb, k, iterates):
         """Random SPD iterates: embedded ones lie in the image of the
-        embedding; real ones are any SPD matrix of twice the size."""
+        embedding; real ones are any SPD matrix of twice the size.  The
+        ``complex`` kind is the complex n x n matrix of an embedded one."""
         rng = np.random.default_rng(ra * 100 + rb * 10 + k)
         n = ra * rb
 
         def pd():
-            if iterates == "embedded":
+            if iterates in ("embedded", "complex"):
                 g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-                return complex_to_real_embedding(g @ g.conj().T + 0.1 * np.eye(n))
+                h = g @ g.conj().T + 0.1 * np.eye(n)
+                return h if iterates == "complex" else complex_to_real_embedding(h)
             g = rng.normal(size=(2 * n, 2 * n))
             return g @ g.T + 0.1 * np.eye(2 * n)
 
@@ -366,9 +380,11 @@ class TestCouplingStructure:
         a_blocks = constraint_stacks(problem)
         pd = self._iterates(ra, rb, k, iterates)
         xs = np.array([pd() for _ in range(k)])
-        sinvs = np.array([np.linalg.inv(pd()) for _ in range(k)])
-        dense = schur_complement(a_blocks, xs, sinvs)
-        structured = sdp._CouplingOperator(problem).schur(xs, sinvs)
+        # S is on the image of the embedding whatever X is
+        s_pd = self._iterates(ra, rb, k + 1, "complex")
+        tinvs = np.array([np.linalg.inv(s_pd()) for _ in range(k)])
+        dense = schur_complement(a_blocks, xs, complex_to_real_embedding(tinvs))
+        structured = sdp._CouplingOperator(problem).schur(xs, tinvs)
         assert structured.shape == dense.shape == (ra * ra + rb * rb - 1,) * 2
         assert np.max(np.abs(structured - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -483,7 +499,7 @@ class TestCouplingStructure:
 def _first_shift(x):
     """The first shift the step length tries on x that is not numerically PD."""
     n = x.shape[0]
-    return 2.0 * abs(float(np.linalg.eigvalsh(x)[0])) + 1e-16 * (1.0 + abs(float(np.trace(x))) / n)
+    return 2.0 * abs(float(np.linalg.eigvalsh(x)[0])) + 1e-16 * (1.0 + abs(float(np.trace(x).real)) / n)
 
 
 def _max_step_reference(x, dx):
@@ -506,10 +522,9 @@ def _max_step_reference(x, dx):
 
 
 class TestMaxStep:
-    # Every solver iterate is real, and so is the step-length kernel.  The
-    # field axis keeps these test IDs stable for a complex iteration, which
-    # would add "complex" here together with its LAPACK bindings.
-    FIELDS = ["real"]
+    # X blocks are real, and their step lengths are taken on real pencils;
+    # S blocks are read as complex n x n matrices, and theirs on complex ones.
+    FIELDS = ["real", "complex"]
 
     @pytest.mark.parametrize("n", [8, 32, 72])
     @pytest.mark.parametrize("kind", ["pd", "singular", "grazing", "unbounded"])
@@ -538,16 +553,18 @@ class TestMaxStep:
         assert (got == 1e30) == (kind == "unbounded")
 
     @staticmethod
-    def _pencil(n, seed):
+    def _pencil(n, seed, field="real"):
         rng = np.random.default_rng(seed)
         g, h = rng.normal(size=(n, n)), rng.normal(size=(n, n))
-        return g @ g.T + 0.1 * np.eye(n), (h + h.T) / 2
+        if field == "complex":
+            g, h = g + 1j * rng.normal(size=(n, n)), h + 1j * rng.normal(size=(n, n))
+        return g @ g.conj().T + 0.1 * np.eye(n), (h + h.conj().T) / 2
 
     @pytest.mark.parametrize("n", [8, 18, 32, 72, 128])
     @pytest.mark.parametrize("field", FIELDS)
     def test_pencil_min_is_scipy_eigh_bit_for_bit(self, n, field):
         for seed in range(3):
-            x, dx = self._pencil(n, 10 * n + seed)
+            x, dx = self._pencil(n, 10 * n + seed, field)
             want = scipy.linalg.eigh(dx, x, eigvals_only=True, subset_by_index=[0, 0])[0]
             factor = sdp._cholesky(x)
             assert sdp._pencil_min(dx, factor) == want
@@ -560,7 +577,7 @@ class TestMaxStep:
         its own Cholesky factor, so the step length is the pencil minimum on
         x itself."""
         for seed in range(3):
-            x, dx = self._pencil(n, 10 * n + seed)
+            x, dx = self._pencil(n, 10 * n + seed, field)
             factor = sdp._step_factor(x)
             assert np.array_equal(factor, sdp._cholesky(x))
             assert sdp._max_step(dx, factor) == -1.0 / sdp._pencil_min(dx, sdp._cholesky(x))
@@ -595,7 +612,7 @@ class TestMaxStep:
     def test_x_without_a_factor_goes_straight_to_the_shifted_pencil(self, monkeypatch, field):
         """x with a zero pivot is tried once as it is, then factored at the
         first shift, where it is PD."""
-        x, dx = self._pencil(8, 0)
+        x, dx = self._pencil(8, 0, field)
         x[:, -1] = x[-1, :] = 0.0
         cholesky, seen = sdp._cholesky, []
 
@@ -613,7 +630,7 @@ class TestMaxStep:
     @pytest.mark.parametrize("field", FIELDS)
     def test_pencil_min_raises_linalg_error_on_singular_x(self, field):
         """As scipy.linalg.eigh does: singular x has no Cholesky factor."""
-        x, dx = self._pencil(8, 0)
+        x, dx = self._pencil(8, 0, field)
         x[:, -1] = x[-1, :] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
             sdp._pencil_min(dx, sdp._cholesky(x))
@@ -622,7 +639,7 @@ class TestMaxStep:
     @pytest.mark.parametrize("where", ["x", "dx"])
     @pytest.mark.parametrize("field", FIELDS)
     def test_non_finite_input_raises_value_error(self, bad, where, field):
-        x, dx = self._pencil(8, 1)
+        x, dx = self._pencil(8, 1, field)
         (x if where == "x" else dx)[2, 3] = bad
         with pytest.raises(ValueError):
             sdp._pencil_min(dx, sdp._cholesky(x))
@@ -653,11 +670,13 @@ class TestMaxStep:
         assert calls == {"pencil": 4 * k * steps, "factor": k * steps, "steps": steps}
 
     @pytest.mark.parametrize("n", [8, 32, 72])
-    def test_cached_lwork_is_the_one_scipy_queries(self, n):
-        """syevx asks for the workspace that scipy.linalg.eigh queries for
-        sygvx, which hands it on to syevx."""
-        (query,) = scipy.linalg.lapack.get_lapack_funcs(("sygvx_lwork",), dtype=np.float64)
-        assert sdp._evx_lwork(n) == scipy.linalg.lapack._compute_lwork(query, n, uplo="L")
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_cached_lwork_is_the_one_scipy_queries(self, n, field):
+        """syevx (heevx) asks for the workspace that scipy.linalg.eigh
+        queries for sygvx (hegvx), which hands it on."""
+        name, dtype = ("sygvx_lwork", float) if field == "real" else ("hegvx_lwork", complex)
+        (query,) = scipy.linalg.lapack.get_lapack_funcs((name,), dtype=dtype)
+        assert sdp._evx_lwork(n, dtype) == scipy.linalg.lapack._compute_lwork(query, n, uplo="L")
 
 
 def _refined_solve_factoring_inside(mat, rhs):
@@ -682,10 +701,10 @@ class TestSchurFactor:
         """A Schur complement of a coupling problem at random embedded SPD
         iterates, with a right-hand side."""
         problem = _random_coupling_problem(ra, rb, k, seed)
-        pd = TestCouplingStructure._iterates(ra, rb, k, "embedded")
-        xs = np.array([pd() for _ in range(k)])
-        sinvs = np.array([np.linalg.inv(pd()) for _ in range(k)])
-        mat = sdp._CouplingOperator(problem).schur(xs, sinvs)
+        pd = TestCouplingStructure._iterates(ra, rb, k, "complex")
+        xs = complex_to_real_embedding([pd() for _ in range(k)])
+        tinvs = np.array([np.linalg.inv(pd()) for _ in range(k)])
+        mat = sdp._CouplingOperator(problem).schur(xs, tinvs)
         return mat, np.random.default_rng(seed).normal(size=mat.shape[0])
 
     @pytest.mark.parametrize("ra, rb, k", [(2, 2, 1), (3, 3, 2), (4, 4, 1)])
@@ -730,13 +749,64 @@ class TestSchurFactor:
         assert factors_per_step == [1] * (sol.iterations - 1)
 
 
+class TestDualSideOnTheImage:
+    """The solver reads each S block, and each S direction, as the complex
+    matrix of its upper-left and lower-left quarters.  That is exact only on
+    the image of the embedding, where S, the dual residual and dS stay: each
+    is a sum of embeddings, scaled and symmetrized entry by entry."""
+
+    @staticmethod
+    def _watch(monkeypatch):
+        """Check every S and dual residual an IPM step gets, and every stack
+        the solver reads as complex, against the embedding of its read."""
+        seen = {"steps": 0, "reads": 0}
+        ipm_step, read = sdp._ipm_step, sdp._complex_of_image
+
+        def assert_on_image(ms):
+            assert ms.ndim == 3
+            assert np.array_equal(ms, complex_to_real_embedding(read(ms)))
+
+        def checked_read(ms):
+            assert_on_image(ms)
+            seen["reads"] += 1
+            return read(ms)
+
+        def checked_step(op, b, xs, ss, y, rds, mu, n_total):
+            assert_on_image(ss)
+            assert_on_image(rds)
+            seen["steps"] += 1
+            return ipm_step(op, b, xs, ss, y, rds, mu, n_total)
+
+        monkeypatch.setattr(sdp, "_complex_of_image", checked_read)
+        monkeypatch.setattr(sdp, "_ipm_step", checked_step)
+        return seen
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("cost", ["transport", "stabilized"])
+    def test_coupling_solves(self, monkeypatch, d, cost):
+        from qot.transport import stabilized_cost, transport_cost
+
+        seen = self._watch(monkeypatch)
+        solver = transport_cost if cost == "transport" else stabilized_cost
+        result = solver(random_density_matrix(d, 60 + d), random_density_matrix(d, 70 + d))
+        assert result.gap <= 1e-8
+        # S, then the predictor's and the corrector's dS, per step
+        assert seen["steps"] > 0 and seen["reads"] == 3 * seen["steps"]
+
+    def test_hand_built_problem(self, monkeypatch):
+        seen = self._watch(monkeypatch)
+        prob = transport_problem(random_density_matrix(3, 80).matrix, random_density_matrix(3, 81).matrix)
+        assert dense_solve(prob, 1e-8).status == STATUS_OPTIMAL
+        assert seen["steps"] > 0 and seen["reads"] == 3 * seen["steps"]
+
+
 # Small-pairs benchmark ops whose certificates depend on rounding: the part of
 # X off the image of the real embedding grows for about eight iterations
 # before the solve recovers.  This guards the d = 2 path only: a rounding
 # change can keep these counts and still move larger solves, as a C-ordered
 # stack of the S^-1 blocks did.  The bit-for-bit check of every workload is
 # scripts/op_fingerprints.py, run on this checkout and the previous commit.
-@pytest.mark.parametrize("seed, index, iterations", [(5, 20, 23), (13, 107, 21), (44, 33, 23)])
+@pytest.mark.parametrize("seed, index, iterations", [(5, 20, 21), (13, 107, 22), (44, 33, 23)])
 def test_rounding_sensitive_qubit_transport_keeps_its_path(monkeypatch, seed, index, iterations):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
     from perfbench.workloads import cycle
