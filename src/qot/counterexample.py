@@ -116,25 +116,14 @@ class ViolationReport:
     sym_violation: float
     sym_expectation: float
     dual_bound: float
-    repair_shift: float
     solver_tol: float
     chain_tol: float
 
 
 def reference_witness() -> DualWitness:
-    """The built-in 4x4 witness pair, bit-exact decimal constants.
-
-    If the rounded constants ever violated antisymmetric feasibility, the
-    first potential would be shifted down by the excess (see
-    ``_reference_repaired``); as shipped the pair is strictly feasible and no
-    shift is applied.
-    """
-    return _reference_repaired()[0]
-
-
-def _reference_repaired() -> tuple[DualWitness, float]:
-    pot_a, shift = _shifted_feasible(_REFERENCE_A, _REFERENCE_B, proj_asym(4).matrix)
-    return DualWitness(HermitianOperator(pot_a), HermitianOperator(_REFERENCE_B)), shift
+    """The built-in 4x4 witness pair, bit-exact decimal constants; strictly
+    feasible for the antisymmetric bound."""
+    return DualWitness(HermitianOperator(_REFERENCE_A), HermitianOperator(_REFERENCE_B))
 
 
 def symmetric_excess(witness: DualWitness) -> float:
@@ -240,7 +229,7 @@ def violation_report(d: int, tol: float = DEFAULT_TOL) -> ViolationReport:
     if d > MAX_VIOLATION_DIM:
         raise ValueError(f"dimension {d} exceeds the desk-scale cap {MAX_VIOLATION_DIM}")
 
-    base, repair_shift = _reference_repaired()
+    base = reference_witness()
     witness = base if d == MIN_VIOLATION_DIM else embed_witness(base, d - MIN_VIOLATION_DIM)
 
     psi = extract_violating_state(witness)
@@ -267,7 +256,6 @@ def violation_report(d: int, tol: float = DEFAULT_TOL) -> ViolationReport:
         sym_violation=symmetric_excess(witness),
         sym_expectation=sym_expectation,
         dual_bound=dual_bound,
-        repair_shift=repair_shift,
         solver_tol=tol,
         chain_tol=CHAIN_TOL,
     )

@@ -13,7 +13,9 @@ Every Hermitian block is embedded as a real symmetric block of twice the
 size, E(A + iB) = [[A, -B], [B, A]], the real problem is solved by an
 infeasible-start Mehrotra predictor-corrector primal-dual interior-point
 method, and objective and constraint values are halved afterwards to undo
-the trace doubling of the embedding.  The k blocks travel as one
+the trace doubling of the embedding.  Each iteration measures the iterate
+(mu, gap, residuals), asks ``_stop`` whether the records so far end the
+solve, and otherwise takes one ``_ipm_step``.  The k blocks form one
 (k, 2n, 2n) stack: X, S, S^-1, the dual residuals and the directions are
 stacks, and A^T y, the same for every block, is one 2n x 2n matrix that
 broadcasts over them.  Only the LAPACK calls loop over the blocks.  No step
@@ -206,47 +208,101 @@ def solve(problem: CouplingProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     """Solve a ``coupling_problem`` to an absolute primal-dual gap of at most
     ``tol``.
 
-    Returns status ``optimal`` when gap and max constraint residual are both
-    below ``tol``, and ``max_iterations`` when progress stalls above it.
+    Status ``optimal`` means gap and max constraint residual are both below
+    ``tol``.  Every other exit reports ``max_iterations``: a stall, the mu
+    floor, a numerical breakdown (which returns the last consistent iterate)
+    and the iteration cap.  The gap and residual are rechecked on the
+    complex side, and an ``optimal`` exit that fails the recheck is demoted.
     """
     return _solve_embedded(problem.objective, problem.rhs, _CouplingOperator(problem), tol)
 
 
 def _solve_embedded(objective, rhs, op, tol: float) -> SdpSolution:
-    """The IPM on the real embedding of the complex objective operators
-    ``objective`` and right-hand side ``rhs``; ``op`` applies the constraints
-    to a (k, 2n, 2n) stack of embedded blocks.  The solution is reported on
+    """The IPM, Mehrotra predictor-corrector with HKM direction, on the real
+    embedding of the complex objective operators ``objective`` and
+    right-hand side ``rhs``; ``op`` applies the constraints to (k, 2n, 2n)
+    stacks and assembles the Schur complement.  The solution is reported on
     the complex side."""
     if not (1e-10 <= tol <= 1e-2):
         raise ValueError(f"tol must lie in [1e-10, 1e-2], got {tol}")
     c = complex_to_real_embedding([h.matrix for h in objective])
-    # the rhs doubles with the traces of the embedding
-    b = 2.0 * rhs
+    # the rhs doubles with the traces of the embedding, and so does every
+    # embedded quantity: target 2*tol
+    b, eps = 2.0 * rhs, 2 * tol
+    n_total = c.shape[0] * c.shape[1]
+    scale_p = max(1.0, float(np.max(np.abs(b))))
+    scale_d = max(1.0, float(np.max(np.linalg.norm(c, 2, axis=(1, 2)))))
+    eye = np.broadcast_to(np.eye(c.shape[1]), c.shape)
+    xs, ss, y = scale_p * eye, scale_d * eye, np.zeros(len(b))
 
-    # Embedded quantities are twice the complex-side ones, so target 2*tol.
-    xs, y_dual, status, iterations = _solve_real(c, op, b, 2 * tol)
+    records, status = [], None
+    for _ in range(_MAX_ITER):
+        rds = c - ss - op.apply_at(y)
+        mu = _inner(xs, ss) / n_total
+        pinf = float(np.max(np.abs(b - op.apply_a(xs))))
+        records.append(_Iterate(mu, _inner(c, xs) - float(b @ y), pinf, float(np.max(np.abs(rds)))))
+        status = _stop(records, eps, scale_p, scale_d, n_total)
+        if status is not None:
+            break
+        try:
+            xs, ss, y = _ipm_step(op, b, xs, ss, y, rds, mu, n_total)
+        except np.linalg.LinAlgError:
+            # breakdown at extreme conditioning: report the last consistent iterate
+            break
 
     # X drifts off the image of the embedding: average its two readings
     primal = _compression(xs) / 2
     # Tr[A X] as the elementwise sum of E(A)^T * E(X), halved: O(m n^2), no matmul.
     embedded = complex_to_real_embedding(primal)
     primal_value = _inner(c, embedded) / 2.0
-    dual_value = float(y_dual @ b) / 2.0
+    dual_value = float(y @ b) / 2.0
     infeas = float(np.max(np.abs(op.apply_a(embedded) - b))) / 2.0
 
     gap = float(primal_value - dual_value)
-    if status == STATUS_OPTIMAL and (gap > tol or infeas > tol):
+    # the cap and a breakdown end without a status
+    if status != STATUS_OPTIMAL or gap > tol or infeas > tol:
         status = STATUS_MAX_ITERATIONS
     return SdpSolution(
         primal_blocks=tuple(primal),
-        dual_vector=y_dual.copy(),
+        dual_vector=y.copy(),
         primal_value=float(primal_value),
         dual_value=dual_value,
         gap=gap,
         primal_infeasibility=float(infeas),
         status=status,
-        iterations=iterations,
+        iterations=len(records),
     )
+
+
+class _Iterate(NamedTuple):
+    """One measured IPM iterate, in embedded units: mu = <X, S>/n, the gap
+    <C, X> - b^T y, and the largest primal and dual residual entries."""
+
+    mu: float
+    gap: float
+    pinf: float
+    dinf: float
+
+
+def _stop(records, eps, scale_p, scale_d, n_total) -> str | None:
+    """The status that ends the IPM after the iterates ``records``, or None.
+
+    ``optimal`` when the last iterate has mu*n_total, |gap| and pinf at most
+    ``eps`` and dinf at most eps*scale_d.  ``max_iterations`` on a stall,
+    twelve iterates in a row whose score max(mu*n_total, pinf, dinf) is not
+    below 0.7 times the best so far, or at the mu floor 1e-16*scale_d*scale_p.
+    """
+    last = records[-1]
+    if last.mu * n_total <= eps and abs(last.gap) <= eps and last.pinf <= eps and last.dinf <= eps * scale_d:
+        return STATUS_OPTIMAL
+    best, stall = np.inf, 0
+    for r in records:
+        score = max(r.mu * n_total, r.pinf, r.dinf)
+        if score < 0.7 * best:
+            best, stall = score, 0
+        else:
+            stall += 1
+    return STATUS_MAX_ITERATIONS if stall >= 12 or last.mu < 1e-16 * scale_d * scale_p else None
 
 
 def coupling_problem(costs, red_a: np.ndarray, red_b: np.ndarray) -> CouplingProblem:
@@ -598,64 +654,6 @@ def _chol_solve_refined(mat: np.ndarray, factor: np.ndarray, rhs: np.ndarray) ->
     sol = _cho_solve(factor, rhs)
     sol += _cho_solve(factor, rhs - mat @ sol)
     return sol
-
-
-def _solve_real(c, op, b, eps):
-    """Infeasible-start Mehrotra predictor-corrector with HKM search direction,
-    to gap and residuals of at most ``eps``.
-
-    ``c`` stacks the k embedded objective blocks, (k, n, n), and X, S, the
-    dual residuals and the directions are stacks of that shape.  ``op`` is
-    the problem's constraint operator: it applies A and A^T and assembles
-    the Schur complement.  Each step ends with the Mehrotra update.
-    """
-    n_total = c.shape[0] * c.shape[1]
-
-    scale_p = max(1.0, float(np.max(np.abs(b))))
-    scale_d = max(1.0, float(np.max(np.linalg.norm(c, 2, axis=(1, 2)))))
-    eye = np.broadcast_to(np.eye(c.shape[1]), c.shape)
-    xs = scale_p * eye
-    ss = scale_d * eye
-    y = np.zeros(len(b))
-
-    status = STATUS_MAX_ITERATIONS
-    best_score = np.inf
-    stall = 0
-    it = 0
-    for it in range(1, _MAX_ITER + 1):
-        rp = b - op.apply_a(xs)
-        rds = c - ss - op.apply_at(y)
-        mu = _inner(xs, ss) / n_total
-
-        pobj = _inner(c, xs)
-        dobj = float(b @ y)
-        gap = pobj - dobj
-        pinf = float(np.max(np.abs(rp)))
-        dinf = float(np.max(np.abs(rds)))
-
-        if mu * n_total <= eps and abs(gap) <= eps and pinf <= eps and dinf <= eps * scale_d:
-            status = STATUS_OPTIMAL
-            break
-
-        score = max(mu * n_total, pinf, dinf)
-        if score < 0.7 * best_score:
-            best_score = score
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 12:
-                break
-        if mu < 1e-16 * scale_d * scale_p:
-            break
-
-        try:
-            xs, ss, y = _ipm_step(op, b, xs, ss, y, rds, mu, n_total)
-        except np.linalg.LinAlgError:
-            # numerical breakdown at extreme conditioning; report the last
-            # consistent iterate instead of crashing
-            break
-
-    return xs, y, status, it
 
 
 def _ipm_step(op, b, xs, ss, y, rds, mu, n_total):

@@ -185,7 +185,6 @@ def violation_report_payload(report: ViolationReport, tol: float) -> dict:
     doc.update(
         {
             "dim": report.dim,
-            "repair_shift": report.repair_shift,
             "witness_feasibility_margin": report.witness.feasibility_margin,
             "chain_tolerance": report.chain_tol,
         }

