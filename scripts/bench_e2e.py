@@ -9,9 +9,14 @@ size (``ru_maxrss``).  The rows:
 - ``import``: ``python -c "import qot.cli"``;
 - ``selftest-quick``: ``qot selftest --quick``;
 - ``verify-counterexample-4``: ``qot verify-counterexample --dim 4``;
-- ``transport_cost-8`` and ``transport_cost-12``: one ``transport_cost`` of
-  two random full-rank states at d = 8 and 12, import included;
+- ``transport_cost-8``, ``transport_cost-12`` and ``transport_cost-16``: one
+  ``transport_cost`` of two random full-rank states at d = 8, 12 and 16,
+  import included;
 - ``stabilized_cost-8``: one ``stabilized_cost`` of the same kind at d = 8.
+
+With ``--against DIR`` every row is also timed on the qot sources of the
+checkout in DIR, the two checkouts taking turns run by run, and those rows
+are recorded under ``against``.
 
 The environment record (``os.cpu_count()``, interpreter and library
 versions, every loaded OpenBLAS and its thread count) is read back through
@@ -20,7 +25,7 @@ versions, every loaded OpenBLAS and its thread count) is read back through
 one BLAS thread, or if any timed run exits non-zero.  Run from the
 repository root:
 
-    python3 scripts/bench_e2e.py --out BENCH_e2e.json
+    python3 scripts/bench_e2e.py --out BENCH_e2e.json [--against DIR]
 """
 
 import argparse
@@ -52,6 +57,7 @@ ROWS = {
     "verify-counterexample-4": QOT + ["verify-counterexample", "--dim", "4"],
     "transport_cost-8": cost_command("transport_cost", 8),
     "transport_cost-12": cost_command("transport_cost", 12),
+    "transport_cost-16": cost_command("transport_cost", 16),
     "stabilized_cost-8": cost_command("stabilized_cost", 8),
 }
 RUNS = 7
@@ -60,10 +66,10 @@ READ_BACK = (
 )
 
 
-def child_env() -> dict:
-    """The caller's environment with qot's sources first on the path and BLAS
-    pinned to one thread."""
-    paths = [str(ROOT / "src"), str(ROOT), os.environ.get("PYTHONPATH", "")]
+def child_env(checkout: Path = ROOT) -> dict:
+    """The caller's environment with the qot sources of ``checkout`` first on
+    the path and BLAS pinned to one thread."""
+    paths = [str(checkout / "src"), str(ROOT), os.environ.get("PYTHONPATH", "")]
     return {
         **os.environ,
         **{var: "1" for var in blas.PIN_VARS},
@@ -95,15 +101,22 @@ def summary(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "samples": values}
 
 
-def measure(name, cmd, runs, env) -> dict:
-    samples = [run_once(cmd, env) for _ in range(runs)]
-    return {
-        "name": name,
-        "command": ["python3", *cmd[1:]],
-        "runs": runs,
-        "wall_s": summary([wall for wall, _ in samples]),
-        "max_rss_mb": summary([rss for _, rss in samples]),
-    }
+def measure(name, cmd, runs, envs) -> list[dict]:
+    """One row per environment of ``envs``, which take turns run by run."""
+    samples = [[] for _ in envs]
+    for _ in range(runs):
+        for env, taken in zip(envs, samples):
+            taken.append(run_once(cmd, env))
+    return [
+        {
+            "name": name,
+            "command": ["python3", *cmd[1:]],
+            "runs": runs,
+            "wall_s": summary([wall for wall, _ in taken]),
+            "max_rss_mb": summary([rss for _, rss in taken]),
+        }
+        for taken in samples
+    ]
 
 
 def environment(env) -> dict:
@@ -119,18 +132,25 @@ def environment(env) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, help="write the record here as JSON")
+    parser.add_argument("--against", type=Path, help="also time the checkout in this directory, in turns")
     args = parser.parse_args(argv)
 
-    env = child_env()
-    record = {"environment": environment(env), "rows": []}
+    envs = [child_env()]
+    record = {"environment": environment(envs[0]), "rows": []}
+    tables = [record["rows"]]
+    if args.against is not None:
+        envs.append(child_env(args.against.resolve()))
+        environment(envs[1])
+        record["against"] = {"rows": []}
+        tables.append(record["against"]["rows"])
     for name, cmd in ROWS.items():
-        row = measure(name, cmd, RUNS, env)
-        record["rows"].append(row)
-        wall, rss = row["wall_s"], row["max_rss_mb"]
-        print(
-            f"{name:24s} wall {wall['median']:.3f} s [{wall['q1']:.3f}-{wall['q3']:.3f}]"
-            f"  max_rss {rss['median']:.1f} MB"
-        )
+        for label, table, row in zip(("", " (against)"), tables, measure(name, cmd, RUNS, envs)):
+            table.append(row)
+            wall, rss = row["wall_s"], row["max_rss_mb"]
+            print(
+                f"{name + label:35s} wall {wall['median']:.3f} s [{wall['q1']:.3f}-{wall['q3']:.3f}]"
+                f"  max_rss {rss['median']:.1f} MB"
+            )
     if args.out:
         args.out.write_text(json.dumps(record, indent=1) + "\n")
         print(f"record written to {args.out}")

@@ -6,20 +6,21 @@ For d x d marginals (d = 2..8 by default, or the ``--dims`` given) and k = 1
 or 2 PSD blocks, a coupling problem is built with
 ``qot.sdp.coupling_problem`` (the transport cost for k = 1, the stabilized
 split for k = 2).  Before any timing, the partial-trace map
-``_CouplingOperator.apply_a``, given the (k, 2n, 2n) stack of embedded
-blocks as the solver gives it, is checked against 2 Re Tr[A_i X] summed over
-the blocks, with A_i read from the explicit list ``problem.constraints``.
-The Schur complement ``_CouplingOperator.schur``, assembled on complex
-n x n blocks from a real X stack (random SPD, off the image of the
-embedding) and the complex blocks T_j of S^-1, is checked against
-sum_j Tr[E(A_i) X_j E(A_l) E(T_j)] from the same list to a relative 1e-12,
-and timed per call.  The step length as the solver takes it (a potrf factor by ``_step_factor``,
-then ``_max_step`` on it: sygst and syevx through cached LAPACK handles) is
-then timed at each embedded block size 2 d^2 against sygvx through the
-``scipy.linalg.eigh`` wrapper, and against the Cholesky, two triangular
-solves and eigvalsh the solver took before it called LAPACK directly.  The
-wrapper must give the same step bit for bit, the Cholesky route to a
-relative 1e-12.  The script exits non-zero if a check fails.
+``_CouplingOperator.apply_a``, given the complex (k, n, n) stack of
+Hermitian blocks as the solver gives it, is checked against Re Tr[A_i X]
+summed over the blocks, with A_i read from the explicit list
+``problem.constraints``.  The Schur complement ``_CouplingOperator.schur``,
+assembled from complex Hermitian PD blocks X_j and T_j (the blocks of
+S^-1), is checked against sum_j Re Tr[A_i X_j A_l T_j] from the same list
+to a relative 1e-12, and timed per call.  The step length as the solver
+takes it on a complex n x n block, n = d^2 (a zpotrf factor by
+``_step_factor``, then ``_max_step`` on it: hegst and heevx through cached
+LAPACK handles), is then timed against hegvx through the
+``scipy.linalg.eigh`` wrapper, against the Cholesky, two triangular solves
+and eigvalsh, and against the same pencil on its real 2n x 2n embedding by
+dpotrf, dsygst and dsyevx, the kernel of a solver that runs X embedded.  The
+wrapper must give the same step bit for bit, the Cholesky route and the
+embedding to a relative 1e-12.  The script exits non-zero if a check fails.
 
 BLAS is pinned to one thread, as in ``perfbench/run.py``, and the effective
 count is read back and recorded.  Run from the repository root:
@@ -41,6 +42,7 @@ blas.pin_one_thread()
 
 import numpy as np  # noqa: E402
 import scipy.linalg  # noqa: E402
+import scipy.linalg.lapack  # noqa: E402
 
 from qot import sdp  # noqa: E402
 from qot.sdp import complex_to_real_embedding  # noqa: E402
@@ -88,12 +90,12 @@ def step_reference(x, dx) -> float:
     """The step length by Cholesky, triangular solves and eigvalsh, for PD x."""
     lo = np.linalg.cholesky(x)
     w = scipy.linalg.solve_triangular(lo, dx, lower=True)
-    w = scipy.linalg.solve_triangular(lo, w.T, lower=True)
-    return step_from(float(np.linalg.eigvalsh((w + w.T) / 2)[0]))
+    w = scipy.linalg.solve_triangular(lo, w.conj().T, lower=True)
+    return step_from(float(np.linalg.eigvalsh((w + w.conj().T) / 2)[0]))
 
 
 def step_wrapper(x, dx) -> float:
-    """The step length by sygvx through the scipy wrapper, for PD x."""
+    """The step length by hegvx through the scipy wrapper, for PD x."""
     return step_from(float(scipy.linalg.eigh(dx, x, eigvals_only=True, subset_by_index=[0, 0])[0]))
 
 
@@ -102,9 +104,29 @@ def step_direct(x, dx) -> float:
     return sdp._max_step(dx, sdp._step_factor(x))
 
 
-def spd(rng, n):
-    g = rng.normal(size=(n, n))
-    return g @ g.T / n + 0.1 * np.eye(n)
+_REAL_PENCIL = scipy.linalg.lapack.get_lapack_funcs(("potrf", "sygst", "syevx", "syevx_lwork"), dtype=np.float64)
+
+
+def embedded_lwork(n: int) -> int:
+    """The dsyevx workspace scipy queries for a 2n x 2n pencil."""
+    return scipy.linalg.lapack._compute_lwork(_REAL_PENCIL[3], 2 * n, lower=1)
+
+
+def step_embedded(ex, edx, lwork: int) -> float:
+    """The step length on the real embeddings ``ex`` and ``edx`` of x and dx
+    by dpotrf, dsygst and dsyevx, with the workspace ``embedded_lwork``."""
+    potrf, sygst, syevx, _ = _REAL_PENCIL
+    factor, info = potrf(ex, lower=True, clean=False)
+    c, info_gst = sygst(edx, factor, itype=1, lower=1)
+    w, _, _, _, info_evx = syevx(c, compute_v=0, range="I", lower=1, il=1, iu=1, lwork=lwork)
+    if info or info_gst or info_evx:
+        raise SystemExit(f"real embedded pencil failed: potrf {info}, sygst {info_gst}, syevx {info_evx}")
+    return step_from(float(w[0]))
+
+
+def hermitian_pd(rng, n):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return g @ g.conj().T / n + 0.1 * np.eye(n)
 
 
 def coupling(d: int, k: int):
@@ -115,20 +137,14 @@ def coupling(d: int, k: int):
 
 
 def map_check(d: int, k: int) -> dict:
-    """``apply_a`` on embedded random PSD blocks against the explicit
-    constraint list: Tr[E(A) E(X)] = 2 Re Tr[A X] for Hermitian A and X."""
+    """``apply_a`` on random Hermitian PD blocks against the explicit
+    constraint list."""
     rng = np.random.default_rng(100 * d + k)
     problem = coupling(d, k)
     n = d * d
-    blocks = []
-    for _ in range(k):
-        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        blocks.append(g @ g.conj().T / n + 0.1 * np.eye(n))
-    want = [
-        sum(2.0 * np.trace(a.matrix @ x).real for a, x in zip(coeffs, blocks))
-        for coeffs, _ in problem.constraints
-    ]
-    got = sdp._CouplingOperator(problem).apply_a(complex_to_real_embedding(blocks))
+    blocks = np.array([hermitian_pd(rng, n) for _ in range(k)])
+    want = [sum(np.trace(a.matrix @ x).real for a, x in zip(coeffs, blocks)) for coeffs, _ in problem.constraints]
+    got = sdp._CouplingOperator(problem).apply_a(blocks)
     err = rel_err(got, want)
     if err > MAP_RTOL:
         raise SystemExit(f"d={d} k={k}: apply_a differs from the constraint list by {err:.2e} relative")
@@ -136,23 +152,19 @@ def map_check(d: int, k: int) -> dict:
 
 
 def schur_check(d: int, k: int) -> dict:
-    """``schur`` against the embedded constraints of the explicit list, for
-    real X blocks off the image of the embedding and complex blocks of S^-1."""
+    """``schur`` against the constraints of the explicit list, for complex
+    Hermitian PD blocks of X and of S^-1."""
     rng = np.random.default_rng(200 * d + k)
     problem = coupling(d, k)
     n, m = d * d, problem.n_constraints
-    xs = np.array([spd(rng, 2 * n) for _ in range(k)])
-    tinvs = []
-    for _ in range(k):
-        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        tinvs.append(np.linalg.inv(g @ g.conj().T / n + 0.1 * np.eye(n)))
-    tinvs = np.array(tinvs)
+    xs = np.array([hermitian_pd(rng, n) for _ in range(k)])
+    tinvs = np.array([np.linalg.inv(hermitian_pd(rng, n)) for _ in range(k)])
     want = np.zeros((m, m))
     for j in range(k):
-        rows = complex_to_real_embedding([coeffs[j].matrix for coeffs, _ in problem.constraints])
-        right = xs[j] @ rows @ complex_to_real_embedding(tinvs[j])
-        # Tr[E(A_i) R_l] = <E(A_i), R_l^T> entrywise
-        want += rows.reshape(m, -1) @ right.transpose(0, 2, 1).reshape(m, -1).T
+        rows = np.array([coeffs[j].matrix for coeffs, _ in problem.constraints])
+        right = xs[j] @ rows @ tinvs[j]
+        # Tr[A_i R_l] = <A_i, R_l^T> entrywise
+        want += (rows.reshape(m, -1) @ right.transpose(0, 2, 1).reshape(m, -1).T).real
     op = sdp._CouplingOperator(problem)
     err = rel_err(op.schur(xs, tinvs), want)
     if err > SCHUR_RTOL:
@@ -169,25 +181,30 @@ def schur_check(d: int, k: int) -> dict:
 
 def step_row(d: int) -> dict:
     rng = np.random.default_rng(d)
-    n = 2 * d * d
-    x = spd(rng, n)
-    h = rng.normal(size=(n, n))
-    dx = (h + h.T) / 2
+    n = d * d
+    x = hermitian_pd(rng, n)
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    dx = (h + h.conj().T) / 2
+    ex, edx, lwork = complex_to_real_embedding(x), complex_to_real_embedding(dx), embedded_lwork(n)
     step = step_direct(x, dx)
     if step != step_wrapper(x, dx):
         raise SystemExit(f"d={d}: the direct calls and the scipy wrapper give different steps")
-    err = abs(step - step_reference(x, dx)) / step_reference(x, dx)
-    if err > STEP_RTOL:
-        raise SystemExit(f"d={d}: step lengths differ by {err:.2e} relative")
+    errs = {}
+    others = {"cholesky_eigvalsh": step_reference(x, dx), "real_embedding": step_embedded(ex, edx, lwork)}
+    for name, other in others.items():
+        errs[name] = abs(step - other) / other
+        if errs[name] > STEP_RTOL:
+            raise SystemExit(f"d={d}: step lengths by {name} differ by {errs[name]:.2e} relative")
     return {
         "d": d,
         "n": n,
         "us_per_call": {
             "cholesky_eigvalsh": per_call_us(lambda: step_reference(x, dx)),
-            "sygvx_scipy_wrapper": per_call_us(lambda: step_wrapper(x, dx)),
+            "hegvx_scipy_wrapper": per_call_us(lambda: step_wrapper(x, dx)),
             "factored_direct": per_call_us(lambda: step_direct(x, dx)),
+            "real_embedding_direct": per_call_us(lambda: step_embedded(ex, edx, lwork)),
         },
-        "rel_err": err,
+        "rel_err": errs,
     }
 
 
@@ -204,9 +221,10 @@ def main(argv=None) -> int:
     steps = [step_row(d) for d in args.dims]
     record = {
         "what": (
-            "coupling-SDP apply_a and the complex-block Schur complement checked against the constraint"
-            " list, the Schur complement timed; step length by direct potrf, sygst and syevx calls, by"
-            " sygvx through scipy.linalg.eigh, and by Cholesky"
+            "coupling-SDP apply_a and the Schur complement on complex blocks checked against the constraint"
+            " list, the Schur complement timed; step length on a complex n x n pencil by direct potrf, hegst"
+            " and heevx calls, by hegvx through scipy.linalg.eigh, and by Cholesky, and on its real"
+            " 2n x 2n embedding by direct dpotrf, dsygst and dsyevx calls"
         ),
         "environment": blas.environment(),
         "apply_a_check": checks,

@@ -18,8 +18,9 @@ before it on the standard seed sets (about two minutes in all on one core):
     python3 scripts/op_fingerprints.py --workload boundary --seeds 1 2 3 --cycles 15
     python3 scripts/op_fingerprints.py --workload large-d --seeds 1 2 3 --cycles 7
 
-Seeds 5, 13 and 44 of small-pairs hold the rounding-sensitive qubit solves
-that ``tests/test_sdp.py`` pins by iteration count.
+Seeds 5, 13 and 44 of small-pairs hold three of the qubit transport solves
+that ``tests/test_sdp.py`` pins by iteration count; the fourth is seed 2,
+cycle 159, which the 120 cycles above do not reach.
 """
 
 import argparse

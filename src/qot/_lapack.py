@@ -70,9 +70,8 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 
-dpotrf, dpotrs, dsygst = _flapack.dpotrf, _flapack.dpotrs, _flapack.dsygst
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 zpotrf, zpotrs, zhegst = _flapack.zpotrf, _flapack.zpotrs, _flapack.zhegst
-dsyevx, dsyevx_lwork = _flapack.dsyevx, _flapack.dsyevx_lwork
 zheevx, zheevx_lwork = _flapack.zheevx, _flapack.zheevx_lwork
 zheevr, zheevr_lwork = _flapack.zheevr, _flapack.zheevr_lwork
 

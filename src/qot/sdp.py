@@ -9,54 +9,53 @@ cost, whose sum has fixed partial traces ``red_a`` (ra x ra) and ``red_b``
     subject to  Tr_B sum_j X_j = red_a,   Tr_A sum_j X_j = red_b,
                 X_j >= 0                  (PSD, j = 1..k)
 
-Every Hermitian block is embedded as a real symmetric block of twice the
-size, E(A + iB) = [[A, -B], [B, A]], the real problem is solved by an
+The solver works on the complex Hermitian blocks themselves, with an
 infeasible-start Mehrotra predictor-corrector primal-dual interior-point
-method, and objective and constraint values are halved afterwards to undo
-the trace doubling of the embedding.  Each iteration measures the iterate
-(mu, gap, residuals), asks ``_stop`` whether the records so far end the
-solve, and otherwise takes one ``_ipm_step``.  The k blocks form one
-(k, 2n, 2n) stack: X, S, S^-1, the dual residuals and the directions are
-stacks, and A^T y, the same for every block, is one 2n x 2n matrix that
-broadcasts over them.  Only the LAPACK calls loop over the blocks.  No step
-projects onto the affine constraints: the search direction solves
-A dX = b - A X, so a primal step of length alpha scales the primal residual
-by 1 - alpha, and a full step leaves only rounding.  The solver is
-deterministic: identical problems and tolerances take identical iteration
-paths.
+method in the HKM direction.  Its centring and its step follow SDPT3 (Toh,
+Todd and Tutuncu, "SDPT3 -- a MATLAB software package for semidefinite
+programming", Optim. Methods Softw. 1999): with alpha_p and alpha_d the
+predictor's step lengths, clipped at 1, and a = min(alpha_p, alpha_d), the
+centring parameter is sigma = (mu_aff/mu)^e with e = max(1, 3 a^2), and
+both steps go the fraction 0.9 + 0.09 a of the way to the boundary of the
+cone.  Each iteration measures the iterate (mu, gap, residuals), asks
+``_stop`` whether the records so far end the solve, and otherwise takes one
+``_ipm_step``.  The k blocks form one complex (k, n, n) stack: X, S, S^-1,
+the dual residuals and the directions are stacks, and A^T y, the same for
+every block, is one n x n matrix that broadcasts over them.  Only the LAPACK
+calls loop over the blocks.  Each update of X and S keeps its Hermitian
+part, so both stay exactly Hermitian.  No step projects onto the affine
+constraints: the search direction solves A dX = b - A X, so a primal step of
+length alpha scales the primal residual by 1 - alpha, and a full step leaves
+only rounding.  The solver is deterministic: identical problems and
+tolerances take identical iteration paths.
 
-The dual side runs at half the embedded size.  S, the dual residual and dS
-are sums of embeddings, scaled and symmetrized entry by entry, so they stay
-on the image of E exactly, and each S block is read as its complex n x n
-matrix.  X drifts off the image by rounding and stays real.  Each iteration
-factors the Schur complement once, for both the predictor and the corrector
-solve, and each S and each X block once: the complex factor of S gives its
-inverse T (and S^-1 = E(T) for the products with X), and both factors serve
-the predictor's and the corrector's step lengths.  An X that is not
-numerically PD is factored shifted, as X + shift*I.  The hot loop calls
-LAPACK directly through the handles of the ``_lapack`` module, since at a
-few dozen rows scipy's wrappers cost more than the routines: potrf and potrs
-for the factors, T and the Schur solves; sygst and syevx for the step
-lengths on X, hegst and heevx for those on S.  The calls pass what
-``cho_factor`` and ``cho_solve`` passed, and gst and evx are the calls the
-gvx of ``eigh`` makes after its potrf, so each result is the one scipy's
-wrappers give bit for bit, and non-finite input still raises ValueError.
+Each iteration factors the Schur complement once, for both the predictor
+and the corrector solve, and each X and each S block once: the factor of S
+gives S^-1, and both factors serve the predictor's and the corrector's step
+lengths.  An X that is not numerically PD is factored shifted, as
+X + shift*I.  The hot loop calls LAPACK directly through the handles of the
+``_lapack`` module, since at a few dozen rows scipy's wrappers cost more
+than the routines: zpotrf and zpotrs for the block factors and S^-1, dpotrf
+and dpotrs for the real Schur complement, hegst and heevx for the step
+lengths.  The calls pass what ``cho_factor`` and ``cho_solve`` passed, and
+hegst and heevx are the calls the hegvx of ``eigh`` makes after its potrf,
+so each result is the one scipy's wrappers give bit for bit, and non-finite
+input still raises ValueError.
 
 The problem is stated in coordinates scaled by the marginals, so that
 near-singular marginals keep every iterate well conditioned.  The solver
 reaches the constraints through one operator that applies them as partial
 traces and Kronecker products in O(ra^2 rb^2), and assembles the Schur
-complement on complex n x n blocks from the Kronecker structure in
-O(ra^3 rb^3) time and O(ra^2 rb^2) extra memory (the constraint-structure
-trick of Fujisawa, Kojima and Nakata 1997).  No dense constraint stack is
-built.  Intended scale: marginals up to ra*rb of a few hundred.  Singular
-marginals have no strictly feasible coupling; build couplings on marginal
-supports instead (see the transport module).
+complement from the Kronecker structure in O(ra^3 rb^3) time and
+O(ra^2 rb^2) extra memory (the constraint-structure trick of Fujisawa,
+Kojima and Nakata 1997).  No dense constraint stack is built.  Intended
+scale: marginals up to ra*rb of a few hundred.  Singular marginals have no
+strictly feasible coupling; build couplings on marginal supports instead
+(see the transport module).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -87,7 +86,6 @@ STATUS_UNCERTIFIED = "uncertified"
 
 DEFAULT_TOL = 1e-8
 _MAX_ITER = 100
-_STEP_FRACTION = 0.98
 
 
 class SolverFailure(RuntimeError):
@@ -211,28 +209,30 @@ def solve(problem: CouplingProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     Status ``optimal`` means gap and max constraint residual are both below
     ``tol``.  Every other exit reports ``max_iterations``: a stall, the mu
     floor, a numerical breakdown (which returns the last consistent iterate)
-    and the iteration cap.  The gap and residual are rechecked on the
-    complex side, and an ``optimal`` exit that fails the recheck is demoted.
+    and the iteration cap.  Gap and residual are measured once more on the
+    returned blocks, and an ``optimal`` exit that fails that check is
+    demoted.
     """
-    return _solve_embedded(problem.objective, problem.rhs, _CouplingOperator(problem), tol)
+    return _solve_ipm(problem.objective, problem.rhs, _CouplingOperator(problem), tol)
 
 
-def _solve_embedded(objective, rhs, op, tol: float) -> SdpSolution:
-    """The IPM, Mehrotra predictor-corrector with HKM direction, on the real
-    embedding of the complex objective operators ``objective`` and
-    right-hand side ``rhs``; ``op`` applies the constraints to (k, 2n, 2n)
-    stacks and assembles the Schur complement.  The solution is reported on
-    the complex side."""
+def _solve_ipm(objective, b, op, tol: float) -> SdpSolution:
+    """The IPM, Mehrotra predictor-corrector with HKM direction, on the
+    complex Hermitian objective operators ``objective`` and the right-hand
+    side ``b``; ``op`` applies the constraints to (k, n, n) stacks and
+    assembles the Schur complement."""
     if not (1e-10 <= tol <= 1e-2):
         raise ValueError(f"tol must lie in [1e-10, 1e-2], got {tol}")
-    c = complex_to_real_embedding([h.matrix for h in objective])
-    # the rhs doubles with the traces of the embedding, and so does every
-    # embedded quantity: target 2*tol
-    b, eps = 2.0 * rhs, 2 * tol
+    c = np.array([h.matrix for h in objective], dtype=complex)
     n_total = c.shape[0] * c.shape[1]
-    scale_p = max(1.0, float(np.max(np.abs(b))))
+    # The start point and the stop tests measure the problem as its real
+    # embedding E(A + iB) = [[A, -B], [B, A]] would, which doubles b and
+    # every trace: X starts at max(1, 2 max|b|) I, and the dual residual
+    # counts half its largest real or imaginary part, so that each test of
+    # ``_stop`` against tol is the embedded test against 2 tol.
+    scale_p = max(1.0, 2.0 * float(np.max(np.abs(b))))
     scale_d = max(1.0, float(np.max(np.linalg.norm(c, 2, axis=(1, 2)))))
-    eye = np.broadcast_to(np.eye(c.shape[1]), c.shape)
+    eye = np.broadcast_to(np.eye(c.shape[1], dtype=complex), c.shape)
     xs, ss, y = scale_p * eye, scale_d * eye, np.zeros(len(b))
 
     records, status = [], None
@@ -240,8 +240,9 @@ def _solve_embedded(objective, rhs, op, tol: float) -> SdpSolution:
         rds = c - ss - op.apply_at(y)
         mu = _inner(xs, ss) / n_total
         pinf = float(np.max(np.abs(b - op.apply_a(xs))))
-        records.append(_Iterate(mu, _inner(c, xs) - float(b @ y), pinf, float(np.max(np.abs(rds)))))
-        status = _stop(records, eps, scale_p, scale_d, n_total)
+        dinf = float(np.max(np.abs(rds.view(float)))) / 2
+        records.append(_Iterate(mu, _inner(c, xs) - float(b @ y), pinf, dinf))
+        status = _stop(records, tol, scale_p, scale_d, n_total)
         if status is not None:
             break
         try:
@@ -250,33 +251,29 @@ def _solve_embedded(objective, rhs, op, tol: float) -> SdpSolution:
             # breakdown at extreme conditioning: report the last consistent iterate
             break
 
-    # X drifts off the image of the embedding: average its two readings
-    primal = _compression(xs) / 2
-    # Tr[A X] as the elementwise sum of E(A)^T * E(X), halved: O(m n^2), no matmul.
-    embedded = complex_to_real_embedding(primal)
-    primal_value = _inner(c, embedded) / 2.0
-    dual_value = float(y @ b) / 2.0
-    infeas = float(np.max(np.abs(op.apply_a(embedded) - b))) / 2.0
-
-    gap = float(primal_value - dual_value)
+    primal_value = _inner(c, xs)
+    dual_value = float(y @ b)
+    infeas = float(np.max(np.abs(op.apply_a(xs) - b)))
+    gap = primal_value - dual_value
     # the cap and a breakdown end without a status
     if status != STATUS_OPTIMAL or gap > tol or infeas > tol:
         status = STATUS_MAX_ITERATIONS
     return SdpSolution(
-        primal_blocks=tuple(primal),
+        primal_blocks=tuple(xs),
         dual_vector=y.copy(),
-        primal_value=float(primal_value),
+        primal_value=primal_value,
         dual_value=dual_value,
         gap=gap,
-        primal_infeasibility=float(infeas),
+        primal_infeasibility=infeas,
         status=status,
         iterations=len(records),
     )
 
 
 class _Iterate(NamedTuple):
-    """One measured IPM iterate, in embedded units: mu = <X, S>/n, the gap
-    <C, X> - b^T y, and the largest primal and dual residual entries."""
+    """One measured IPM iterate: mu = Re<X, S>/n, the gap Re<C, X> - b^T y,
+    the largest primal residual entry, and half the largest real or
+    imaginary part of a dual residual entry."""
 
     mu: float
     gap: float
@@ -360,7 +357,9 @@ def coupling_solution(problem: CouplingProblem, solution: SdpSolution):
 
 
 def _hermitian(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
+    """The Hermitian part of a matrix, or of each matrix of a stack on the
+    last two axes; exactly Hermitian, bit for bit."""
+    return (m + np.swapaxes(m, -1, -2).conj()) / 2
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -387,17 +386,13 @@ def _orthogonal_basis(red: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Interior-point core: real X blocks, complex S blocks
+# Interior-point core: complex Hermitian X and S blocks, a real Schur complement
 
 
-def _sym(x: np.ndarray) -> np.ndarray:
-    return (x + np.swapaxes(x, -1, -2)) / 2
-
-
-def _inner(xs: np.ndarray, ss: np.ndarray):
-    """sum_j <X_j, S_j> over two stacks, one dot per block: a single dot
+def _inner(xs: np.ndarray, ss: np.ndarray) -> float:
+    """sum_j Re<X_j, S_j> over two stacks, one dot per block: a single dot
     over the whole stack would sum in another order."""
-    return sum(np.vdot(x, s) for x, s in zip(xs, ss))
+    return float(sum(np.vdot(x, s) for x, s in zip(xs, ss)).real)
 
 
 def _require_finite(a: np.ndarray) -> None:
@@ -406,62 +401,45 @@ def _require_finite(a: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
-class _Routines(NamedTuple):
-    """The LAPACK routines of one field: potrf and potrs, and the two calls
-    sygvx (hegvx) makes after its potrf, with the workspace query of the
-    second."""
-
-    potrf: Callable
-    potrs: Callable
-    gst: Callable
-    evx: Callable
-    evx_lwork: Callable
-
-
-# by dtype kind: real for the X blocks and the Schur complement, complex for
-# the S blocks
-_ROUTINES = {
-    "f": _Routines(_lapack.dpotrf, _lapack.dpotrs, _lapack.dsygst, _lapack.dsyevx, _lapack.dsyevx_lwork),
-    "c": _Routines(_lapack.zpotrf, _lapack.zpotrs, _lapack.zhegst, _lapack.zheevx, _lapack.zheevx_lwork),
-}
+# by dtype kind: real for the Schur complement, complex for the X and S blocks
+_POTRF = {"f": _lapack.dpotrf, "c": _lapack.zpotrf}
+_POTRS = {"f": _lapack.dpotrs, "c": _lapack.zpotrs}
 
 
 def _max_step(dx: np.ndarray, factor: np.ndarray) -> float:
     """Largest alpha with x + alpha*dx still PSD, for (near-)PD x with lower
     Cholesky factor ``factor`` (``_step_factor(x)`` for an X block, the
-    complex factor for an S block): -1/lam for lam the smallest eigenvalue of
+    factor of S for an S block): -1/lam for lam the smallest eigenvalue of
     the pencil (dx, x), and 1e30 when lam is not negative."""
     lam = _pencil_min(dx, factor)
     return 1e30 if lam >= -1e-14 else -1.0 / lam
 
 
 def _pencil_min(dx: np.ndarray, factor: np.ndarray) -> float:
-    """Smallest eigenvalue of the pencil (dx, x) for real symmetric or
-    complex Hermitian x with lower Cholesky factor ``factor``.
+    """Smallest eigenvalue of the pencil (dx, x) for complex Hermitian x
+    with lower Cholesky factor ``factor``.
 
     Bit for bit ``scipy.linalg.eigh(dx, x, eigvals_only=True,
-    subset_by_index=[0, 0])[0]``.  That runs sygvx (hegvx), which factors x
-    by potrf, reduces the pencil to a standard problem by sygst (hegst) and
-    takes the eigenvalue from syevx (heevx); these are its last two calls,
-    with its arguments and workspace.
+    subset_by_index=[0, 0])[0]``.  That runs hegvx, which factors x by
+    potrf, reduces the pencil to a standard problem by hegst and takes the
+    eigenvalue from heevx; these are its last two calls, with its arguments
+    and workspace.
     """
     _require_finite(dx)
-    routines = _ROUTINES[factor.dtype.kind]
-    c, info = routines.gst(dx, factor, itype=1, lower=1)
+    c, info = _lapack.zhegst(dx, factor, itype=1, lower=1)
     if info == 0:
-        lwork = _evx_lwork(dx.shape[0], factor.dtype)
-        w, _, _, _, info = routines.evx(c, compute_v=0, range="I", lower=1, il=1, iu=1, lwork=lwork)
+        lwork = _evx_lwork(dx.shape[0])
+        w, _, _, _, info = _lapack.zheevx(c, compute_v=0, range="I", lower=1, il=1, iu=1, lwork=lwork)
     if info != 0:
-        raise np.linalg.LinAlgError(f"sygst/syevx (hegst/heevx) failed with info {info}")
+        raise np.linalg.LinAlgError(f"hegst/heevx failed with info {info}")
     return float(w[0])
 
 
 @lru_cache(maxsize=None)
-def _evx_lwork(n: int, field) -> int:
-    """The workspace size syevx (heevx for a complex ``field``, a dtype or
-    type) asks for; for n >= 2 it is the size ``scipy.linalg.eigh`` queries
-    for sygvx (hegvx), which hands it on."""
-    (lwork,) = _lapack.workspace(_ROUTINES[np.dtype(field).kind].evx_lwork, n, lower=1)
+def _evx_lwork(n: int) -> int:
+    """The workspace size heevx asks for; for n >= 2 it is the size
+    ``scipy.linalg.eigh`` queries for hegvx, which hands it on."""
+    (lwork,) = _lapack.workspace(_lapack.zheevx_lwork, n, lower=1)
     return lwork
 
 
@@ -490,16 +468,13 @@ class _CouplingOperator:
     """Constraint maps of a ``coupling_problem`` from its Kronecker
     structure, without the dense stack.
 
-    Every block enters the constraints through their sum X, and X through
-    its compression Z = (X11 + X22) + i(X21 - X12): Tr[E(H) X] = Re Tr[H Z]
-    for any complex H and any real X.  So an A-side row is Re Tr[F_i M_A]
-    with M_A = Tr_B[(I (x) red_b) Z], and a B-side row is Re Tr[G_i M_B]
-    with M_B = Tr_A[(red_a (x) I) Z].  A^T y is
-    E((sum_i y_i F_i) (x) red_b + red_a (x) (sum_i y_i G_i)), the same for
-    every block: one (2n, 2n) matrix, which broadcasts over the (k, 2n, 2n)
-    block stack.  Both maps cost O(ra^2 rb^2).  The Schur complement takes
-    the real X stack and the complex n x n blocks of S^-1, and is assembled
-    on complex blocks.
+    Every block enters the constraints through their sum Z, so an A-side
+    row is Re Tr[F_i M_A] with M_A = Tr_B[(I (x) red_b) Z], and a B-side row
+    is Re Tr[G_i M_B] with M_B = Tr_A[(red_a (x) I) Z]; the real part makes
+    the map real on any complex Z, Hermitian or not.  A^T y is
+    (sum_i y_i F_i) (x) red_b + red_a (x) (sum_i y_i G_i), the same for every
+    block: one (n, n) matrix, which broadcasts over the (k, n, n) block
+    stack.  Both maps cost O(ra^2 rb^2).
     """
 
     def __init__(self, problem: CouplingProblem):
@@ -513,7 +488,7 @@ class _CouplingOperator:
         self._rows_b = problem.basis_b.transpose(0, 2, 1).reshape(rb * rb - 1, rb * rb)
 
     def apply_a(self, xs: np.ndarray) -> np.ndarray:
-        (ra, rb), z = self._dims, _compression(xs.sum(axis=0))
+        (ra, rb), z = self._dims, xs.sum(axis=0)
         ma = ra * ra
         z4 = z.reshape(ra, rb, ra, rb)
         m_a = z4.transpose(0, 2, 1, 3).reshape(ma, rb * rb) @ self._red_b.T.reshape(-1)
@@ -530,61 +505,38 @@ class _CouplingOperator:
         pot_b = (y[ma:] @ self._basis_b).reshape(1, rb, 1, rb)
         # pot_a (x) red_b + red_a (x) pot_b, broadcast on (a, b, a', b')
         h = pot_a * self._red_b[None, :, None, :] + self._red_a[:, None, :, None] * pot_b
-        return complex_to_real_embedding(h.reshape(n, n))
+        return h.reshape(n, n)
 
     def schur(self, xs: np.ndarray, tinvs: np.ndarray) -> np.ndarray:
-        """The Schur complement M[i, k] = sum_j Tr[E(H_i) X_j E(H_k) E(T_j)]
-        of a ``coupling_problem``, for the real (k, 2n, 2n) stack ``xs`` and
-        the complex (k, n, n) stack ``tinvs`` of the blocks T_j of S^-1,
-        assembled from the Kronecker structure.
+        """The Schur complement M[i, k] = sum_j Re Tr[H_i X_j H_k T_j] of a
+        ``coupling_problem``, for the complex (k, n, n) stacks ``xs`` and
+        ``tinvs``, T_j the blocks of S^-1, assembled from the Kronecker
+        structure.
 
-        E(H_k) E(T_j) = E(H_k T_j), and the compression of X E(G) is Z G, so
-        M[i, k] = sum_j Re Tr[H_i Z_j H_k T_j] for any real X_j, on the image
-        of the embedding or not.  A-side rows are H_i = (F_i (x) I_rb) P and
-        B-side rows H_i = (I_ra (x) G_i) Q, with P = I (x) red_b and
-        Q = red_a (x) I commuting with the other factor.  So the blocks M_AA,
-        M_AB and M_BB are Re Tr[L_i Z~ R_k T~] with (Z~, T~) = (P Z, P T),
-        (P Z, Q T) and (Q Z, Q T), where L and R act on one side only: each
-        is then the real part of F W G^T, with F and G the flattened bases
-        and W one contraction of Z~ and T~.  That is O(ra^3 rb^3) time and
-        O(ra^2 rb^2) memory per PSD block instead of O(m n^3) from a dense
-        constraint stack.
+        A-side rows are H_i = (F_i (x) I_rb) P and B-side rows
+        H_i = (I_ra (x) G_i) Q, with P = I (x) red_b and Q = red_a (x) I
+        commuting with the other factor.  So the blocks M_AA, M_AB and M_BB
+        are Re Tr[L_i X~ R_k T~] with (X~, T~) = (P X, P T), (P X, Q T) and
+        (Q X, Q T), where L and R act on one side only: each is then the real
+        part of F W G^T, with F and G the flattened bases and W one
+        contraction of X~ and T~.  That is O(ra^3 rb^3) time and O(ra^2 rb^2)
+        memory per PSD block instead of O(m n^3) from a dense constraint
+        stack.
         """
         (ra, rb), basis_a, basis_b = self._dims, self._basis_a, self._basis_b
         k, n = tinvs.shape[0], ra * rb
-        zt = np.concatenate((_compression(xs), tinvs))
+        xt = np.concatenate((xs, tinvs))
         # P and Q act on one row axis each: red_b on b, red_a on a
-        pm = (self._red_b @ zt.reshape(2 * k, ra, rb, n)).reshape(2 * k, n, n)
-        qm = (self._red_a @ zt.reshape(2 * k, ra, rb * n)).reshape(2 * k, n, n)
-        pz, pt, qz, qt = pm[:k], pm[k:], qm[:k], qm[k:]
+        pm = (self._red_b @ xt.reshape(2 * k, ra, rb, n)).reshape(2 * k, n, n)
+        qm = (self._red_a @ xt.reshape(2 * k, ra, rb * n)).reshape(2 * k, n, n)
+        px, pt, qx, qt = pm[:k], pm[k:], qm[:k], qm[k:]
         ma = basis_a.shape[0]
         mat = np.empty((ma + basis_b.shape[0],) * 2)
-        mat[:ma, :ma] = (basis_a @ _side_contraction(pz, pt, self._dims, _A_SIDE, _A_SIDE) @ basis_a.T).real
-        mat[:ma, ma:] = (basis_a @ _side_contraction(pz, qt, self._dims, _A_SIDE, _B_SIDE) @ basis_b.T).real
+        mat[:ma, :ma] = (basis_a @ _side_contraction(px, pt, self._dims, _A_SIDE, _A_SIDE) @ basis_a.T).real
+        mat[:ma, ma:] = (basis_a @ _side_contraction(px, qt, self._dims, _A_SIDE, _B_SIDE) @ basis_b.T).real
         mat[ma:, :ma] = mat[:ma, ma:].T
-        mat[ma:, ma:] = (basis_b @ _side_contraction(qz, qt, self._dims, _B_SIDE, _B_SIDE) @ basis_b.T).real
-        return _sym(mat)
-
-
-def _compression(xs: np.ndarray) -> np.ndarray:
-    """Z = (X11 + X22) + i(X21 - X12) of real 2n x 2n matrices X on the last
-    two axes, so that Tr[E(H) X] = Re Tr[H Z] for every complex H."""
-    n = xs.shape[-1] // 2
-    z = np.empty(xs.shape[:-2] + (n, n), dtype=complex)
-    np.add(xs[..., :n, :n], xs[..., n:, n:], out=z.real)
-    np.subtract(xs[..., n:, :n], xs[..., :n, n:], out=z.imag)
-    return z
-
-
-def _complex_of_image(ms: np.ndarray) -> np.ndarray:
-    """The complex n x n matrices H with E(H) = M, for real 2n x 2n matrices
-    M on the image of the embedding, on the last two axes: read off exactly,
-    with no averaging."""
-    n = ms.shape[-1] // 2
-    h = np.empty(ms.shape[:-2] + (n, n), dtype=complex)
-    h.real = ms[..., :n, :n]
-    h.imag = ms[..., n:, :n]
-    return h
+        mat[ma:, ma:] = (basis_b @ _side_contraction(qx, qt, self._dims, _B_SIDE, _B_SIDE) @ basis_b.T).real
+        return _hermitian(mat)
 
 
 # Axes of a block reshaped to (a, b, a', b'): the row axis an operator
@@ -594,22 +546,22 @@ _A_SIDE = (0, 1)
 _B_SIDE = (1, 0)
 
 
-def _side_contraction(zs, tinvs, dims, left, right) -> np.ndarray:
-    """W with sum_j Tr[L_i Z_j R_k T_j] = <F_i (x) G_k, W> for L_i = F_i on
+def _side_contraction(xs, tinvs, dims, left, right) -> np.ndarray:
+    """W with sum_j Tr[L_i X_j R_k T_j] = <F_i (x) G_k, W> for L_i = F_i on
     the ``left`` side and R_k = G_k on the ``right`` side.
 
-    Each block of the complex stacks ``zs`` and ``tinvs`` is read on the
+    Each block of the complex stacks ``xs`` and ``tinvs`` is read on the
     axes (a, b, a', b') of ``dims`` = (ra, rb), so
-    W[u1 u2, v3 v4] = sum_{j, t, t'} Z_j[u2 t, v3 t'] T_j[v4 t', u1 t]
+    W[u1 u2, v3 v4] = sum_{j, t, t'} X_j[u2 t, v3 t'] T_j[v4 t', u1 t]
     is one matmul over the block index and the two identity factors.
     """
-    shape = (zs.shape[0], *dims, *dims)
-    z5, t5 = zs.reshape(shape), tinvs.reshape(shape)
+    shape = (xs.shape[0], *dims, *dims)
+    x5, t5 = xs.reshape(shape), tinvs.reshape(shape)
     (l_op, l_id), (r_op, r_id) = left, right
-    zm = z5.transpose(1 + l_op, 3 + r_op, 0, 1 + l_id, 3 + r_id)
+    xm = x5.transpose(1 + l_op, 3 + r_op, 0, 1 + l_id, 3 + r_id)
     tm = t5.transpose(3 + l_op, 1 + r_op, 0, 3 + l_id, 1 + r_id)
-    pl, pr = zm.shape[0], zm.shape[1]
-    prod = zm.reshape(pl * pr, -1) @ tm.reshape(pl * pr, -1).T
+    pl, pr = xm.shape[0], xm.shape[1]
+    prod = xm.reshape(pl * pr, -1) @ tm.reshape(pl * pr, -1).T
     return prod.reshape(pl, pr, pl, pr).transpose(2, 0, 1, 3).reshape(pl * pl, pr * pr)
 
 
@@ -618,7 +570,7 @@ def _cholesky(mat: np.ndarray) -> np.ndarray:
     or complex Hermitian matrix; LinAlgError unless ``mat`` is numerically
     PD."""
     _require_finite(mat)
-    factor, info = _ROUTINES[mat.dtype.kind].potrf(mat, lower=True, clean=False)
+    factor, info = _POTRF[mat.dtype.kind](mat, lower=True, clean=False)
     if info != 0:
         raise np.linalg.LinAlgError(f"potrf failed with info {info}")
     return factor
@@ -626,7 +578,7 @@ def _cholesky(mat: np.ndarray) -> np.ndarray:
 
 def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     _require_finite(rhs)
-    sol, info = _ROUTINES[factor.dtype.kind].potrs(factor, rhs, lower=True)
+    sol, info = _POTRS[factor.dtype.kind](factor, rhs, lower=True)
     if info != 0:
         raise ValueError(f"potrs failed with info {info}")
     return sol
@@ -657,25 +609,22 @@ def _chol_solve_refined(mat: np.ndarray, factor: np.ndarray, rhs: np.ndarray) ->
 
 
 def _ipm_step(op, b, xs, ss, y, rds, mu, n_total):
-    # S and its directions are sums of embeddings, so they stay on the image
-    # exactly and each S block is read as its complex n x n matrix: one
-    # complex factor per block serves S^-1 = E(T) and both step lengths on
-    # S, and one real factor serves both step lengths on X
-    s_factors = [_cholesky(s) for s in _complex_of_image(ss)]
-    eye = np.eye(ss.shape[-1] // 2, dtype=complex)
+    # one factor per X and per S block serves both step lengths on it, and
+    # that of S gives S^-1 = T
+    s_factors = [_cholesky(s) for s in ss]
+    eye = np.eye(ss.shape[-1], dtype=complex)
     tinvs = np.array([_cho_solve(f, eye) for f in s_factors])
-    sinvs = complex_to_real_embedding(tinvs)
     x_factors = [_step_factor(x) for x in xs]
     schur = op.schur(xs, tinvs)
     # one factorization serves the predictor and the corrector
     schur_factor = _schur_factor(schur)
-    xrds = xs @ rds @ sinvs
+    xrds = xs @ rds @ tinvs
 
     def direction(sigma_mu, corr):
-        rhs = b + op.apply_a(xrds - sigma_mu * sinvs + corr @ sinvs)
+        rhs = b + op.apply_a(xrds - sigma_mu * tinvs + corr @ tinvs)
         dy = _chol_solve_refined(schur, schur_factor, rhs)
         dss = rds - op.apply_at(dy)
-        dxs = _sym(sigma_mu * sinvs - xs - (xs @ dss + corr) @ sinvs)
+        dxs = _hermitian(sigma_mu * tinvs - xs - (xs @ dss + corr) @ tinvs)
         return dxs, dy, dss
 
     def step_length(factors, directions):
@@ -683,15 +632,24 @@ def _ipm_step(op, b, xs, ss, y, rds, mu, n_total):
 
     dxs_aff, _, dss_aff = direction(0.0, np.zeros_like(xs))
     ap_aff = min(1.0, step_length(x_factors, dxs_aff))
-    ad_aff = min(1.0, step_length(s_factors, _complex_of_image(dss_aff)))
+    ad_aff = min(1.0, step_length(s_factors, dss_aff))
     mu_aff = _inner(xs + ap_aff * dxs_aff, ss + ad_aff * dss_aff) / n_total
-    sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)
+    sigma, gamma = _centring(mu_aff / mu, min(ap_aff, ad_aff))
 
     dxs, dy, dss = direction(sigma * mu, dxs_aff @ dss_aff)
 
-    ap = min(1.0, _STEP_FRACTION * step_length(x_factors, dxs))
-    ad = min(1.0, _STEP_FRACTION * step_length(s_factors, _complex_of_image(dss)))
-    xs = _sym(xs + ap * dxs)
-    ss = _sym(ss + ad * dss)
+    ap = min(1.0, gamma * step_length(x_factors, dxs))
+    ad = min(1.0, gamma * step_length(s_factors, dss))
+    xs = _hermitian(xs + ap * dxs)
+    ss = _hermitian(ss + ad * dss)
     y = y + ad * dy
     return xs, ss, y
+
+
+def _centring(ratio: float, reach: float) -> tuple[float, float]:
+    """SDPT3's centring parameter and step fraction, for ``ratio`` =
+    mu_aff/mu and ``reach`` = min(alpha_p, alpha_d) of the predictor's step
+    lengths, clipped at 1: sigma = ratio^e with e = max(1, 3 reach^2),
+    clipped to [0, 1], and gamma = 0.9 + 0.09 reach."""
+    sigma = min(1.0, max(0.0, ratio) ** max(1.0, 3.0 * reach**2))
+    return sigma, 0.9 + 0.09 * reach

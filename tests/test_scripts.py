@@ -69,7 +69,12 @@ def test_bench_sdp_kernels_checks_and_times_the_requested_dims(tmp_path):
         assert row["schur_rel_err"] <= 1e-12 and row["us_per_call"] > 0
     assert [row["d"] for row in record["step_length"]] == [2, 3]
     for row in record["step_length"]:
-        assert set(row["us_per_call"]) == {"cholesky_eigvalsh", "sygvx_scipy_wrapper", "factored_direct"}
+        assert set(row["us_per_call"]) == {
+            "cholesky_eigvalsh",
+            "hegvx_scipy_wrapper",
+            "factored_direct",
+            "real_embedding_direct",
+        }
 
 
 def test_op_fingerprints_prints_one_repeatable_line_per_seed():
@@ -94,7 +99,7 @@ def test_bench_e2e_times_the_import_row_in_a_pinned_child():
     bench = _script_module("bench_e2e")
     env = bench.child_env()
     assert bench.environment(env)["blas_threads"] == 1
-    row = bench.measure("import", bench.ROWS["import"], 1, env)
+    (row,) = bench.measure("import", bench.ROWS["import"], 1, [env])
     assert row["name"] == "import" and row["command"] == ["python3", "-c", "import qot.cli"]
     assert row["wall_s"]["samples"] == [row["wall_s"]["median"]] and row["wall_s"]["median"] > 0
     assert row["max_rss_mb"]["median"] > 0
@@ -103,7 +108,19 @@ def test_bench_e2e_times_the_import_row_in_a_pinned_child():
 def test_bench_e2e_cost_rows_solve_in_a_pinned_child():
     """The cost rows run one solve each; a qubit solve checks the command."""
     bench = _script_module("bench_e2e")
-    assert {"transport_cost-8", "transport_cost-12", "stabilized_cost-8"} <= set(bench.ROWS)
+    assert {"transport_cost-8", "transport_cost-12", "transport_cost-16", "stabilized_cost-8"} <= set(bench.ROWS)
     for cost in ("transport_cost", "stabilized_cost"):
-        row = bench.measure(cost, bench.cost_command(cost, 2), 1, bench.child_env())
+        (row,) = bench.measure(cost, bench.cost_command(cost, 2), 1, [bench.child_env()])
         assert row["wall_s"]["median"] > 0
+
+
+def test_bench_e2e_times_two_checkouts_in_turns(monkeypatch):
+    """Each run goes to the checkouts in turn, and each gets its own row."""
+    bench = _script_module("bench_e2e")
+    order = []
+    monkeypatch.setattr(bench, "run_once", lambda cmd, env: order.append(env["PYTHONPATH"]) or (1.0, 2.0))
+    envs = [bench.child_env(), bench.child_env(ROOT / "elsewhere")]
+    rows = bench.measure("import", bench.ROWS["import"], 3, envs)
+    assert order == [env["PYTHONPATH"] for env in envs] * 3
+    assert [row["wall_s"]["samples"] for row in rows] == [[1.0] * 3] * 2
+    assert envs[1]["PYTHONPATH"].startswith(str(ROOT / "elsewhere" / "src"))
