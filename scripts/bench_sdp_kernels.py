@@ -45,7 +45,6 @@ import scipy.linalg  # noqa: E402
 import scipy.linalg.lapack  # noqa: E402
 
 from qot import sdp  # noqa: E402
-from qot.sdp import complex_to_real_embedding  # noqa: E402
 from qot.quantum import proj_asym, proj_sym, random_density_matrix  # noqa: E402
 
 DIMS = range(2, 9)
@@ -55,6 +54,12 @@ MIN_REPEAT_S = 0.02
 MAP_RTOL = 1e-13
 SCHUR_RTOL = 1e-12
 STEP_RTOL = 1e-12
+
+
+def complex_to_real_embedding(h: np.ndarray) -> np.ndarray:
+    """The real embedding [[A, -B], [B, A]] of a complex matrix H = A + iB:
+    symmetric for Hermitian H, PSD iff H is, with every eigenvalue doubled."""
+    return np.block([[h.real, -h.imag], [h.imag, h.real]])
 
 
 def per_call_us(fn) -> float:

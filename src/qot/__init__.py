@@ -28,7 +28,7 @@ from .quantum import (
     tensor,
     twirl,
 )
-from .sdp import SdpSolution, SolverFailure, complex_to_real_embedding, feasibility_margin, solve
+from .sdp import SdpSolution, SolverFailure, feasibility_margin, solve
 from .transport import (
     DualWitness,
     StabilizedResult,

@@ -42,16 +42,24 @@ hegst and heevx are the calls the hegvx of ``eigh`` makes after its potrf,
 so each result is the one scipy's wrappers give bit for bit, and non-finite
 input still raises ValueError.
 
-The problem is stated in coordinates scaled by the marginals, so that
-near-singular marginals keep every iterate well conditioned.  The solver
-reaches the constraints through one operator that applies them as partial
-traces and Kronecker products in O(ra^2 rb^2), and assembles the Schur
-complement from the Kronecker structure in O(ra^3 rb^3) time and
-O(ra^2 rb^2) extra memory (the constraint-structure trick of Fujisawa,
-Kojima and Nakata 1997).  No dense constraint stack is built.  Intended
-scale: marginals up to ra*rb of a few hundred.  Singular marginals have no
-strictly feasible coupling; build couplings on marginal supports instead
-(see the transport module).
+``coupling_problem`` decomposes each marginal once, by one ``eigh``, keeps
+the eigenvectors with eigenvalue above ``SUPPORT_CUT`` (facial reduction to
+the marginal supports, exact up to a discarded mass of at most
+d*SUPPORT_CUT) and scales by the square roots of the kept eigenvalues, so
+that near-singular marginals keep every iterate well conditioned.  In the
+eigenbasis a marginal eigenvalue eps is one exact diagonal entry of the
+scaling; in any other basis it comes out of a cancellation among entries of
+order one.  With one eigenvalue of 1e-9 or 1e-7 on both marginals (d = 2..5,
+three seeds each) the transport cost certifies 13 of 24 pairs and the
+stabilized cost 19, against 0 and 2 with the marginals' matrix square roots
+in the original basis.  The solver reaches the constraints through one
+operator that applies them as partial traces and Kronecker products in
+O(ra^2 rb^2), and assembles the Schur complement from the Kronecker
+structure in O(ra^3 rb^3) time and O(ra^2 rb^2) extra memory (the
+constraint-structure trick of Fujisawa, Kojima and Nakata 1997).  No dense
+constraint stack is built.  Intended scale: marginals up to ra*rb of a few
+hundred.  ``coupling_solution`` maps a solution back to the full spaces of
+the marginals.
 """
 
 from __future__ import annotations
@@ -71,7 +79,6 @@ __all__ = [
     "solve",
     "coupling_problem",
     "coupling_solution",
-    "complex_to_real_embedding",
     "feasibility_margin",
     "STATUS_OPTIMAL",
     "STATUS_MAX_ITERATIONS",
@@ -87,6 +94,11 @@ STATUS_UNCERTIFIED = "uncertified"
 DEFAULT_TOL = 1e-8
 _MAX_ITER = 100
 
+# Marginal eigenvalues at or below this are treated as zero: the coupling is
+# built on the span of the other eigenvectors.  States never carry
+# eigenvalues below -1e-10, and a marginal that does is rejected.
+SUPPORT_CUT = 1e-10
+
 
 class SolverFailure(RuntimeError):
     """Raised by callers that require an optimal certificate and did not get one."""
@@ -98,34 +110,41 @@ class SolverFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class CouplingProblem:
-    """A coupling SDP as ``coupling_problem`` states it, for Y = W^-1 X W^-1
-    with X the coupling and W = root_a (x) root_b, the square roots of the
-    marginals.
+    """A coupling SDP as ``coupling_problem`` states it, for Y with
+    X = W Y W^*, X the coupling on the full spaces of the marginals and
+    W = (support_a w_a^(1/2)) (x) (support_b w_b^(1/2)).
 
-    ``objective`` holds W C W for each cost C, one PSD block each.  The
-    constraints are Tr[(basis_a[i] (x) red_b) Y] = Tr[basis_a[i]] for every
-    i, then Tr[(red_a (x) basis_b[i]) Y] = Tr[basis_b[i]], on the sum Y of
-    the blocks.  ``constraints`` lists them explicitly for independent
-    checks; the solver never reads that list.
+    ``support_a`` (d_a x ra) holds the eigenvectors of the first marginal
+    whose eigenvalues are above ``SUPPORT_CUT``, and ``weights_a`` those
+    eigenvalues renormalized to sum to 1; likewise for the second marginal.
+    In these eigenbases the reduced marginals are ``red_a`` = diag(weights_a)
+    and ``red_b`` = diag(weights_b).  ``objective`` holds W^* C W for each
+    cost C, one PSD block each.  The constraints are
+    Tr[(basis_a[i] (x) red_b) Y] = Tr[basis_a[i]] for every i, then
+    Tr[(red_a (x) basis_b[i]) Y] = Tr[basis_b[i]], on the sum Y of the
+    blocks, which every constraint enters.  ``constraints`` lists them
+    explicitly for independent checks; the solver never reads that list.
     """
 
-    root_a: np.ndarray
-    root_b: np.ndarray
+    support_a: np.ndarray
+    support_b: np.ndarray
+    weights_a: np.ndarray
+    weights_b: np.ndarray
     basis_a: np.ndarray
     basis_b: np.ndarray
     objective: tuple[HermitianOperator, ...]
 
     @property
     def red_a(self) -> np.ndarray:
-        return self.root_a @ self.root_a
+        return np.diag(self.weights_a)
 
     @property
     def red_b(self) -> np.ndarray:
-        return self.root_b @ self.root_b
+        return np.diag(self.weights_b)
 
     @property
     def blocks(self) -> tuple[int, ...]:
-        return (self.root_a.shape[0] * self.root_b.shape[0],) * len(self.objective)
+        return (len(self.weights_a) * len(self.weights_b),) * len(self.objective)
 
     @property
     def n_constraints(self) -> int:
@@ -156,23 +175,6 @@ class SdpSolution:
     primal_infeasibility: float
     status: str
     iterations: int
-
-
-def complex_to_real_embedding(h) -> np.ndarray:
-    """Embed a complex matrix H = A + iB as the real matrix [[A, -B], [B, A]];
-    a stack of matrices, on the last two axes, embeds matrix by matrix.
-
-    For Hermitian H the image is symmetric, PSD iff H is PSD, traces double,
-    and every eigenvalue appears with doubled multiplicity.
-    """
-    m = np.asarray(h, dtype=complex)
-    n, re, im = m.shape[-1], m.real, m.imag
-    out = np.empty(m.shape[:-2] + (2 * n, 2 * n))
-    out[..., :n, :n] = re
-    out[..., n:, n:] = re
-    out[..., n:, :n] = im
-    np.negative(im, out=out[..., :n, n:])
-    return out
 
 
 def feasibility_margin(blocks, problem: CouplingProblem) -> tuple[float, float]:
@@ -302,58 +304,60 @@ def _stop(records, eps, scale_p, scale_d, n_total) -> str | None:
     return STATUS_MAX_ITERATIONS if stall >= 12 or last.mu < 1e-16 * scale_d * scale_p else None
 
 
-def coupling_problem(costs, red_a: np.ndarray, red_b: np.ndarray) -> CouplingProblem:
-    """Coupling SDP over one PSD block per cost, charged against its own cost,
-    whose sum couples the positive definite marginals ``red_a`` (ra x ra)
-    and ``red_b`` (rb x rb).
+def coupling_problem(costs, marginal_a: np.ndarray, marginal_b: np.ndarray) -> CouplingProblem:
+    """Coupling SDP over one PSD block per cost, each charged against its
+    own cost, whose sum couples the PSD marginals ``marginal_a`` and
+    ``marginal_b``, as ``CouplingProblem`` states it.
 
-    The problem is stated for Y = W^-1 X W^-1, with X the coupling and
-    W = red_a^(1/2) (x) red_b^(1/2).  Y = I is then feasible whatever the
-    spectra of the marginals.  A marginal eigenvalue eps, which in the
-    coordinates of X gives the optimal dual vector entries of order
-    eps^(-1/2) and the iterates eigenvalues far below eps, leaves Y and the
-    dual vector of order one.  The objective is W C W for each cost C.  The
-    marginal constraints Tr_B X = red_a and Tr_A X = red_b become
-    Tr_B[(I (x) red_b) Y] = I and Tr_A[(red_a (x) I) Y] = I: constraint
-    i < ra*ra is ``basis_a[i] (x) red_b`` with right-hand side
-    Tr[basis_a[i]], and the remaining rb*rb - 1 constraints are
-    ``red_a (x) basis_b[i]`` with right-hand side Tr[basis_b[i]].
-    ``basis_a`` is ``hermitian_basis(ra)`` and ``basis_b`` is an orthonormal
-    basis of the Hermitian matrices orthogonal to ``red_b`` (that direction
-    would repeat the trace constraint).  Every constraint enters every
-    block.
+    One ``eigh`` per marginal gives its support, the eigenvectors with
+    eigenvalue above ``SUPPORT_CUT``, and its weights, those eigenvalues
+    renormalized to sum to 1.  Every coupling lives on the product of the
+    supports, so dropping the rest is exact up to the discarded mass, at
+    most d*SUPPORT_CUT per marginal.  For X = W Y W^*, Y = I is feasible
+    whatever the spectra: a marginal eigenvalue eps, which in the
+    coordinates of X gives optimal dual vector entries of order eps^(-1/2)
+    and iterate eigenvalues far below eps, leaves Y and the dual vector of
+    order one.  ``basis_a`` is ``hermitian_basis(ra)`` and ``basis_b`` an
+    orthonormal basis of the Hermitian matrices orthogonal to ``red_b``
+    (that direction would repeat the trace constraint).
 
-    Use ``coupling_solution`` to read the couplings and the marginal
-    potentials off a solution.
+    Raises ValueError for a marginal with an eigenvalue below -SUPPORT_CUT
+    or none above SUPPORT_CUT.  ``coupling_solution`` reads the couplings
+    and the marginal potentials off a solution.
     """
-    red_a, red_b = np.asarray(red_a), np.asarray(red_b)
-    root_a, root_b = _psd_sqrt(red_a), _psd_sqrt(red_b)
-    w = np.kron(root_a, root_b)
+    support_a, weights_a = _marginal_support(marginal_a)
+    support_b, weights_b = _marginal_support(marginal_b)
+    w = _frame(support_a, weights_a, support_b, weights_b)
     return CouplingProblem(
-        root_a=root_a,
-        root_b=root_b,
-        basis_a=hermitian_basis(red_a.shape[0]),
-        basis_b=_orthogonal_basis(red_b),
-        objective=tuple(HermitianOperator(w @ cost @ w) for cost in costs),
+        support_a=support_a,
+        support_b=support_b,
+        weights_a=weights_a,
+        weights_b=weights_b,
+        basis_a=hermitian_basis(len(weights_a)),
+        basis_b=_orthogonal_basis(np.diag(weights_b)),
+        objective=tuple(HermitianOperator(w.conj().T @ cost @ w) for cost in costs),
     )
 
 
 def coupling_solution(problem: CouplingProblem, solution: SdpSolution):
-    """``(couplings, pot_a, pot_b)`` of a solved ``coupling_problem``.
+    """``(couplings, pot_a, pot_b)`` of a solved ``coupling_problem``, on the
+    full spaces of the marginals.
 
-    ``couplings`` holds X_j = W Y_j W for each block; the potentials are the
-    dual vector in the coordinates of the marginals, so that
-    pot_a (x) I + I (x) pot_b is dominated by every cost (up to the solver's
-    tolerance) and Tr[pot_a red_a] + Tr[pot_b red_b] is the dual value.
+    ``couplings`` holds X_j = W Y_j W^* for each block.  The potentials are
+    the dual vector in the coordinates of the marginals, read off by
+    dividing by the square roots of the weights, and zero off the supports:
+    pot_a (x) I + I (x) pot_b is dominated by every cost on the product of
+    the supports (up to the solver's tolerance), and against the marginals
+    renormalized on their supports, Tr[pot_a rho_a] + Tr[pot_b rho_b] is
+    the dual value.
     """
     ma = problem.basis_a.shape[0]
     y = solution.dual_vector
-    w = np.kron(problem.root_a, problem.root_b)
-    couplings = tuple(_hermitian(w @ x @ w) for x in solution.primal_blocks)
-    inv_a, inv_b = np.linalg.inv(problem.root_a), np.linalg.inv(problem.root_b)
-    pot_a = inv_a @ np.tensordot(y[:ma], problem.basis_a, axes=(0, 0)) @ inv_a
-    pot_b = inv_b @ np.tensordot(y[ma:], problem.basis_b, axes=(0, 0)) @ inv_b
-    return couplings, _hermitian(pot_a), _hermitian(pot_b)
+    w = _frame(problem.support_a, problem.weights_a, problem.support_b, problem.weights_b)
+    couplings = tuple(_hermitian(w @ x @ w.conj().T) for x in solution.primal_blocks)
+    pot_a = _potential(y[:ma], problem.basis_a, problem.support_a, problem.weights_a)
+    pot_b = _potential(y[ma:], problem.basis_b, problem.support_b, problem.weights_b)
+    return couplings, pot_a, pot_b
 
 
 def _hermitian(m: np.ndarray) -> np.ndarray:
@@ -362,11 +366,30 @@ def _hermitian(m: np.ndarray) -> np.ndarray:
     return (m + np.swapaxes(m, -1, -2).conj()) / 2
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(_hermitian(m))
-    if vals[0] <= 0:
-        raise ValueError("coupling marginals must be positive definite")
-    return _hermitian((vecs * np.sqrt(vals)) @ vecs.conj().T)
+def _marginal_support(marginal) -> tuple[np.ndarray, np.ndarray]:
+    """``(support, weights)`` of a PSD marginal from one ``eigh``: the
+    eigenvectors with eigenvalue above ``SUPPORT_CUT``, and those
+    eigenvalues renormalized to sum to 1."""
+    vals, vecs = np.linalg.eigh(_hermitian(np.asarray(marginal)))
+    if vals[0] < -SUPPORT_CUT:
+        raise ValueError(f"coupling marginals must be PSD: eigenvalue {vals[0]:.3e}")
+    keep = vals > SUPPORT_CUT
+    if not keep.any():
+        raise ValueError(f"coupling marginal has no eigenvalue above SUPPORT_CUT = {SUPPORT_CUT:g}")
+    return vecs[:, keep], vals[keep] / vals[keep].sum()
+
+
+def _frame(support_a, weights_a, support_b, weights_b) -> np.ndarray:
+    """W, which maps the coordinates Y of a ``coupling_problem`` to X = W Y W^*."""
+    return np.kron(support_a * np.sqrt(weights_a), support_b * np.sqrt(weights_b))
+
+
+def _potential(y, basis, support, weights) -> np.ndarray:
+    """V (P / (w^(1/2) w^(1/2)^T)) V^*, P = sum_i y_i basis[i], for the
+    support V and the weights w: zero off the support."""
+    root = np.sqrt(weights)
+    pot = np.tensordot(y, basis, axes=(0, 0)) / np.outer(root, root)
+    return _hermitian(support @ pot @ support.conj().T)
 
 
 def _orthogonal_basis(red: np.ndarray) -> np.ndarray:
@@ -478,7 +501,7 @@ class _CouplingOperator:
     """
 
     def __init__(self, problem: CouplingProblem):
-        ra, rb = problem.root_a.shape[0], problem.root_b.shape[0]
+        ra, rb = len(problem.weights_a), len(problem.weights_b)
         self._dims = (ra, rb)
         self._red_a, self._red_b = problem.red_a, problem.red_b
         self._basis_a = problem.basis_a.reshape(ra * ra, ra * ra)

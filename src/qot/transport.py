@@ -9,12 +9,15 @@ states, with the coupling on A1 A2 (x) B1 B2; ``stabilized_cost_via_tensoring``
 evaluates the equivalent maximally-mixed-qubit extension that way and serves
 as a cross-check independent of the two-block split.
 
-Both costs are solved by one route, ``_solve_on_supports``, on the supports
-of the marginals: any coupling of (rho, sigma) lives inside
-range(rho) (x) range(sigma), so compressing there is exact (facial
-reduction) and leaves every solved SDP with a strictly feasible interior
-point (the product of the reduced marginals).  The optimal blocks are lifted
-back to the full space by the same support map.  The dual potentials of
+Both costs are solved by one route, ``_solve_on_supports``, which builds
+the coupling SDP with ``sdp.coupling_problem``, solves it and reads it back
+with ``sdp.coupling_solution``.  The builder decomposes each state once and
+states the problem in its eigenbasis, on the supports of the marginals: any
+coupling of (rho, sigma) lives inside range(rho) (x) range(sigma), so
+compressing there is exact (facial reduction) and leaves every solved SDP
+with a strictly feasible interior point.  Full-rank and rank-deficient
+states take the same path.  The couplings and the potentials come back on
+C^d, the potentials zero off the supports.  The dual potentials of
 ``transport_cost`` are padded with -beta off the supports and shifted once
 into exact feasibility; that costs at most about 1/(4 beta) of dual value,
 which the reported gap includes (see ``_lift_potentials``).
@@ -52,12 +55,9 @@ __all__ = [
 ]
 
 DEFAULT_TOL = sdp.DEFAULT_TOL
+SUPPORT_CUT = sdp.SUPPORT_CUT
 WITNESS_FEASIBILITY_TOL = 1e-7
 MAX_TENSORED_DIM = 256
-
-# Marginal eigenvalues at or below this are treated as zero when building
-# coupling supports; states never carry eigenvalues below -1e-10.
-SUPPORT_CUT = 1e-10
 
 # Off-support padding of lifted dual potentials; costs about 1/(4 beta) of
 # dual value (see ``_lift_potentials``).
@@ -137,8 +137,8 @@ def transport_cost(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAUL
     ``uncertified`` if it reaches ``tol`` but its witness is infeasible.
     """
     d = _require_same_dim(rho, sigma)
-    sol, (coupling,), pots, isos = _solve_on_supports(rho, sigma, (proj_asym(d).matrix,), tol)
-    full_a, full_b = _balance_traces(*_lift_potentials(*pots, *isos, d))
+    sol, (coupling,), pots, supports = _solve_on_supports(rho, sigma, (proj_asym(d).matrix,), tol)
+    full_a, full_b = _balance_traces(*_lift_potentials(*pots, *supports))
     pot_a, pot_b = HermitianOperator(full_a), HermitianOperator(full_b)
     try:
         witness = DualWitness(pot_a, pot_b)
@@ -228,32 +228,6 @@ def _require_same_dim(rho, sigma) -> int:
     return rho.dim
 
 
-def _support(state: DensityMatrix):
-    """(isometry, reduced density) for the eigenvalue support of a state.
-
-    The isometry is None when the state has full numerical rank; the reduced
-    density is renormalized to unit trace (the discarded mass is at most
-    d * SUPPORT_CUT).
-    """
-    vals, vecs = np.linalg.eigh(state.matrix)
-    keep = vals > SUPPORT_CUT
-    if np.all(keep):
-        return None, state.matrix
-    iso = vecs[:, keep]
-    red = iso.conj().T @ state.matrix @ iso
-    red = (red + red.conj().T) / 2
-    return iso, red / np.trace(red).real
-
-
-def _conjugate(mat: np.ndarray, w, compress: bool) -> np.ndarray:
-    """W^* mat W (onto the supports) or W mat W^* (back to C^d (x) C^d),
-    symmetrized; ``mat`` itself when W is None (both states have full rank)."""
-    if w is None:
-        return mat
-    out = w.conj().T @ mat @ w if compress else w @ mat @ w.conj().T
-    return (out + out.conj().T) / 2
-
-
 def _psd_clean(mat: np.ndarray) -> np.ndarray:
     """Symmetrize and clip negative eigenvalue dust to zero, as carried by an
     epsilon-optimal block or a hand-rounded state file."""
@@ -267,18 +241,12 @@ def _solve_on_supports(rho: DensityMatrix, sigma: DensityMatrix, costs, tol: flo
     PSD block each) on range(rho) (x) range(sigma), raising SolverFailure
     unless it reaches ``tol``.
 
-    Returns ``(solution, blocks, (pot_a, pot_b), (iso_a, iso_b))``: the
-    blocks lifted back to C^d (x) C^d, the potentials on the supports, and
-    the support isometries (None for a full-rank state).  The support map
-    W = iso_a (x) iso_b is built once, and is None when both are.
+    Returns ``(solution, blocks, (pot_a, pot_b), (support_a, support_b))``:
+    the blocks and the potentials on C^d (x) C^d and C^d, the potentials
+    zero off the supports, and the supports, whose orthonormal columns span
+    range(rho) and range(sigma).
     """
-    d = rho.dim
-    iso_a, red_a = _support(rho)
-    iso_b, red_b = _support(sigma)
-    w = None
-    if iso_a is not None or iso_b is not None:
-        w = np.kron(iso_a if iso_a is not None else np.eye(d), iso_b if iso_b is not None else np.eye(d))
-    problem = sdp.coupling_problem(tuple(_conjugate(c, w, compress=True) for c in costs), red_a, red_b)
+    problem = sdp.coupling_problem(costs, rho.matrix, sigma.matrix)
     sol = sdp.solve(problem, tol)
     if sol.status != sdp.STATUS_OPTIMAL:
         raise sdp.SolverFailure(
@@ -287,7 +255,7 @@ def _solve_on_supports(rho: DensityMatrix, sigma: DensityMatrix, costs, tol: flo
             f"gap {sol.gap:.3e}, residual {sol.primal_infeasibility:.3e}",
         )
     blocks, pot_a, pot_b = sdp.coupling_solution(problem, sol)
-    return sol, tuple(_conjugate(b, w, compress=False) for b in blocks), (pot_a, pot_b), (iso_a, iso_b)
+    return sol, blocks, (pot_a, pot_b), (problem.support_a, problem.support_b)
 
 
 # ---------------------------------------------------------------------------
@@ -323,34 +291,36 @@ def _shifted_feasible(pot_a: np.ndarray, pot_b: np.ndarray, cost: np.ndarray):
     return pot_a - shift * np.eye(pot_a.shape[0]), shift
 
 
-def _lift_potentials(pot_a, pot_b, iso_a, iso_b, d: int):
-    """Extend potentials on the supports to C^d, then make them feasible;
-    potentials of two full-rank states are returned as they are.
+def _lift_potentials(pot_a, pot_b, support_a, support_b):
+    """Pad potentials that are zero off the supports, then make them
+    feasible; potentials of two full-rank states are returned as they are.
 
-    Each potential is extended with -beta off its support (beta =
-    ``_LIFT_BETA``), which leaves the dual value unchanged up to the mass
-    below ``SUPPORT_CUT``.  The first one is then shifted once by the excess
-    of the lifted pair (``_shifted_feasible``), so the witness is feasible
-    and the reported gap honest however large that excess is.
+    A rank-deficient side is padded with -beta (I - V V^*), V its support
+    and beta = ``_LIFT_BETA``, which leaves the dual value unchanged up to
+    the mass below ``SUPPORT_CUT``.  The first potential is then shifted
+    once by the excess of the padded pair (``_shifted_feasible``), so the
+    witness is feasible and the reported gap honest however large that
+    excess is.
 
-    The loss that shift causes is bounded.  The lifted extension E is block
+    The loss that shift causes is bounded.  The padded extension E is block
     diagonal over S = S_a (x) S_b and its complement: on S it is the reduced
     extension, and on the complement it is at most (t - beta) I, with
     t = max(0, lambda_max(pot_a), lambda_max(pot_b)).  P_asym couples S to
     its complement only through an off-diagonal block C, and since P_asym is
     a projector, C C^* = A - A^2 <= I/4 (A its S block), so ||C|| <= 1/2.
-    Hence the lifted excess is at most max(eps, 0) + 1/(4 (beta - t)), with
+    Hence the padded excess is at most max(eps, 0) + 1/(4 (beta - t)), with
     eps the excess of the reduced pair against the compressed P_asym: about
     2.5e-7 of dual value at beta = 1e6.
     """
-    if iso_a is None and iso_b is None:
+    d = pot_a.shape[0]
+    if support_a.shape[1] == d and support_b.shape[1] == d:
         return pot_a, pot_b
 
-    def extend(pot, iso):
-        if iso is None:
+    def pad(pot, support):
+        if support.shape[1] == d:
             return pot
-        return iso @ pot @ iso.conj().T - _LIFT_BETA * (np.eye(d) - iso @ iso.conj().T)
+        return pot - _LIFT_BETA * (np.eye(d) - support @ support.conj().T)
 
-    full_b = extend(pot_b, iso_b)
-    full_a, _ = _shifted_feasible(extend(pot_a, iso_a), full_b, proj_asym(d).matrix)
+    full_b = pad(pot_b, support_b)
+    full_a, _ = _shifted_feasible(pad(pot_a, support_a), full_b, proj_asym(d).matrix)
     return full_a, full_b

@@ -17,7 +17,7 @@ from qot.quantum import (
     proj_sym,
     random_density_matrix,
 )
-from qot.sdp import STATUS_OPTIMAL, complex_to_real_embedding, coupling_problem, feasibility_margin, solve
+from qot.sdp import STATUS_OPTIMAL, coupling_problem, feasibility_margin, solve
 
 H = HermitianOperator
 
@@ -147,44 +147,6 @@ def transport_problem(rho, sigma):
         for k in range(1, d * d)
     ]
     return SdpProblem(blocks=(d * d,), objective=(H(proj_asym(d).matrix),), constraints=tuple(cons))
-
-
-class TestEmbedding:
-    def test_real_input_is_block_diagonal(self):
-        h = np.array([[1.0, 2.0], [2.0, -1.0]])
-        out = complex_to_real_embedding(h)
-        assert np.array_equal(out, np.block([[h, np.zeros((2, 2))], [np.zeros((2, 2)), h]]))
-
-    def test_pauli_y(self):
-        h = np.array([[0, -1j], [1j, 0]])
-        out = complex_to_real_embedding(h)
-        assert np.array_equal(out, out.T)
-        assert np.allclose(np.sort(np.linalg.eigvalsh(out)), [-1, -1, 1, 1])
-
-    def test_trace_doubles(self):
-        rho = random_density_matrix(4, 0).matrix
-        assert np.isclose(np.trace(complex_to_real_embedding(rho)), 2 * np.trace(rho).real)
-
-    def test_psd_iff(self):
-        rho = random_density_matrix(3, 1).matrix
-        assert np.linalg.eigvalsh(complex_to_real_embedding(rho))[0] >= -1e-14
-        indef = np.diag([1.0, -0.5, 0.2])
-        assert np.linalg.eigvalsh(complex_to_real_embedding(indef))[0] < -0.4
-
-    def test_eigenvalues_doubled(self):
-        rng = np.random.default_rng(7)
-        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        h = (g + g.conj().T) / 2
-        emb = np.linalg.eigvalsh(complex_to_real_embedding(h))
-        assert np.allclose(emb, np.repeat(np.linalg.eigvalsh(h), 2), atol=1e-12)
-
-    def test_stack_embeds_matrix_by_matrix(self):
-        rng = np.random.default_rng(8)
-        stack = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
-        out = complex_to_real_embedding(stack)
-        assert out.shape == (3, 4, 4)
-        for got, h in zip(out, stack, strict=True):
-            assert np.array_equal(got, complex_to_real_embedding(h))
 
 
 class TestSolveBasics:
@@ -427,6 +389,34 @@ class TestCouplingStructure:
         assert 0 <= tensored_cost(q1, q2, q1, q2) <= 0.5 + 1e-8
         with pytest.raises(AssertionError, match="constraint list"):
             feasibility_margin([np.eye(4)], _random_coupling_problem(2, 2, 1))
+
+    def test_marginal_with_a_negative_eigenvalue_is_rejected(self):
+        """An eigenvalue below -SUPPORT_CUT would otherwise be dropped with
+        the null space."""
+        bad = np.diag([0.6, 0.4 + 1e-9, -1e-9])
+        with pytest.raises(ValueError, match="PSD"):
+            coupling_problem((proj_asym(3).matrix,), bad, np.eye(3) / 3)
+
+    def test_marginal_without_support_is_rejected(self):
+        with pytest.raises(ValueError, match="no eigenvalue above"):
+            coupling_problem((proj_asym(2).matrix,), np.eye(2) / 2, np.diag([1e-11, 0.0]))
+
+    def test_supports_weights_and_potentials_of_a_rank_deficient_pair(self):
+        """A rank-2 qutrit against a full-rank one: the support spans the
+        range, the weights are the kept eigenvalues summing to 1, and the
+        potentials come back on the full space, zero off the support."""
+        vals, vecs = np.linalg.eigh(random_density_matrix(3, 21).matrix)
+        rho = (vecs[:, 1:] * (vals[1:] / vals[1:].sum())) @ vecs[:, 1:].conj().T
+        sigma = random_density_matrix(3, 22).matrix
+        built = coupling_problem((proj_asym(3).matrix,), rho, sigma)
+        assert built.support_a.shape == (3, 2) and built.support_b.shape == (3, 3)
+        assert built.blocks == (6,)
+        assert np.allclose(built.support_a.conj().T @ built.support_a, np.eye(2), rtol=0, atol=1e-14)
+        assert np.allclose((built.support_a * built.weights_a) @ built.support_a.conj().T, rho, rtol=0, atol=1e-14)
+        assert built.weights_a.sum() == pytest.approx(1.0, abs=1e-15)
+        (coupling,), pot_a, pot_b = sdp.coupling_solution(built, solve(built))
+        assert coupling.shape == (9, 9) and pot_a.shape == pot_b.shape == (3, 3)
+        assert np.max(np.abs(pot_a @ vecs[:, 0])) <= 1e-12
 
     @pytest.mark.parametrize("r", [1, 2, 3, 5])
     def test_orthogonal_basis(self, r):
@@ -839,17 +829,6 @@ class TestCentring:
             assert reach == min(1.0, *lengths[4 * k * i : 4 * k * i + 2 * k])
             assert 0.0 < reach <= 1.0 and ratio < 1.0
 
-    def test_solve_never_embeds(self, monkeypatch):
-        """The iteration runs on the complex blocks themselves; the
-        embedding is a utility only."""
-
-        def no_embedding(h):
-            raise AssertionError("real embedding built")
-
-        monkeypatch.setattr(sdp, "complex_to_real_embedding", no_embedding)
-        assert solve(_random_coupling_problem(2, 2, 2), tol=1e-8).status == STATUS_OPTIMAL
-        assert dense_solve(pin_problem(random_density_matrix(3, 5).matrix), 1e-8).status == STATUS_OPTIMAL
-
 
 def _scored(score, mu=None):
     """A non-optimal iterate with score ``score`` at n_total = 1."""
@@ -916,12 +895,13 @@ class TestExits:
         assert sol.iterations == 1
         assert not sol.dual_vector.any()  # the start point, y = 0
 
-    @staticmethod
-    def _both_sided_transport_exit(monkeypatch, s):
-        """The records, arguments and status of the last ``_stop`` call, and
-        what the last ``_ipm_step`` raised, of the both-sided near-singular
-        transport pair ``s`` of ``test_transport``, which raises
-        ``SolverFailure``."""
+    def test_both_sided_near_singular_transport_ends_on_the_stall_rule(self, monkeypatch):
+        """The both-sided near-singular qutrit pair at eps = 1e-9 of
+        ``test_transport``, which raises ``SolverFailure``: its last ``_stop``
+        call ends the solve on the stall rule, and no step broke down.  No
+        real input is known that still ends on a breakdown;
+        ``test_breakdown_returns_the_last_consistent_iterate`` covers that
+        exit."""
         from qot.transport import transport_cost
         from test_transport import near_singular
 
@@ -943,26 +923,14 @@ class TestExits:
         monkeypatch.setattr(sdp, "_stop", recorded)
         monkeypatch.setattr(sdp, "_ipm_step", watched)
         with pytest.raises(sdp.SolverFailure) as failure:
-            transport_cost(near_singular(3, 1e-7, 100 + s), near_singular(3, 1e-7, 200 + s))
+            transport_cost(near_singular(3, 1e-9, 100), near_singular(3, 1e-9, 200))
         assert failure.value.status == sdp.STATUS_MAX_ITERATIONS
-        return (*calls[-1], raised)
-
-    def test_both_sided_near_singular_transport_ends_on_the_stall_rule(self, monkeypatch):
-        records, (_, scale_p, scale_d, n_total), status, raised = self._both_sided_transport_exit(monkeypatch, 1)
+        records, (_, scale_p, scale_d, n_total), status = calls[-1]
         assert status == sdp.STATUS_MAX_ITERATIONS and not raised
         assert 12 < len(records) < sdp._MAX_ITER
         assert records[-1].mu >= 1e-16 * scale_d * scale_p  # not the mu floor
         scores = [max(r.mu * n_total, r.pinf, r.dinf) for r in records]
         assert min(scores[-12:]) >= 0.7 * min(scores[:-12])
-
-    def test_both_sided_near_singular_transport_ends_on_a_breakdown(self, monkeypatch):
-        """An S block that is not numerically PD has no factor: the step
-        raises, and the solve reports its last iterate, which ``_stop`` let
-        go on."""
-        records, _, status, raised = self._both_sided_transport_exit(monkeypatch, 0)
-        assert status is None
-        assert len(records) == 30
-        assert [str(exc) for exc in raised] == ["potrf failed with info 9"]
 
 
 # Benchmark qubit transport ops that the solver certifies on a short path.
