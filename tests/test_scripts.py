@@ -63,13 +63,17 @@ def test_bench_sdp_kernels_checks_and_times_the_requested_dims(tmp_path):
     )
     record = json.loads(out.read_text())
     assert record["environment"]["blas_threads"] == 1
-    assert [(row["d"], row["k"]) for row in record["apply_a_check"]] == [(2, 1), (2, 2), (3, 1), (3, 2)]
+    assert [(row["d"], row["k"]) for row in record["map_check"]] == [(2, 1), (2, 2), (3, 1), (3, 2)]
+    for row in record["map_check"]:
+        assert row["apply_a_rel_err"] <= 1e-13 and row["apply_at_rel_err"] <= 1e-13
+        assert set(row["us_per_call"]) == set(row["us_iqr"]) == {"apply_a", "apply_at"}
+        assert min(row["us_per_call"].values()) > 0
     assert [(row["d"], row["k"]) for row in record["schur_check"]] == [(2, 1), (2, 2), (3, 1), (3, 2)]
     for row in record["schur_check"]:
-        assert row["schur_rel_err"] <= 1e-12 and row["us_per_call"] > 0
+        assert row["schur_rel_err"] <= 1e-12 and row["us_per_call"] > 0 and row["us_iqr"] >= 0
     assert [row["d"] for row in record["step_length"]] == [2, 3]
     for row in record["step_length"]:
-        assert set(row["us_per_call"]) == {
+        assert set(row["us_per_call"]) == set(row["us_iqr"]) == {
             "cholesky_eigvalsh",
             "hegvx_scipy_wrapper",
             "factored_direct",

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -287,11 +288,17 @@ class TestProblemValidation:
             )
 
 
-def _marginal(r, seed, field="complex"):
+def _marginal(r, seed, field="complex", eps=None):
     """A random state of dimension r; for ``field="real"`` its real part,
-    which is a state too (the conjugate of a state is one)."""
+    which is a state too (the conjugate of a state is one).  With ``eps``
+    its smallest eigenvalue becomes eps, the others rescaled to trace 1."""
     rho = random_density_matrix(r, seed).matrix if r > 1 else np.eye(1)
-    return rho.real.astype(complex) if field == "real" else rho
+    if field == "real":
+        rho = rho.real.astype(complex)
+    if eps is not None:
+        vals, vecs = np.linalg.eigh(rho)
+        rho = (vecs * np.concatenate(([eps], vals[1:] * (1 - eps) / vals[1:].sum()))) @ vecs.conj().T
+    return rho
 
 
 def _random_gaussian(rng, n, field):
@@ -299,16 +306,17 @@ def _random_gaussian(rng, n, field):
     return g + 1j * rng.normal(size=(n, n)) if field == "complex" else g.astype(complex)
 
 
-def _random_coupling_problem(ra, rb, k, seed=0, field="complex"):
+def _random_coupling_problem(ra, rb, k, seed=0, field="complex", eps=None):
     """A coupling problem with k random costs; ``field="real"`` makes the
     costs and the marginals real symmetric, as for states with real
-    entries."""
+    entries, and ``eps`` is the smallest eigenvalue of both marginals."""
     rng = np.random.default_rng(seed)
     costs = []
     for _ in range(k):
         g = _random_gaussian(rng, ra * rb, field)
         costs.append((g + g.conj().T) / 2)
-    return coupling_problem(tuple(costs), _marginal(ra, seed + 1, field), _marginal(rb, seed + 2, field))
+    marginals = (_marginal(ra, seed + 1, field, eps), _marginal(rb, seed + 2, field, eps))
+    return coupling_problem(tuple(costs), *marginals)
 
 
 class TestCouplingStructure:
@@ -318,6 +326,12 @@ class TestCouplingStructure:
     # real symmetric problems and iterates, whose imaginary parts the
     # complex maps must keep at zero, and general complex Hermitian ones
     FIELDS = ["real", "complex"]
+    # every shape in both fields, and marginals with an eigenvalue of 1e-9
+    # each, whose weights span nine orders of magnitude
+    INPUTS = [
+        pytest.param(field, ra, rb, k, None, id=f"{field}-{ra}-{rb}-{k}")
+        for field, (ra, rb, k) in itertools.product(FIELDS, SHAPES)
+    ] + [pytest.param("complex", 3, 4, 2, 1e-9, id="near-singular-3-4-2")]
 
     @staticmethod
     def _iterates(ra, rb, k, field="complex"):
@@ -332,10 +346,9 @@ class TestCouplingStructure:
 
         return pd
 
-    @pytest.mark.parametrize("ra, rb, k", SHAPES)
-    @pytest.mark.parametrize("field", FIELDS)
-    def test_structured_schur_matches_dense(self, field, ra, rb, k):
-        problem = _random_coupling_problem(ra, rb, k, field=field)
+    @pytest.mark.parametrize("field, ra, rb, k, eps", INPUTS)
+    def test_structured_schur_matches_dense(self, field, ra, rb, k, eps):
+        problem = _random_coupling_problem(ra, rb, k, field=field, eps=eps)
         a_blocks = constraint_stacks(problem)
         pd = self._iterates(ra, rb, k, field)
         xs = np.array([pd() for _ in range(k)])
@@ -345,11 +358,10 @@ class TestCouplingStructure:
         assert structured.shape == dense.shape == (ra * ra + rb * rb - 1,) * 2
         assert np.max(np.abs(structured - dense)) <= 1e-12 * np.max(np.abs(dense))
 
-    @pytest.mark.parametrize("ra, rb, k", SHAPES)
-    @pytest.mark.parametrize("field", FIELDS)
-    def test_structured_maps_match_dense(self, field, ra, rb, k):
+    @pytest.mark.parametrize("field, ra, rb, k, eps", INPUTS)
+    def test_structured_maps_match_dense(self, field, ra, rb, k, eps):
         """rb = 1 has no B-side rows."""
-        problem = _random_coupling_problem(ra, rb, k, field=field)
+        problem = _random_coupling_problem(ra, rb, k, field=field, eps=eps)
         dense = DenseOperator(constraint_stacks(problem))
         structured = sdp._CouplingOperator(problem)
         pd = self._iterates(ra, rb, k, field)
@@ -420,14 +432,18 @@ class TestCouplingStructure:
 
     @pytest.mark.parametrize("r", [1, 2, 3, 5])
     def test_orthogonal_basis(self, r):
-        red = _marginal(r, 11)
-        basis = sdp._orthogonal_basis(red)
-        coords = np.einsum("kij,lji->kl", basis, basis).real
-        assert basis.shape == (r * r - 1, r, r)
-        assert np.allclose(coords, np.eye(r * r - 1), rtol=0, atol=1e-13)
-        assert np.allclose(np.einsum("kij,ji->k", basis, red), 0, rtol=0, atol=1e-13)
-        assert np.allclose(basis, basis.conj().transpose(0, 2, 1), rtol=0, atol=0)
-        assert np.allclose(sdp._orthogonal_basis(np.eye(r) / r), hermitian_basis(r)[1:], rtol=0, atol=1e-15)
+        """For random, uniform and near-singular weights."""
+        rng = np.random.default_rng(r)
+        tiny = np.concatenate(([1e-10], rng.random(r - 1)))
+        for weights in (rng.random(r), np.ones(r), tiny):
+            weights = weights / weights.sum()
+            basis = sdp._orthogonal_basis(weights)
+            coords = np.einsum("kij,lji->kl", basis, basis).real
+            assert basis.shape == (r * r - 1, r, r)
+            assert np.allclose(coords, np.eye(r * r - 1), rtol=0, atol=1e-13)
+            assert np.allclose(np.einsum("kij,ji->k", basis, np.diag(weights)), 0, rtol=0, atol=1e-13)
+            assert np.allclose(basis, basis.conj().transpose(0, 2, 1), rtol=0, atol=0)
+        assert np.allclose(sdp._orthogonal_basis(np.ones(r) / r), hermitian_basis(r)[1:], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("eps", [None, 1e-7])
     def test_builder_solves_the_transport_problem(self, eps):
@@ -869,6 +885,23 @@ class TestExits:
 
     def test_progress_goes_on(self):
         assert self._stop([_scored(1.0), _scored(0.5)]) is None
+
+    def test_optimal_exit_returns_its_last_record(self, monkeypatch):
+        """The gap and the residual of an optimal exit are those ``_stop``
+        judged; nothing measures them again."""
+        judged = []
+        stop = sdp._stop
+
+        def recorded(records, *args):
+            judged.append(records[-1])
+            return stop(records, *args)
+
+        monkeypatch.setattr(sdp, "_stop", recorded)
+        sol = solve(_random_coupling_problem(2, 3, 1), tol=1e-8)
+        assert sol.status == STATUS_OPTIMAL
+        assert sol.iterations == len(judged)
+        assert sol.gap == judged[-1].gap
+        assert sol.primal_infeasibility == judged[-1].pinf
 
     def test_cap_steps_after_its_last_measurement(self, monkeypatch):
         steps = []
