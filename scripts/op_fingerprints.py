@@ -4,10 +4,12 @@
 Cycles 0..N-1 of the workload are rebuilt with ``perfbench.workloads.cycle``
 and run in order through ``perfbench.ops``, untimed, with the same checks as
 ``perfbench/run.py`` (the tensored cross-check in cycle 0 only).  For each
-seed one line gives the status counts and a digest of every op's label,
-status and ``ops.verify`` fingerprint, the hash of the numbers it returned.
-Two checkouts that print the same line returned the same numbers, bit for
-bit, on every op of those cycles.
+seed one line gives the status counts, a digest of every op's label,
+status and ``ops.verify`` fingerprint, the hash of the numbers it returned,
+and the IPM iterations summed over every ``qot.sdp.solve`` call of the run,
+the checks' own solves included.  Two checkouts that print the same line
+returned the same numbers, bit for bit, on every op of those cycles, and
+took the same number of IPM iterations.
 
 BLAS is pinned to one thread, as in ``perfbench/run.py``, since the thread
 count can change the rounding.  Run from the repository root.  A change
@@ -36,11 +38,30 @@ from perfbench import blas  # noqa: E402  (must pin before numpy loads)
 blas.pin_one_thread()
 
 from perfbench import ops, workloads  # noqa: E402
+from qot import sdp  # noqa: E402
 
 STATUSES = (ops.CERTIFIED, ops.FAILED, ops.ERROR)
 
 
-def run_seed(workload: str, seed: int, n_cycles: int, scratch: Path) -> list[tuple[str, str, str]]:
+def run_seed(workload: str, seed: int, n_cycles: int, scratch: Path) -> tuple[list[tuple[str, str, str]], int]:
+    """``_run_cycles`` and the IPM iterations of every ``qot.sdp.solve``
+    call it made."""
+    solve, iterations = sdp.solve, 0
+
+    def counted(*args, **kwargs):
+        nonlocal iterations
+        sol = solve(*args, **kwargs)
+        iterations += sol.iterations
+        return sol
+
+    sdp.solve = counted
+    try:
+        return _run_cycles(workload, seed, n_cycles, scratch), iterations
+    finally:
+        sdp.solve = solve
+
+
+def _run_cycles(workload, seed, n_cycles, scratch):
     """(label, status, fingerprint) of every op of cycles 0..n_cycles-1."""
     rows = []
     for c in range(n_cycles):
@@ -75,11 +96,12 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
-            rows = run_seed(args.workload, seed, args.cycles, Path(tmp))
+            rows, iterations = run_seed(args.workload, seed, args.cycles, Path(tmp))
             counts = Counter(status for _, status, _ in rows)
             summary = " ".join(f"{s}={counts[s]}" for s in STATUSES)
             digest = ops.digest(rows)
-            print(f"{args.workload} seed={seed} cycles={args.cycles} {summary} digest={digest}", flush=True)
+            line = f"{args.workload} seed={seed} cycles={args.cycles} {summary} digest={digest} iterations={iterations}"
+            print(line, flush=True)
     return 0
 
 

@@ -186,7 +186,7 @@ def feasibility_margin(blocks, problem: CouplingProblem) -> tuple[float, float]:
     value = sum(np.trace(c.matrix @ x) for c, x in zip(problem.objective, mats)).real
     residual = 0.0
     for coeffs, rhs in problem.constraints:
-        lhs = sum(np.trace(a.matrix @ x).real for a, x in zip(coeffs, mats) if a is not None)
+        lhs = sum(np.trace(a.matrix @ x).real for a, x in zip(coeffs, mats))
         residual = max(residual, abs(lhs - rhs))
     for x in mats:
         residual = max(residual, float(np.max(np.abs(x - x.conj().T))))
@@ -201,8 +201,8 @@ def solve(problem: CouplingProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
 
     Status ``optimal`` means gap and max constraint residual are both below
     ``tol``.  Every other exit reports ``max_iterations``: a stall, the mu
-    floor, a numerical breakdown (which returns the last consistent iterate)
-    and the iteration cap.
+    floor, the cap of ``_MAX_ITER`` measured iterates and a numerical
+    breakdown.  Each returns the gap and residual the stop rule judged.
     """
     return _solve_ipm(problem.objective, problem.rhs, _CouplingOperator(problem), tol)
 
@@ -211,7 +211,9 @@ def _solve_ipm(objective, b, op, tol: float) -> SdpSolution:
     """The IPM, Mehrotra predictor-corrector with HKM direction, on the
     complex Hermitian objective operators ``objective`` and the right-hand
     side ``b``; ``op`` applies the constraints to (k, n, n) stacks and
-    assembles the Schur complement."""
+    assembles the Schur complement.  ``_stop`` decides every end but a
+    breakdown, a step raising LinAlgError; each returns the iterate of the
+    last record with that record's gap and primal residual."""
     if not (1e-10 <= tol <= 1e-2):
         raise ValueError(f"tol must lie in [1e-10, 1e-2], got {tol}")
     c = np.array([h.matrix for h in objective], dtype=complex)
@@ -226,36 +228,31 @@ def _solve_ipm(objective, b, op, tol: float) -> SdpSolution:
     eye = np.broadcast_to(np.eye(c.shape[1], dtype=complex), c.shape)
     xs, ss, y = scale_p * eye, scale_d * eye, np.zeros(len(b))
 
-    records, status = [], None
-    for _ in range(_MAX_ITER):
+    records = []
+    while True:
         rds = c - ss - op.apply_at(y)
         mu = _inner(xs, ss) / n_total
+        primal_value, dual_value = _inner(c, xs), float(b @ y)
         pinf = float(np.max(np.abs(b - op.apply_a(xs))))
         dinf = float(np.max(np.abs(rds.view(float)))) / 2
-        records.append(_Iterate(mu, _inner(c, xs) - float(b @ y), pinf, dinf))
+        records.append(_Iterate(mu, primal_value - dual_value, pinf, dinf))
         status = _stop(records, tol, scale_p, scale_d, n_total)
         if status is not None:
             break
         try:
             xs, ss, y = _ipm_step(op, b, xs, ss, y, rds, mu, n_total)
         except np.linalg.LinAlgError:
-            # breakdown at extreme conditioning: report the last consistent iterate
+            # breakdown at extreme conditioning: the last record describes the iterate
+            status = STATUS_MAX_ITERATIONS
             break
 
-    primal_value = _inner(c, xs)
-    dual_value = float(y @ b)
-    infeas = float(np.max(np.abs(op.apply_a(xs) - b)))
-    gap = primal_value - dual_value
-    # the cap and a breakdown end without a status
-    if status is None:
-        status = STATUS_MAX_ITERATIONS
     return SdpSolution(
         primal_blocks=tuple(xs),
         dual_vector=y.copy(),
         primal_value=primal_value,
         dual_value=dual_value,
-        gap=gap,
-        primal_infeasibility=infeas,
+        gap=records[-1].gap,
+        primal_infeasibility=records[-1].pinf,
         status=status,
         iterations=len(records),
     )
@@ -278,7 +275,8 @@ def _stop(records, eps, scale_p, scale_d, n_total) -> str | None:
     ``optimal`` when the last iterate has mu*n_total, |gap| and pinf at most
     ``eps`` and dinf at most eps*scale_d.  ``max_iterations`` on a stall,
     twelve iterates in a row whose score max(mu*n_total, pinf, dinf) is not
-    below 0.7 times the best so far, or at the mu floor 1e-16*scale_d*scale_p.
+    below 0.7 times the best so far, at the mu floor 1e-16*scale_d*scale_p,
+    or on the ``_MAX_ITER``-th record, the cap.
     """
     last = records[-1]
     if last.mu * n_total <= eps and abs(last.gap) <= eps and last.pinf <= eps and last.dinf <= eps * scale_d:
@@ -290,7 +288,8 @@ def _stop(records, eps, scale_p, scale_d, n_total) -> str | None:
             best, stall = score, 0
         else:
             stall += 1
-    return STATUS_MAX_ITERATIONS if stall >= 12 or last.mu < 1e-16 * scale_d * scale_p else None
+    ended = stall >= 12 or last.mu < 1e-16 * scale_d * scale_p or len(records) >= _MAX_ITER
+    return STATUS_MAX_ITERATIONS if ended else None
 
 
 def coupling_problem(costs, marginal_a: np.ndarray, marginal_b: np.ndarray) -> CouplingProblem:
@@ -463,18 +462,10 @@ def _step_factor(x: np.ndarray) -> np.ndarray:
     The shift starts at twice |lambda_min(x)| plus a rounding floor and grows
     tenfold per try, at most 8 tries; LinAlgError after that.
     """
-    try:
-        return _cholesky(x)
-    except np.linalg.LinAlgError:
-        pass
-    n = x.shape[0]
-    shift = 2.0 * abs(float(np.linalg.eigvalsh(x)[0])) + 1e-16 * (1.0 + abs(float(np.trace(x).real)) / n)
-    for _ in range(8):
-        try:
-            return _cholesky(x + shift * np.eye(n))
-        except np.linalg.LinAlgError:
-            shift *= 10
-    raise np.linalg.LinAlgError("step-length matrix is not positive definite after shifting")
+    def first_shift():
+        return 2.0 * abs(float(np.linalg.eigvalsh(x)[0])) + 1e-16 * (1.0 + abs(float(np.trace(x).real)) / x.shape[0])
+
+    return _shifted_cholesky(x, first_shift, 10, 8, "step-length matrix is not positive definite after shifting")
 
 
 class _CouplingOperator:
@@ -602,20 +593,28 @@ def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _schur_factor(mat: np.ndarray) -> np.ndarray:
-    """Cholesky factor of the Schur complement, with deterministic jitter
-    when it is not numerically PD: 1e-14 (mean diagonal + 1), growing
-    hundredfold per try, at most 11 tries after the unjittered one."""
+    """Cholesky factor of the Schur complement, jittered when it is not
+    numerically PD: from 1e-14 (mean diagonal + 1), hundredfold per try, 11 tries."""
+    return _shifted_cholesky(
+        mat, lambda: 1e-14 * (float(np.mean(np.diag(mat))) + 1.0), 100, 11, "Schur complement not positive definite"
+    )
+
+
+def _shifted_cholesky(mat, first_shift, growth, tries, message) -> np.ndarray:
+    """``_cholesky(mat)``, or that of the first of ``tries`` copies
+    mat + shift*I that is PD, the shift starting at ``first_shift()`` once
+    the plain factor fails and growing by ``growth`` per try; else LinAlgError."""
     try:
         return _cholesky(mat)
     except np.linalg.LinAlgError:
         pass
-    jitter = 1e-14 * (float(np.mean(np.diag(mat))) + 1.0)
-    for _ in range(11):
+    shift = first_shift()
+    for _ in range(tries):
         try:
-            return _cholesky(mat + jitter * np.eye(mat.shape[0]))
+            return _cholesky(mat + shift * np.eye(mat.shape[0]))
         except np.linalg.LinAlgError:
-            jitter *= 100
-    raise np.linalg.LinAlgError("Schur complement not positive definite")
+            shift *= growth
+    raise np.linalg.LinAlgError(message)
 
 
 def _chol_solve_refined(mat: np.ndarray, factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:

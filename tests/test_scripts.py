@@ -88,6 +88,8 @@ def test_op_fingerprints_prints_one_repeatable_line_per_seed():
     assert runs[0].stdout == runs[1].stdout
     (line,) = runs[0].stdout.splitlines()
     assert line.startswith("small-pairs seed=1 cycles=1 certified=6 failed=0 error=0 digest=")
+    # the summed iteration count closes the line and repeats with it
+    assert int(line.rsplit(" iterations=", 1)[1]) > 0
 
 
 def test_op_fingerprints_boundary_cycle_keeps_its_status_counts():

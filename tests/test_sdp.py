@@ -852,8 +852,9 @@ def _scored(score, mu=None):
 
 
 class TestExits:
-    """Every way the IPM ends: the three exits of ``_stop`` on synthetic
-    records, then the cap and a breakdown, which end the loop without it."""
+    """Every way the IPM ends: the four exits of ``_stop`` (optimal, stall,
+    mu floor and cap) on synthetic records, then on solves with a breakdown,
+    the one end ``_stop`` does not decide."""
 
     @staticmethod
     def _stop(records, scale_p=1.0, scale_d=1.0):
@@ -886,9 +887,46 @@ class TestExits:
     def test_progress_goes_on(self):
         assert self._stop([_scored(1.0), _scored(0.5)]) is None
 
-    def test_optimal_exit_returns_its_last_record(self, monkeypatch):
-        """The gap and the residual of an optimal exit are those ``_stop``
-        judged; nothing measures them again."""
+    def test_cap_stops_on_the_max_iter_th_record(self):
+        """Records that keep improving end the solve on the ``_MAX_ITER``-th."""
+        records = [_scored(0.69**i) for i in range(sdp._MAX_ITER)]
+        assert self._stop(records[:-1], scale_p=0.1, scale_d=0.1) is None
+        assert self._stop(records, scale_p=0.1, scale_d=0.1) == sdp.STATUS_MAX_ITERATIONS
+
+    @staticmethod
+    def _exit_problem(exit, monkeypatch):
+        """A problem, with the solver patched where needed, that ends on ``exit``."""
+        if exit == "stall":
+            from test_transport import near_singular
+
+            rho, sigma = near_singular(3, 1e-9, 100), near_singular(3, 1e-9, 200)
+            return coupling_problem((proj_asym(3).matrix,), rho.matrix, sigma.matrix)
+        if exit == "cap":
+            monkeypatch.setattr(sdp, "_MAX_ITER", 2)
+        if exit == "breakdown":
+            ipm_step, steps = sdp._ipm_step, []
+
+            def second_breaks(*args):
+                steps.append(1)
+                if len(steps) == 2:
+                    raise np.linalg.LinAlgError("breakdown")
+                return ipm_step(*args)
+
+            monkeypatch.setattr(sdp, "_ipm_step", second_breaks)
+        return _random_coupling_problem(2, 3, 1)
+
+    @pytest.mark.parametrize(
+        "exit, status, iterations",
+        [
+            ("optimal", STATUS_OPTIMAL, None),
+            ("stall", sdp.STATUS_MAX_ITERATIONS, None),
+            ("cap", sdp.STATUS_MAX_ITERATIONS, 2),
+            ("breakdown", sdp.STATUS_MAX_ITERATIONS, 2),
+        ],
+    )
+    def test_every_exit_returns_its_last_record(self, monkeypatch, exit, status, iterations):
+        """The gap and the residual of every exit are those ``_stop`` judged
+        last; nothing measures them again."""
         judged = []
         stop = sdp._stop
 
@@ -896,14 +934,17 @@ class TestExits:
             judged.append(records[-1])
             return stop(records, *args)
 
+        problem = self._exit_problem(exit, monkeypatch)
         monkeypatch.setattr(sdp, "_stop", recorded)
-        sol = solve(_random_coupling_problem(2, 3, 1), tol=1e-8)
-        assert sol.status == STATUS_OPTIMAL
+        sol = solve(problem, tol=1e-8)
+        assert sol.status == status
         assert sol.iterations == len(judged)
+        assert iterations is None or sol.iterations == iterations
         assert sol.gap == judged[-1].gap
         assert sol.primal_infeasibility == judged[-1].pinf
 
-    def test_cap_steps_after_its_last_measurement(self, monkeypatch):
+    def test_cap_ends_on_its_last_record(self, monkeypatch):
+        """The cap is the ``_MAX_ITER``-th record: no step follows it."""
         steps = []
         ipm_step = sdp._ipm_step
 
@@ -916,7 +957,7 @@ class TestExits:
         sol = solve(_random_coupling_problem(2, 3, 1), tol=1e-8)
         assert sol.status == sdp.STATUS_MAX_ITERATIONS
         assert sol.iterations == 2
-        assert len(steps) == 2
+        assert len(steps) == 1
 
     def test_breakdown_returns_the_last_consistent_iterate(self, monkeypatch):
         def broken(*args):
