@@ -18,11 +18,10 @@ to a relative 1e-12, and timed per call.  The step length as the solver
 takes it on a complex n x n block, n = d^2 (a zpotrf factor by
 ``_step_factor``, then ``_max_step`` on it: hegst and heevx through cached
 LAPACK handles), is then timed against hegvx through the
-``scipy.linalg.eigh`` wrapper, against the Cholesky, two triangular solves
-and eigvalsh, and against the same pencil on its real 2n x 2n embedding by
-dpotrf, dsygst and dsyevx, the kernel of a solver that runs X embedded.  The
-wrapper must give the same step bit for bit, the Cholesky route and the
-embedding to a relative 1e-12.  The script exits non-zero if a check fails.
+``scipy.linalg.eigh`` wrapper and against the Cholesky, two triangular
+solves and eigvalsh.  The wrapper must give the same step bit for bit, the
+Cholesky route to a relative 1e-12.  The script exits non-zero if a check
+fails.
 
 BLAS is pinned to one thread, as in ``perfbench/run.py``, and the effective
 count is read back and recorded.  Run from the repository root:
@@ -44,7 +43,6 @@ blas.pin_one_thread()
 
 import numpy as np  # noqa: E402
 import scipy.linalg  # noqa: E402
-import scipy.linalg.lapack  # noqa: E402
 
 from qot import sdp  # noqa: E402
 from qot.quantum import proj_asym, proj_sym, random_density_matrix  # noqa: E402
@@ -56,12 +54,6 @@ MIN_REPEAT_S = 0.02
 MAP_RTOL = 1e-13
 SCHUR_RTOL = 1e-12
 STEP_RTOL = 1e-12
-
-
-def complex_to_real_embedding(h: np.ndarray) -> np.ndarray:
-    """The real embedding [[A, -B], [B, A]] of a complex matrix H = A + iB:
-    symmetric for Hermitian H, PSD iff H is, with every eigenvalue doubled."""
-    return np.block([[h.real, -h.imag], [h.imag, h.real]])
 
 
 def per_call_us(fn) -> tuple[float, float]:
@@ -116,26 +108,6 @@ def step_wrapper(x, dx) -> float:
 def step_direct(x, dx) -> float:
     """The step length as the solver takes it, for PD x."""
     return sdp._max_step(dx, sdp._step_factor(x))
-
-
-_REAL_PENCIL = scipy.linalg.lapack.get_lapack_funcs(("potrf", "sygst", "syevx", "syevx_lwork"), dtype=np.float64)
-
-
-def embedded_lwork(n: int) -> int:
-    """The dsyevx workspace scipy queries for a 2n x 2n pencil."""
-    return scipy.linalg.lapack._compute_lwork(_REAL_PENCIL[3], 2 * n, lower=1)
-
-
-def step_embedded(ex, edx, lwork: int) -> float:
-    """The step length on the real embeddings ``ex`` and ``edx`` of x and dx
-    by dpotrf, dsygst and dsyevx, with the workspace ``embedded_lwork``."""
-    potrf, sygst, syevx, _ = _REAL_PENCIL
-    factor, info = potrf(ex, lower=True, clean=False)
-    c, info_gst = sygst(edx, factor, itype=1, lower=1)
-    w, _, _, _, info_evx = syevx(c, compute_v=0, range="I", lower=1, il=1, iu=1, lwork=lwork)
-    if info or info_gst or info_evx:
-        raise SystemExit(f"real embedded pencil failed: potrf {info}, sygst {info_gst}, syevx {info_evx}")
-    return step_from(float(w[0]))
 
 
 def hermitian_pd(rng, n):
@@ -207,23 +179,19 @@ def step_row(d: int) -> dict:
     x = hermitian_pd(rng, n)
     h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     dx = (h + h.conj().T) / 2
-    ex, edx, lwork = complex_to_real_embedding(x), complex_to_real_embedding(dx), embedded_lwork(n)
     step = step_direct(x, dx)
     if step != step_wrapper(x, dx):
         raise SystemExit(f"d={d}: the direct calls and the scipy wrapper give different steps")
-    errs = {}
-    others = {"cholesky_eigvalsh": step_reference(x, dx), "real_embedding": step_embedded(ex, edx, lwork)}
-    for name, other in others.items():
-        errs[name] = abs(step - other) / other
-        if errs[name] > STEP_RTOL:
-            raise SystemExit(f"d={d}: step lengths by {name} differ by {errs[name]:.2e} relative")
+    reference = step_reference(x, dx)
+    err = abs(step - reference) / reference
+    if err > STEP_RTOL:
+        raise SystemExit(f"d={d}: step lengths by Cholesky and eigvalsh differ by {err:.2e} relative")
     calls = {
         "cholesky_eigvalsh": lambda: step_reference(x, dx),
         "hegvx_scipy_wrapper": lambda: step_wrapper(x, dx),
         "factored_direct": lambda: step_direct(x, dx),
-        "real_embedding_direct": lambda: step_embedded(ex, edx, lwork),
     }
-    return {"d": d, "n": n, **timings(calls), "rel_err": errs}
+    return {"d": d, "n": n, **timings(calls), "rel_err": {"cholesky_eigvalsh": err}}
 
 
 def main(argv=None) -> int:
@@ -242,8 +210,7 @@ def main(argv=None) -> int:
             "coupling-SDP apply_a, apply_at and the Schur complement on complex blocks checked against the"
             " constraint list and timed (median and interquartile range over the repeats, in us per call);"
             " step length on a complex n x n pencil by direct potrf, hegst and heevx calls, by hegvx through"
-            " scipy.linalg.eigh, and by Cholesky, and on its real 2n x 2n embedding by direct dpotrf, dsygst"
-            " and dsyevx calls"
+            " scipy.linalg.eigh, and by Cholesky, triangular solves and eigvalsh"
         ),
         "environment": blas.environment(),
         "map_check": maps,

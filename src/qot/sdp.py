@@ -121,8 +121,10 @@ class CouplingProblem:
     block each.  The constraints are Tr[(basis_a[i] (x) diag(w_b)) Y] =
     Tr[basis_a[i]] for every i, then Tr[(diag(w_a) (x) basis_b[i]) Y] =
     Tr[basis_b[i]], on the sum Y of the blocks, which every constraint
-    enters.  ``constraints`` lists them explicitly for independent checks;
-    the solver never reads that list.
+    enters.  ``basis_a`` is ``hermitian_basis(ra)`` and ``basis_b`` its
+    traceless elements ``hermitian_basis(rb)[1:]``, so the right-hand side
+    ``rhs`` is sqrt(ra) e_0.  ``constraints`` lists the constraints
+    explicitly for independent checks; the solver never reads that list.
     """
 
     support_a: np.ndarray
@@ -305,9 +307,11 @@ def coupling_problem(costs, marginal_a: np.ndarray, marginal_b: np.ndarray) -> C
     whatever the spectra: a marginal eigenvalue eps, which in the
     coordinates of X gives optimal dual vector entries of order eps^(-1/2)
     and iterate eigenvalues far below eps, leaves Y and the dual vector of
-    order one.  ``basis_a`` is ``hermitian_basis(ra)`` and ``basis_b`` an
-    orthonormal basis of the Hermitian matrices orthogonal to
-    diag(weights_b) (that direction would repeat the trace constraint).
+    order one.  ``basis_a`` is ``hermitian_basis(ra)``, which holds the
+    trace, and ``basis_b`` the traceless ``hermitian_basis(rb)[1:]``: the
+    one direction both sides share, diag(weights_a) (x) diag(weights_b),
+    is then an A-side row only, since diag(weights_b) has trace 1, and no
+    row repeats another.
 
     Raises ValueError for a marginal with an eigenvalue below -SUPPORT_CUT
     or none above SUPPORT_CUT.  ``coupling_solution`` reads the couplings
@@ -322,7 +326,7 @@ def coupling_problem(costs, marginal_a: np.ndarray, marginal_b: np.ndarray) -> C
         weights_a=weights_a,
         weights_b=weights_b,
         basis_a=hermitian_basis(len(weights_a)),
-        basis_b=_orthogonal_basis(weights_b),
+        basis_b=hermitian_basis(len(weights_b))[1:],
         objective=tuple(HermitianOperator(w.conj().T @ cost @ w) for cost in costs),
     )
 
@@ -378,23 +382,6 @@ def _potential(y, basis, support, weights) -> np.ndarray:
     root = np.sqrt(weights)
     pot = np.tensordot(y, basis, axes=(0, 0)) / np.outer(root, root)
     return _hermitian(support @ pot @ support.conj().T)
-
-
-def _orthogonal_basis(weights: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the Hermitian matrices orthogonal to
-    diag(``weights``), for positive weights.
-
-    The Householder reflection that maps the identity direction of
-    ``hermitian_basis`` onto the direction of diag(weights) (up to sign)
-    carries the other basis elements onto the complement; for uniform
-    weights it returns ``hermitian_basis(r)[1:]`` unchanged.
-    """
-    basis = hermitian_basis(len(weights))
-    v = (np.diagonal(basis, axis1=1, axis2=2) @ weights).real
-    u = v / np.linalg.norm(v)
-    u[0] += 1.0  # v[0] = sum(w)/sqrt(r) > 0, so this never cancels
-    reflect = np.eye(len(v)) - 2.0 * np.outer(u, u) / (u @ u)
-    return np.tensordot(reflect[:, 1:].T, basis, axes=(1, 0))
 
 
 # ---------------------------------------------------------------------------

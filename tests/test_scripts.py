@@ -77,7 +77,6 @@ def test_bench_sdp_kernels_checks_and_times_the_requested_dims(tmp_path):
             "cholesky_eigvalsh",
             "hegvx_scipy_wrapper",
             "factored_direct",
-            "real_embedding_direct",
         }
 
 
@@ -99,6 +98,23 @@ def test_op_fingerprints_boundary_cycle_keeps_its_status_counts():
     cmd = [sys.executable, script, "--workload", "boundary", "--seeds", "1", "--cycles", "1"]
     run = subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=120)
     assert " certified=25 failed=4 error=0 " in run.stdout
+
+
+def test_certify_sweep_prints_one_line_per_call():
+    """One qutrit cell at eps = 1e-3, where every kind certifies both costs."""
+    script = str(SCRIPTS / "certify_sweep.py")
+    cmd = [sys.executable, script, "--dims", "3", "--eps", "1e-3", "--seeds", "0"]
+    run = subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=120)
+    *lines, closing = run.stdout.splitlines()
+    assert [line.split()[:5] for line in lines] == [
+        [kind, "eps=0.001", "d=3", "s=0", cost]
+        for kind in ("both-sided", "misaligned", "two-small")
+        for cost in ("transport_cost", "stabilized_cost")
+    ]
+    for line in lines:
+        status, iterations, value = line.split()[5:]
+        assert status == "ok" and int(iterations.removeprefix("iterations=")) > 0 and 0 <= float(value) <= 1
+    assert closing == "calls=6 transport_cost[ok=3] stabilized_cost[ok=3]"
 
 
 def test_bench_e2e_times_the_import_row_in_a_pinned_child():

@@ -430,20 +430,20 @@ class TestCouplingStructure:
         assert coupling.shape == (9, 9) and pot_a.shape == pot_b.shape == (3, 3)
         assert np.max(np.abs(pot_a @ vecs[:, 0])) <= 1e-12
 
-    @pytest.mark.parametrize("r", [1, 2, 3, 5])
-    def test_orthogonal_basis(self, r):
-        """For random, uniform and near-singular weights."""
-        rng = np.random.default_rng(r)
-        tiny = np.concatenate(([1e-10], rng.random(r - 1)))
-        for weights in (rng.random(r), np.ones(r), tiny):
-            weights = weights / weights.sum()
-            basis = sdp._orthogonal_basis(weights)
-            coords = np.einsum("kij,lji->kl", basis, basis).real
-            assert basis.shape == (r * r - 1, r, r)
-            assert np.allclose(coords, np.eye(r * r - 1), rtol=0, atol=1e-13)
-            assert np.allclose(np.einsum("kij,ji->k", basis, np.diag(weights)), 0, rtol=0, atol=1e-13)
-            assert np.allclose(basis, basis.conj().transpose(0, 2, 1), rtol=0, atol=0)
-        assert np.allclose(sdp._orthogonal_basis(np.ones(r) / r), hermitian_basis(r)[1:], rtol=0, atol=1e-15)
+    @pytest.mark.parametrize("field, ra, rb, k, eps", INPUTS)
+    def test_constraint_rows_are_independent(self, field, ra, rb, k, eps):
+        """The A side holds the trace and the B side is traceless, so the
+        right-hand side is sqrt(ra) e_0 and no row repeats another: a B side
+        over the full ``hermitian_basis(rb)`` would put sigma_min at 0."""
+        problem = _random_coupling_problem(ra, rb, k, field=field, eps=eps)
+        m = ra * ra + rb * rb - 1
+        assert problem.n_constraints == m
+        want = np.zeros(m)
+        want[0] = np.sqrt(ra)
+        assert np.allclose(problem.rhs, want, rtol=0, atol=1e-14)
+        for stack in constraint_stacks(problem):
+            sv = np.linalg.svd(stack.reshape(m, -1), compute_uv=False)
+            assert len(sv) == m and sv[-1] >= 0.1 * sv[0]
 
     @pytest.mark.parametrize("eps", [None, 1e-7])
     def test_builder_solves_the_transport_problem(self, eps):
