@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Check the coupling-SDP constraint maps and Schur complement, and time
-them and the step length per call.
+them, the step length and its kernels per call.
 
-For d x d marginals (d = 2..8 by default, or the ``--dims`` given) and k = 1
+For d x d marginals (d = 2..12 by default, or the ``--dims`` given) and k = 1
 or 2 PSD blocks, a coupling problem is built with
 ``qot.sdp.coupling_problem`` (the transport cost for k = 1, the stabilized
 split for k = 2).  Before its timing, the partial-trace map
@@ -14,14 +14,21 @@ sum_i y_i A_i of every block, both to a relative 1e-13; each map is then
 timed per call.  The Schur complement ``_CouplingOperator.schur``,
 assembled from complex Hermitian PD blocks X_j and T_j (the blocks of
 S^-1), is checked against sum_j Re Tr[A_i X_j A_l T_j] from the same list
-to a relative 1e-12, and timed per call.  The step length as the solver
-takes it on a complex n x n block, n = d^2 (a zpotrf factor by
-``_step_factor``, then ``_max_step`` on it: hegst and heevx through cached
-LAPACK handles), is then timed against hegvx through the
-``scipy.linalg.eigh`` wrapper and against the Cholesky, two triangular
-solves and eigvalsh.  The wrapper must give the same step bit for bit, the
-Cholesky route to a relative 1e-12.  The script exits non-zero if a check
-fails.
+to a relative 1e-12, and timed per call.  The step length on a complex
+n x n pencil (dX, X), n = d^2, by a zpotrf factor from ``_step_factor``
+and ``_max_step`` on it (hegst and heevx through cached LAPACK handles), is
+timed against hegvx through the ``scipy.linalg.eigh`` wrapper and against
+the Cholesky, two triangular solves and eigvalsh.  The wrapper must give
+the same step bit for bit, the Cholesky route to a relative 1e-12.  On the
+same X and dX the kernels of a step length are timed one by one: zhegst
+and zheevx; the zpotrf that settles a full step (on X + dX scaled to half
+its step length, so that it factors every column, as a full step does);
+ztrtri of the factor; the two matmuls L^-1 dX L^-H that take the place of
+zhegst; the pencil by the inverse factor (ztrtri, the two matmuls and
+zheevx), which must give the hegvx step to a relative 1e-12;
+and S^-1 for S = X by potrs with the identity and by L^-H L^-1 from the
+inverse factor, which must agree to a relative 1e-13.  These rows set
+``qot.sdp._INVERSE_FACTOR_ROWS``.  The script exits non-zero if a check fails.
 
 BLAS is pinned to one thread, as in ``perfbench/run.py``, and the effective
 count is read back and recorded.  Run from the repository root:
@@ -47,13 +54,14 @@ import scipy.linalg  # noqa: E402
 from qot import sdp  # noqa: E402
 from qot.quantum import proj_asym, proj_sym, random_density_matrix  # noqa: E402
 
-DIMS = range(2, 9)
+DIMS = range(2, 13)
 BLOCKS = (1, 2)
 REPEATS = 7
 MIN_REPEAT_S = 0.02
 MAP_RTOL = 1e-13
 SCHUR_RTOL = 1e-12
 STEP_RTOL = 1e-12
+INVERSE_RTOL = 1e-13
 
 
 def per_call_us(fn) -> tuple[float, float]:
@@ -106,8 +114,23 @@ def step_wrapper(x, dx) -> float:
 
 
 def step_direct(x, dx) -> float:
-    """The step length as the solver takes it, for PD x."""
-    return sdp._max_step(dx, sdp._step_factor(x))
+    """The step length by hegst and heevx on a fresh factor, for PD x."""
+    factor, _ = sdp._step_factor(x)
+    return sdp._max_step(dx, factor)
+
+
+def step_inverse_factor(factor, dx) -> float:
+    """The step length by ztrtri, two matmuls and heevx on the factor of x,
+    as the solver takes it on blocks with a row count in _INVERSE_FACTOR_ROWS."""
+    return sdp._max_step(dx, factor, sdp._inverse_factor(factor))
+
+
+def inverse_factor_pencil(factor, dx, lwork):
+    """The LAPACK and matmul calls of ``step_inverse_factor`` alone, as the
+    zhegst and zheevx rows time theirs."""
+    inverse, _ = sdp._lapack.ztrtri(factor, lower=1)
+    reduced = inverse @ dx @ inverse.conj().T
+    return sdp._lapack.zheevx(reduced, compute_v=0, range="I", lower=1, il=1, iu=1, lwork=lwork)
 
 
 def hermitian_pd(rng, n):
@@ -182,16 +205,40 @@ def step_row(d: int) -> dict:
     step = step_direct(x, dx)
     if step != step_wrapper(x, dx):
         raise SystemExit(f"d={d}: the direct calls and the scipy wrapper give different steps")
-    reference = step_reference(x, dx)
-    err = abs(step - reference) / reference
-    if err > STEP_RTOL:
-        raise SystemExit(f"d={d}: step lengths by Cholesky and eigvalsh differ by {err:.2e} relative")
+    factor, _ = sdp._step_factor(x)
+    inverse = sdp._inverse_factor(factor)
+    eye = np.eye(n, dtype=complex)
+    s_inverse = sdp._cho_solve(factor, eye)
+    errs = {
+        "cholesky_eigvalsh": abs(step - step_reference(x, dx)) / step,
+        "inverse_factor": abs(step_inverse_factor(factor, dx) - step) / step,
+        "s_inverse_inverse_factor": rel_err(inverse.conj().T @ inverse, s_inverse),
+    }
+    for name, bound in (("cholesky_eigvalsh", STEP_RTOL), ("inverse_factor", STEP_RTOL)):
+        if errs[name] > bound:
+            raise SystemExit(f"d={d}: step lengths by hegvx and by {name} differ by {errs[name]:.2e} relative")
+    err = errs["s_inverse_inverse_factor"]
+    if err > INVERSE_RTOL:
+        raise SystemExit(f"d={d}: S^-1 by potrs and by the inverse factor differ by {err:.2e} relative")
+    reduced, _ = sdp._lapack.zhegst(dx, factor, itype=1, lower=1)
+    lwork = sdp._evx_lwork(n)
+    full = x + 0.5 * step * dx
+    if not sdp._is_pd(full):
+        raise SystemExit(f"d={d}: X + dX at half its step length is not numerically PD")
     calls = {
         "cholesky_eigvalsh": lambda: step_reference(x, dx),
         "hegvx_scipy_wrapper": lambda: step_wrapper(x, dx),
         "factored_direct": lambda: step_direct(x, dx),
+        "zhegst": lambda: sdp._lapack.zhegst(dx, factor, itype=1, lower=1),
+        "zheevx": lambda: sdp._lapack.zheevx(reduced, compute_v=0, range="I", lower=1, il=1, iu=1, lwork=lwork),
+        "full_step_potrf": lambda: sdp._is_pd(full),
+        "ztrtri": lambda: sdp._lapack.ztrtri(factor, lower=1),
+        "two_matmuls": lambda: inverse @ dx @ inverse.conj().T,
+        "inverse_factor": lambda: inverse_factor_pencil(factor, dx, lwork),
+        "s_inverse_potrs": lambda: sdp._cho_solve(factor, eye),
+        "s_inverse_inverse_factor": lambda: inverse.conj().T @ inverse,
     }
-    return {"d": d, "n": n, **timings(calls), "rel_err": {"cholesky_eigvalsh": err}}
+    return {"d": d, "n": n, **timings(calls), "rel_err": errs}
 
 
 def main(argv=None) -> int:
@@ -210,7 +257,10 @@ def main(argv=None) -> int:
             "coupling-SDP apply_a, apply_at and the Schur complement on complex blocks checked against the"
             " constraint list and timed (median and interquartile range over the repeats, in us per call);"
             " step length on a complex n x n pencil by direct potrf, hegst and heevx calls, by hegvx through"
-            " scipy.linalg.eigh, and by Cholesky, triangular solves and eigvalsh"
+            " scipy.linalg.eigh, and by Cholesky, triangular solves and eigvalsh; on the same pencil, zhegst"
+            " and zheevx alone, the zpotrf of X + dX that settles a full step (dX scaled to half the step"
+            " length), ztrtri of the factor, the two matmuls L^-1 dX L^-H, the pencil by ztrtri, the two"
+            " matmuls and zheevx, and S^-1 by potrs with the identity and by L^-H L^-1 (S = X, L^-1 given)"
         ),
         "environment": blas.environment(),
         "map_check": maps,

@@ -72,6 +72,7 @@ _flapack = _load_flapack()
 
 dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 zpotrf, zpotrs, zhegst = _flapack.zpotrf, _flapack.zpotrs, _flapack.zhegst
+ztrtri = _flapack.ztrtri
 zheevx, zheevx_lwork = _flapack.zheevx, _flapack.zheevx_lwork
 zheevr, zheevr_lwork = _flapack.zheevr, _flapack.zheevr_lwork
 

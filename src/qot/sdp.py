@@ -29,18 +29,37 @@ length alpha scales the primal residual by 1 - alpha, and a full step leaves
 only rounding.  The solver is deterministic: identical problems and
 tolerances take identical iteration paths.
 
-Each iteration factors the Schur complement once, for both the predictor
-and the corrector solve, and each X and each S block once: the factor of S
-gives S^-1, and both factors serve the predictor's and the corrector's step
+Each iteration factors the Schur complement once, for both the predictor and
+the corrector solve, and each X and each S block once: the factor of S gives
+S^-1, and both factors serve the predictor's and the corrector's step
 lengths.  An X that is not numerically PD is factored shifted, as
-X + shift*I.  The hot loop calls LAPACK directly through the handles of the
-``_lapack`` module, since at a few dozen rows scipy's wrappers cost more
-than the routines: zpotrf and zpotrs for the block factors and S^-1, dpotrf
-and dpotrs for the real Schur complement, hegst and heevx for the step
-lengths.  The calls pass what ``cho_factor`` and ``cho_solve`` passed, and
-hegst and heevx are the calls the hegvx of ``eigh`` makes after its potrf,
-so each result is the one scipy's wrappers give bit for bit, and non-finite
-input still raises ValueError.
+X + shift*I.  A step on a block M is min(1, gamma*alpha_max), gamma being 1 for
+the predictor and the step fraction for the corrector, so it is 1 exactly
+when M + dM/gamma is PSD.  One zpotrf of that matrix per block and phase,
+read through its info, settles a full step at a fraction of the cost of the
+pencil (dM, M), which runs only where the factorization fails, or on a
+shifted factor (the check of Toh, "A note on the calculation of step-lengths
+in interior-point methods for semidefinite programming", Comput. Optim.
+Appl. 2002).  On the perfbench workloads about a third of the pencils would
+only confirm a full step.  The step taken is the one the pencils alone give,
+unless alpha_max lies within rounding of 1/gamma.  Blocks whose row count
+lies in ``_INVERSE_FACTOR_ROWS``, 25 to 143, also invert each factor once,
+by ztrtri: S^-1 is then L^-H L^-1, and in a pencil two matmuls take the
+place of hegst.  Those are the n = d^2 at which
+``scripts/bench_sdp_kernels.py`` (``BENCH_sdp_kernels.json``) times the two
+matmuls below one zhegst, and ztrtri with L^-H L^-1 below potrs with the
+identity; at n = 16 the matmuls and zhegst are level, and from n = 144 on
+the blocked zhegst is the faster.  The hot loop calls LAPACK directly
+through the handles of the ``_lapack`` module, since at a few dozen rows
+scipy's wrappers cost more than the routines: zpotrf and zpotrs for the
+block factors, the full-step test and S^-1, dpotrf and dpotrs for the real
+Schur complement, hegst, heevx and trtri for the step lengths.  The factors
+are the ones ``cho_factor`` gives, with the upper triangle set to zero,
+which no later call reads; potrs gets what ``cho_solve`` passed, and hegst
+and heevx are the calls the hegvx of ``eigh`` makes after its potrf.  So
+outside ``_INVERSE_FACTOR_ROWS`` each pencil and each S^-1 is the one
+scipy's wrappers give bit for bit, and non-finite input still raises
+ValueError.
 
 ``coupling_problem`` decomposes each marginal once, by one ``eigh``, keeps
 the eigenvectors with eigenvalue above ``SUPPORT_CUT`` (facial reduction to
@@ -405,27 +424,36 @@ _POTRF = {"f": _lapack.dpotrf, "c": _lapack.zpotrf}
 _POTRS = {"f": _lapack.dpotrs, "c": _lapack.zpotrs}
 
 
-def _max_step(dx: np.ndarray, factor: np.ndarray) -> float:
+def _max_step(dx: np.ndarray, factor: np.ndarray, inverse: np.ndarray | None = None) -> float:
     """Largest alpha with x + alpha*dx still PSD, for (near-)PD x with lower
-    Cholesky factor ``factor`` (``_step_factor(x)`` for an X block, the
-    factor of S for an S block): -1/lam for lam the smallest eigenvalue of
-    the pencil (dx, x), and 1e30 when lam is not negative."""
-    lam = _pencil_min(dx, factor)
+    Cholesky factor ``factor`` (that of ``_step_factor(x)`` for an X block,
+    the factor of S for an S block) and, for blocks whose row count lies in
+    ``_INVERSE_FACTOR_ROWS``, its inverse ``inverse``: -1/lam for lam the
+    smallest eigenvalue of the pencil (dx, x) by ``_pencil_min``, and 1e30
+    when lam is not negative.  The IPM asks for it only where
+    ``_step_length`` cannot settle a step by one zpotrf."""
+    lam = _pencil_min(dx, factor, inverse)
     return 1e30 if lam >= -1e-14 else -1.0 / lam
 
 
-def _pencil_min(dx: np.ndarray, factor: np.ndarray) -> float:
+def _pencil_min(dx: np.ndarray, factor: np.ndarray, inverse: np.ndarray | None = None) -> float:
     """Smallest eigenvalue of the pencil (dx, x) for complex Hermitian x
     with lower Cholesky factor ``factor``.
 
-    Bit for bit ``scipy.linalg.eigh(dx, x, eigvals_only=True,
-    subset_by_index=[0, 0])[0]``.  That runs hegvx, which factors x by
-    potrf, reduces the pencil to a standard problem by hegst and takes the
-    eigenvalue from heevx; these are its last two calls, with its arguments
-    and workspace.
+    Without ``inverse`` it is bit for bit ``scipy.linalg.eigh(dx, x,
+    eigvals_only=True, subset_by_index=[0, 0])[0]``.  That runs hegvx, which
+    factors x by potrf, reduces the pencil to a standard problem by hegst
+    and takes the eigenvalue from heevx; these are its last two calls, with
+    its arguments and workspace.  With ``inverse``, the lower triangular
+    inverse of ``factor`` from ``_inverse_factor``, two matmuls
+    inverse dx inverse^H take the place of hegst: the same matrix, rounded
+    otherwise, and cheaper for the row counts of ``_INVERSE_FACTOR_ROWS``.
     """
     _require_finite(dx)
-    c, info = _lapack.zhegst(dx, factor, itype=1, lower=1)
+    if inverse is None:
+        c, info = _lapack.zhegst(dx, factor, itype=1, lower=1)
+    else:
+        c, info = inverse @ dx @ inverse.conj().T, 0
     if info == 0:
         lwork = _evx_lwork(dx.shape[0])
         w, _, _, _, info = _lapack.zheevx(c, compute_v=0, range="I", lower=1, il=1, iu=1, lwork=lwork)
@@ -442,9 +470,81 @@ def _evx_lwork(n: int) -> int:
     return lwork
 
 
-def _step_factor(x: np.ndarray) -> np.ndarray:
-    """``_cholesky(x)``, or, for x grazing the cone boundary and so not
-    numerically PD, that of the first shifted copy x + shift*I that is PD.
+# Blocks with these row counts invert each Cholesky factor once, by ztrtri,
+# for S^-1 and for their pencils.  In ``BENCH_sdp_kernels.json`` (one BLAS
+# thread) two matmuls cost less than one zhegst, and ztrtri with L^-H L^-1
+# less than potrs with the identity, at n = d^2 from 25 to 121.  At n = 16
+# the matmuls and zhegst are level within the spread of the repeats, and
+# from n = 144 on zhegst is the cheaper.
+_INVERSE_FACTOR_ROWS = range(25, 144)
+
+
+class _StepFactor:
+    """The lower Cholesky factor that the step lengths on one PSD block m,
+    X or S, are taken on: that of m, or of a shifted copy of m where
+    ``shifted``.  For blocks whose row count lies in
+    ``_INVERSE_FACTOR_ROWS``, ``inverse()`` is the inverse of the factor,
+    taken on first use, so an X block whose step lengths all come out full
+    never takes it; for other blocks it is None."""
+
+    def __init__(self, factor: np.ndarray, shifted: bool = False):
+        self.factor, self.shifted, self._inverse = factor, shifted, None
+
+    def inverse(self) -> np.ndarray | None:
+        if self._inverse is None and self.factor.shape[0] in _INVERSE_FACTOR_ROWS:
+            self._inverse = _inverse_factor(self.factor)
+        return self._inverse
+
+    def matrix_inverse(self) -> np.ndarray:
+        """m^-1 for an unshifted factor: inverse^H inverse where there is an
+        inverse factor, else potrs with the identity."""
+        inverse = self.inverse()
+        if inverse is not None:
+            return inverse.conj().T @ inverse
+        return _cho_solve(self.factor, np.eye(self.factor.shape[0], dtype=complex))
+
+
+def _inverse_factor(factor: np.ndarray) -> np.ndarray:
+    """The inverse of a lower Cholesky factor from ``_cholesky``, by ztrtri;
+    lower triangular, since the factor's upper triangle is zero."""
+    inverse, info = _lapack.ztrtri(factor, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"trtri failed with info {info}")
+    return inverse
+
+
+def _step_length(ms: np.ndarray, dms: np.ndarray, factors, gamma: float) -> float:
+    """min(1, gamma * min_j _max_step(dm_j, ...)) over the blocks m_j of the
+    stack ``ms`` and their directions ``dms``, on the ``_StepFactor`` of each
+    block, bit for bit; gamma is 1 for the predictor and the step fraction
+    for the corrector.
+
+    A block's term is 1 exactly when m_j + dm_j/gamma is PSD, so one zpotrf
+    of that matrix, read through its info, settles a full step at a
+    fraction of the cost of a pencil.  The pencil runs only where that
+    factorization fails, and always on a shifted factor, which describes a
+    copy of m_j and not m_j.  A non-finite direction raises ValueError
+    before any factorization.
+    """
+    _require_finite(dms)
+    length = 1.0
+    for trial, dm, f in zip(ms + dms / gamma, dms, factors):
+        if f.shifted or not _is_pd(trial):
+            length = min(length, gamma * _max_step(dm, f.factor, f.inverse()))
+    return length
+
+
+def _is_pd(mat: np.ndarray) -> bool:
+    """Whether a complex Hermitian matrix is numerically PD: one zpotrf on
+    its lower triangle, read through its info."""
+    _, info = _lapack.zpotrf(mat, lower=1, clean=0)
+    return info == 0
+
+
+def _step_factor(x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``(_cholesky(x), False)``, or, for x grazing the cone boundary and so
+    not numerically PD, the factor of the first shifted copy x + shift*I
+    that is PD, with True.
 
     The shift starts at twice |lambda_min(x)| plus a rounding floor and grows
     tenfold per try, at most 8 tries; LinAlgError after that.
@@ -561,11 +661,11 @@ def _side_contraction(xs, tinvs, dims, left, right) -> np.ndarray:
 
 
 def _cholesky(mat: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor (upper triangle left as is) of a real symmetric
-    or complex Hermitian matrix; LinAlgError unless ``mat`` is numerically
+    """Lower Cholesky factor (upper triangle zero) of a real symmetric or
+    complex Hermitian matrix; LinAlgError unless ``mat`` is numerically
     PD."""
     _require_finite(mat)
-    factor, info = _POTRF[mat.dtype.kind](mat, lower=True, clean=False)
+    factor, info = _POTRF[mat.dtype.kind](mat, lower=True, clean=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"potrf failed with info {info}")
     return factor
@@ -582,23 +682,25 @@ def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _schur_factor(mat: np.ndarray) -> np.ndarray:
     """Cholesky factor of the Schur complement, jittered when it is not
     numerically PD: from 1e-14 (mean diagonal + 1), hundredfold per try, 11 tries."""
-    return _shifted_cholesky(
+    factor, _ = _shifted_cholesky(
         mat, lambda: 1e-14 * (float(np.mean(np.diag(mat))) + 1.0), 100, 11, "Schur complement not positive definite"
     )
+    return factor
 
 
-def _shifted_cholesky(mat, first_shift, growth, tries, message) -> np.ndarray:
-    """``_cholesky(mat)``, or that of the first of ``tries`` copies
-    mat + shift*I that is PD, the shift starting at ``first_shift()`` once
-    the plain factor fails and growing by ``growth`` per try; else LinAlgError."""
+def _shifted_cholesky(mat, first_shift, growth, tries, message) -> tuple[np.ndarray, bool]:
+    """``(_cholesky(mat), False)``, or the factor of the first of ``tries``
+    copies mat + shift*I that is PD, with True, the shift starting at
+    ``first_shift()`` once the plain factor fails and growing by ``growth``
+    per try; else LinAlgError."""
     try:
-        return _cholesky(mat)
+        return _cholesky(mat), False
     except np.linalg.LinAlgError:
         pass
     shift = first_shift()
     for _ in range(tries):
         try:
-            return _cholesky(mat + shift * np.eye(mat.shape[0]))
+            return _cholesky(mat + shift * np.eye(mat.shape[0])), True
         except np.linalg.LinAlgError:
             shift *= growth
     raise np.linalg.LinAlgError(message)
@@ -614,10 +716,9 @@ def _chol_solve_refined(mat: np.ndarray, factor: np.ndarray, rhs: np.ndarray) ->
 def _ipm_step(op, b, xs, ss, y, rds, mu, n_total):
     # one factor per X and per S block serves both step lengths on it, and
     # that of S gives S^-1 = T
-    s_factors = [_cholesky(s) for s in ss]
-    eye = np.eye(ss.shape[-1], dtype=complex)
-    tinvs = np.array([_cho_solve(f, eye) for f in s_factors])
-    x_factors = [_step_factor(x) for x in xs]
+    s_factors = [_StepFactor(_cholesky(s)) for s in ss]
+    tinvs = np.array([f.matrix_inverse() for f in s_factors])
+    x_factors = [_StepFactor(*_step_factor(x)) for x in xs]
     schur = op.schur(xs, tinvs)
     # one factorization serves the predictor and the corrector
     schur_factor = _schur_factor(schur)
@@ -630,19 +731,16 @@ def _ipm_step(op, b, xs, ss, y, rds, mu, n_total):
         dxs = _hermitian(sigma_mu * tinvs - xs - (xs @ dss + corr) @ tinvs)
         return dxs, dy, dss
 
-    def step_length(factors, directions):
-        return min(_max_step(dm, f) for dm, f in zip(directions, factors))
-
     dxs_aff, _, dss_aff = direction(0.0, np.zeros_like(xs))
-    ap_aff = min(1.0, step_length(x_factors, dxs_aff))
-    ad_aff = min(1.0, step_length(s_factors, dss_aff))
+    ap_aff = _step_length(xs, dxs_aff, x_factors, 1.0)
+    ad_aff = _step_length(ss, dss_aff, s_factors, 1.0)
     mu_aff = _inner(xs + ap_aff * dxs_aff, ss + ad_aff * dss_aff) / n_total
     sigma, gamma = _centring(mu_aff / mu, min(ap_aff, ad_aff))
 
     dxs, dy, dss = direction(sigma * mu, dxs_aff @ dss_aff)
 
-    ap = min(1.0, gamma * step_length(x_factors, dxs))
-    ad = min(1.0, gamma * step_length(s_factors, dss))
+    ap = _step_length(xs, dxs, x_factors, gamma)
+    ad = _step_length(ss, dss, s_factors, gamma)
     xs = _hermitian(xs + ap * dxs)
     ss = _hermitian(ss + ad * dss)
     y = y + ad * dy

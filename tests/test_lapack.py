@@ -78,7 +78,7 @@ def _bound_names():
 def test_handles_are_the_ones_get_lapack_funcs_returns():
     pairs = [
         (("potrf", "potrs"), np.float64),
-        (("potrf", "potrs", "hegst", "heevx", "heevx_lwork", "heevr", "heevr_lwork"), np.complex128),
+        (("potrf", "potrs", "hegst", "heevx", "heevx_lwork", "heevr", "heevr_lwork", "trtri"), np.complex128),
     ]
     bound = []
     for names, dtype in pairs:
@@ -108,6 +108,7 @@ def test_every_bound_routine_is_called_and_each_complex_one_is_a_known_kernel():
         "zhegst",
         "zpotrf",
         "zpotrs",
+        "ztrtri",
     ]
 
 

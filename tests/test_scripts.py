@@ -77,7 +77,19 @@ def test_bench_sdp_kernels_checks_and_times_the_requested_dims(tmp_path):
             "cholesky_eigvalsh",
             "hegvx_scipy_wrapper",
             "factored_direct",
+            "zhegst",
+            "zheevx",
+            "full_step_potrf",
+            "ztrtri",
+            "two_matmuls",
+            "inverse_factor",
+            "s_inverse_potrs",
+            "s_inverse_inverse_factor",
         }
+        assert min(row["us_per_call"].values()) > 0
+        errs = row["rel_err"]
+        assert errs["cholesky_eigvalsh"] <= 1e-12 and errs["inverse_factor"] <= 1e-12
+        assert errs["s_inverse_inverse_factor"] <= 1e-13
 
 
 def test_op_fingerprints_prints_one_repeatable_line_per_seed():

@@ -547,7 +547,9 @@ class TestMaxStep:
         if kind == "unbounded":
             dx = dx @ dx.T
         want = _max_step_reference(x, dx)
-        got = sdp._max_step(dx, sdp._step_factor(x))
+        factor, shifted = sdp._step_factor(x)
+        assert shifted == (kind in ("singular", "grazing"))
+        got = sdp._max_step(dx, factor)
         # The shifted pencil has a pivot of order sqrt(shift) ~ 1e-7, so any
         # two kernel sequences agree on it only to about 1e-16 / shift.
         assert got == pytest.approx(want, rel=1e-2 if kind in ("singular", "grazing") else 1e-12)
@@ -579,8 +581,8 @@ class TestMaxStep:
         x itself."""
         for seed in range(3):
             x, dx = self._pencil(n, 10 * n + seed, field)
-            factor = sdp._step_factor(x)
-            assert np.array_equal(factor, sdp._cholesky(x))
+            factor, shifted = sdp._step_factor(x)
+            assert not shifted and np.array_equal(factor, sdp._cholesky(x))
             assert sdp._max_step(dx, factor) == -1.0 / sdp._pencil_min(dx, sdp._cholesky(x))
 
     @staticmethod
@@ -607,7 +609,8 @@ class TestMaxStep:
                 sdp._cholesky(x)
             shifted = x + _first_shift(x) * np.eye(n)
             want = scipy.linalg.eigh(dx, shifted, eigvals_only=True, subset_by_index=[0, 0])[0]
-            assert sdp._max_step(dx, sdp._step_factor(x)) == -1.0 / want
+            factor, shifted = sdp._step_factor(x)
+            assert shifted and sdp._max_step(dx, factor) == -1.0 / want
 
     def test_x_without_a_factor_goes_straight_to_the_shifted_pencil(self, monkeypatch):
         """x with a zero pivot is tried once as it is, then factored at the
@@ -621,7 +624,8 @@ class TestMaxStep:
             return cholesky(mat)
 
         monkeypatch.setattr(sdp, "_cholesky", recorded)
-        factor = sdp._step_factor(x)
+        factor, shifted = sdp._step_factor(x)
+        assert shifted
         shifted = x + _first_shift(x) * np.eye(8)
         assert len(seen) == 2 and seen[0] is x and np.array_equal(seen[1], shifted)
         assert np.array_equal(factor, cholesky(shifted))
@@ -645,13 +649,16 @@ class TestMaxStep:
         with pytest.raises(ValueError):
             sdp._pencil_min(dx, sdp._cholesky(x))
         with pytest.raises(ValueError):
-            sdp._max_step(dx, sdp._step_factor(x))
+            sdp._max_step(dx, sdp._step_factor(x)[0])
 
     def test_ipm_steps_take_every_step_length_on_a_shared_factor(self, monkeypatch):
-        """One factor per X block and step, and four step lengths per block
-        and step, none of which factors again."""
-        calls = {"pencil": 0, "factor": 0, "steps": 0}
-        pencil, step_factor, ipm_step = sdp._pencil_min, sdp._step_factor, sdp._ipm_step
+        """One factor per X block and step, and four step decisions per
+        block and step: each one zpotrf of the block plus its step
+        direction, and a pencil on the shared factor only where that
+        zpotrf fails."""
+        calls = {"factor": 0, "steps": 0}
+        verdicts, pencils = [], []
+        is_pd, pencil, step_factor, ipm_step = sdp._is_pd, sdp._pencil_min, sdp._step_factor, sdp._ipm_step
 
         def count(key, fn):
             def counted(*args):
@@ -660,7 +667,16 @@ class TestMaxStep:
 
             return counted
 
-        monkeypatch.setattr(sdp, "_pencil_min", count("pencil", pencil))
+        def tested(mat):
+            verdicts.append(is_pd(mat))
+            return verdicts[-1]
+
+        def counted_pencil(*args):
+            pencils.append(len(verdicts))
+            return pencil(*args)
+
+        monkeypatch.setattr(sdp, "_is_pd", tested)
+        monkeypatch.setattr(sdp, "_pencil_min", counted_pencil)
         monkeypatch.setattr(sdp, "_step_factor", count("factor", step_factor))
         monkeypatch.setattr(sdp, "_ipm_step", count("steps", ipm_step))
         k = 2
@@ -668,7 +684,12 @@ class TestMaxStep:
         assert sol.status == STATUS_OPTIMAL
         steps = calls["steps"]
         assert steps > 0
-        assert calls == {"pencil": 4 * k * steps, "factor": k * steps, "steps": steps}
+        assert calls == {"factor": k * steps, "steps": steps}
+        # no X block of this solve needs a shift, so every decision factors once
+        assert len(verdicts) == 4 * k * steps
+        # each pencil follows the failed zpotrf of its own decision
+        assert pencils == [i + 1 for i, full in enumerate(verdicts) if not full]
+        assert 0 < len(pencils) < len(verdicts)
 
     @pytest.mark.parametrize("n", [8, 32, 72])
     def test_cached_lwork_is_the_one_scipy_queries(self, n):
@@ -676,6 +697,118 @@ class TestMaxStep:
         hegvx, which hands it on."""
         (query,) = scipy.linalg.lapack.get_lapack_funcs(("hegvx_lwork",), dtype=complex)
         assert sdp._evx_lwork(n) == scipy.linalg.lapack._compute_lwork(query, n, uplo="L")
+
+
+class TestStepLength:
+    """The step each IPM phase takes: one zpotrf of m + dm/gamma per block
+    decides a full step, and a pencil runs only where it fails."""
+
+    @staticmethod
+    def _blocks(n, k, seed):
+        """k random complex Hermitian PD blocks of order n, their
+        ``_StepFactor``s and random Hermitian directions."""
+        rng = np.random.default_rng(seed)
+        ms, dms = [], []
+        for _ in range(k):
+            g, h = _random_gaussian(rng, n, "complex"), _random_gaussian(rng, n, "complex")
+            ms.append(g @ g.conj().T / n + 0.1 * np.eye(n))
+            dms.append((h + h.conj().T) / 2)
+        ms = np.array(ms)
+        return ms, np.array(dms), [sdp._StepFactor(sdp._cholesky(m)) for m in ms]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("gamma", [0.9, 0.99])
+    @pytest.mark.parametrize("n", [4, 9, 16, 36, 64])
+    def test_step_is_the_pencil_step_bit_for_bit(self, monkeypatch, n, gamma, k):
+        """min(1, gamma * min_j alpha_j) with alpha_j from ``_max_step``, the
+        step before the zpotrf test, for the predictor (gamma = 1) and the
+        corrector, with each block's gamma*alpha_j set to 0.5 or 0.995 (a
+        partial step, the second with alpha_j > 1, so that only the test of
+        m + dm/gamma and not of m + dm finds it partial) or 2 (full), all far
+        from the threshold 1."""
+        pencil, pencils = sdp._pencil_min, []
+
+        def counted(*args):
+            pencils.append(args)
+            return pencil(*args)
+
+        monkeypatch.setattr(sdp, "_pencil_min", counted)
+        ms, dms, factors = self._blocks(n, k, 100 * n + k)
+        for targets in itertools.product((0.5, 0.995, 2.0), repeat=k):
+            for phase_gamma in (1.0, gamma):
+                # alpha scales as 1/c when dm does as c
+                scaled = np.array(
+                    [
+                        dm * (phase_gamma * sdp._max_step(dm, f.factor, f.inverse()) / t)
+                        for dm, f, t in zip(dms, factors, targets)
+                    ]
+                )
+                alphas = [sdp._max_step(dm, f.factor, f.inverse()) for dm, f in zip(scaled, factors)]
+                for alpha, t in zip(alphas, targets):
+                    assert abs(phase_gamma * alpha - t) <= 1e-10 * t
+                want = min(1.0, phase_gamma * min(alphas))
+                pencils.clear()
+                got = sdp._step_length(ms, scaled, factors, phase_gamma)
+                assert got == want
+                assert (got == 1.0) == (min(targets) > 1.0)
+                # a pencil for each partial block only
+                assert len(pencils) == sum(t < 1.0 for t in targets)
+
+    @pytest.mark.parametrize("n", [8, 36])
+    def test_shifted_factor_never_meets_the_test(self, monkeypatch, n):
+        """A shifted X factor describes a copy of X, so its block goes
+        straight to the pencil, even where X + dX is PD; the unshifted block
+        beside it is decided by its zpotrf."""
+        ms, _, factors = self._blocks(n, 2, n)
+        w, v = np.linalg.eigh(ms[0])
+        w[0] = -1e-10
+        ms[0] = sdp._hermitian((v * w) @ v.conj().T)
+        factor, shifted = sdp._step_factor(ms[0])
+        assert shifted
+        factors[0] = sdp._StepFactor(factor, shifted)
+        dms = np.array([0.01 * np.eye(n, dtype=complex)] * 2)
+        assert sdp._is_pd(ms[0] + dms[0])
+        tested, pencils = [], []
+        is_pd, pencil = sdp._is_pd, sdp._pencil_min
+        monkeypatch.setattr(sdp, "_is_pd", lambda mat: tested.append(mat) or is_pd(mat))
+        monkeypatch.setattr(sdp, "_pencil_min", lambda *args: pencils.append(args[1]) or pencil(*args))
+        assert sdp._step_length(ms, dms, factors, 0.95) == 1.0
+        assert len(tested) == 1 and np.array_equal(tested[0], ms[1] + dms[1] / 0.95)
+        assert len(pencils) == 1 and pencils[0] is factor
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(2, 3), (3, 2), (5, 5)])
+    def test_non_finite_direction_raises_before_any_factorization(self, monkeypatch, bad, where):
+        ms, dms, factors = self._blocks(8, 2, 1)
+        dms[1][where] = bad
+        calls = []
+        monkeypatch.setattr(sdp, "_is_pd", lambda mat: calls.append("potrf"))
+        monkeypatch.setattr(sdp, "_pencil_min", lambda *args: calls.append("pencil"))
+        with pytest.raises(ValueError):
+            sdp._step_length(ms, dms, factors, 1.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [4, 16, 25, 64, 143, 144])
+    def test_inverse_factor_pencil_and_s_inverse_match_the_lapack_route(self, n):
+        """For row counts in ``_INVERSE_FACTOR_ROWS`` the pencil by the
+        inverse factor matches hegst's to 1e-12 relative and
+        S^-1 = L^-H L^-1 matches potrs with the identity to 1e-13; for other
+        row counts neither is taken and S^-1 is potrs's, bit for bit."""
+        ms, dms, factors = self._blocks(n, 1, n)
+        (dx,), (f,) = dms, factors
+        eye = np.eye(n, dtype=complex)
+        s_inverse = sdp._cho_solve(f.factor, eye)
+        if n not in sdp._INVERSE_FACTOR_ROWS:
+            assert f.inverse() is None
+            assert np.array_equal(f.matrix_inverse(), s_inverse)
+            return
+        inverse = f.inverse()
+        assert np.array_equal(inverse, np.tril(inverse))
+        assert np.allclose(inverse @ f.factor, eye, rtol=0, atol=1e-12)
+        want = sdp._pencil_min(dx, f.factor)
+        assert abs(sdp._pencil_min(dx, f.factor, inverse) - want) <= 1e-12 * abs(want)
+        err = np.max(np.abs(f.matrix_inverse() - s_inverse)) / np.max(np.abs(s_inverse))
+        assert err <= 1e-13
 
 
 def _refined_solve_factoring_inside(mat, rhs):
@@ -822,27 +955,27 @@ class TestCentring:
 
     def test_every_ipm_step_centres_once_on_clipped_step_lengths(self, monkeypatch):
         """The reach is the least predictor step length, X's and S's,
-        clipped at 1: the first 2k of the 4k step lengths of a step."""
+        clipped at 1: the least of the first two of the four decided step
+        lengths of a step, each over all k blocks."""
         seen, lengths = [], []
-        centring, max_step = sdp._centring, sdp._max_step
+        centring, step_length = sdp._centring, sdp._step_length
 
         def recorded(ratio, reach):
             seen.append((ratio, reach))
             return centring(ratio, reach)
 
-        def measured(dx, factor):
-            lengths.append(max_step(dx, factor))
+        def decided(*args):
+            lengths.append(step_length(*args))
             return lengths[-1]
 
         monkeypatch.setattr(sdp, "_centring", recorded)
-        monkeypatch.setattr(sdp, "_max_step", measured)
-        k = 2
-        sol = solve(_random_coupling_problem(2, 3, k), tol=1e-8)
+        monkeypatch.setattr(sdp, "_step_length", decided)
+        sol = solve(_random_coupling_problem(2, 3, 2), tol=1e-8)
         assert sol.status == STATUS_OPTIMAL
         assert len(seen) == sol.iterations - 1
-        assert len(lengths) == 4 * k * len(seen)
+        assert len(lengths) == 4 * len(seen)
         for i, (ratio, reach) in enumerate(seen):
-            assert reach == min(1.0, *lengths[4 * k * i : 4 * k * i + 2 * k])
+            assert reach == min(lengths[4 * i : 4 * i + 2])
             assert 0.0 < reach <= 1.0 and ratio < 1.0
 
 
